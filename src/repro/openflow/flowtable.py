@@ -6,13 +6,29 @@ priority-ordered list for wildcard entries.  Idle/hard timeouts and
 LRU/FIFO eviction model the paper's observation that "rules for inactive
 flows will be kicked out and replaced by rules for active flows", which is
 why even TCP flows can hit the miss path mid-connection (§VI.B).
+
+A full table evicts the exact entry with the least ``(last_used,
+entry_id)`` under LRU (``(installed_at, entry_id)`` under FIFO), and a
+wildcard only when no exact entry is left.  The victim comes from a
+lazily validated binary heap over the exact entries, so an insert into a
+full table costs O(log n) amortized instead of a scan of the table.  The
+heap is built at a table's first eviction and dropped once most of it is
+stale, so tables that never fill hold no index at all (DESIGN.md §19).
+
+Every expiry — the periodic :meth:`FlowTable.expire` sweep, the lazy
+removal of an expired rule that a lookup finds, and the sweep a DELETE
+makes first — is counted in ``expirations`` and reported to the table's
+``on_expire`` listener, which the switch datapath turns into
+``flow_expired`` events (and so into FlowRemoved messages).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Optional, Tuple
 
 from ..packets import Packet
 from .actions import Action
@@ -33,15 +49,6 @@ def _exact_key_from_match(match: Match) -> Optional[tuple]:
     if None in values:
         return None
     return values
-
-
-def _exact_key_from_packet(packet: Packet, in_port: int) -> tuple:
-    """The key a fully-exact entry for this packet would have.
-
-    Kept as a thin alias over :meth:`Packet.exact_key` (which caches the
-    tuple on the packet) for callers that still import it.
-    """
-    return packet.exact_key(in_port)
 
 
 @dataclass
@@ -82,19 +89,35 @@ class FlowTable:
 
     ``eviction`` is ``"lru"`` (least recently used, the default — matches
     the LRU caching behaviour of [13] the paper cites) or ``"fifo"``
-    (oldest installation first).
+    (oldest installation first).  ``on_expire(now, entry)`` is called
+    for every entry that leaves the table because it timed out.
+
+    Every call must pass a ``now`` no earlier than the previous call's
+    (simulated time): the eviction heap relies on an entry's score only
+    ever growing.
     """
 
-    def __init__(self, capacity: int = 2048, eviction: str = "lru"):
+    def __init__(self, capacity: int = 2048, eviction: str = "lru",
+                 on_expire: Optional[
+                     Callable[[float, FlowEntry], None]] = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if eviction not in ("lru", "fifo"):
             raise ValueError(f"unknown eviction policy {eviction!r}")
         self.capacity = capacity
         self.eviction = eviction
+        self.on_expire = on_expire
         self._exact: dict[tuple, FlowEntry] = {}
         #: Wildcard entries, kept sorted by (-priority, entry_id).
         self._wildcards: list[FlowEntry] = []
+        #: Eviction index over the exact entries: a heap of
+        #: ``(score, entry_id, push_seq, key, entry)`` items, ``None``
+        #: until the first eviction (see :meth:`_evict_exact`).
+        #: ``push_seq`` keeps two items from ever comparing entries.
+        self._heap: Optional[list] = None
+        self._push_seq = itertools.count()
+        self._score = attrgetter("last_used" if eviction == "lru"
+                                 else "installed_at")
         #: Mutation counter: any structural change bumps this, letting
         #: exact-match caches above the table validate their entries.
         self.generation = 0
@@ -123,8 +146,8 @@ class FlowTable:
                now: float) -> Optional[FlowEntry]:
         """Find the highest-priority live entry matching ``packet``.
 
-        Expired entries encountered during lookup are removed lazily, in
-        addition to the periodic :meth:`expire` sweep.
+        Expired entries encountered during lookup are removed (and
+        reported) lazily, in addition to the periodic :meth:`expire` sweep.
         """
         self.lookups += 1
         best: Optional[FlowEntry] = None
@@ -134,8 +157,7 @@ class FlowTable:
         if exact is not None:
             if exact.is_expired(now):
                 del self._exact[key]
-                self.expirations += 1
-                self.generation += 1
+                self._expired([exact], now)
             else:
                 best = exact
 
@@ -143,15 +165,15 @@ class FlowTable:
             survivors = []
             for entry in self._wildcards:
                 if entry.is_expired(now):
-                    self.expirations += 1
                     continue
                 survivors.append(entry)
                 if best is None or entry.priority > best.priority:
                     if entry.match.matches(packet, in_port):
                         best = entry
             if len(survivors) != len(self._wildcards):
+                expired = [e for e in self._wildcards if e.is_expired(now)]
                 self._wildcards = survivors
-                self.generation += 1
+                self._expired(expired, now)
 
         if best is not None:
             best.touch(now, packet.wire_len)
@@ -192,6 +214,13 @@ class FlowTable:
 
         if key is not None:
             self._exact[key] = entry
+            heap = self._heap
+            if heap is not None:
+                heapq.heappush(heap, (now, entry.entry_id,
+                                      next(self._push_seq), key, entry))
+                if len(heap) > 2 * len(self._exact):
+                    # Mostly stale items: rebuilt at the next eviction.
+                    self._heap = None
         elif not replaced:
             self._wildcards.append(entry)
             self._wildcards.sort(key=lambda e: (-e.priority, e.entry_id))
@@ -199,28 +228,52 @@ class FlowTable:
         self.generation += 1
         return evicted
 
-    def _evict_one(self) -> Optional[FlowEntry]:
+    def _evict_one(self) -> FlowEntry:
         """Remove one entry according to the eviction policy."""
-        candidates = list(self._exact.items())
-        if self.eviction == "lru":
-            score = lambda item: (item[1].last_used, item[1].entry_id)
-        else:  # fifo
-            score = lambda item: (item[1].installed_at, item[1].entry_id)
-        victim_key: Optional[tuple] = None
-        victim: Optional[FlowEntry] = None
-        if candidates:
-            victim_key, victim = min(candidates, key=score)
-        # Wildcards are only evicted if there are no exact entries; real
-        # switches strongly prefer evicting microflow rules.
-        if victim is None and self._wildcards:
+        if self._exact:
+            victim = self._evict_exact()
+        else:
+            # Wildcards are only evicted if there are no exact entries;
+            # real switches strongly prefer evicting microflow rules.
             victim = min(self._wildcards,
                          key=lambda e: (e.last_used, e.entry_id))
             self._wildcards.remove(victim)
-        elif victim_key is not None:
-            del self._exact[victim_key]
-        if victim is not None:
-            self.evictions += 1
+        self.evictions += 1
         return victim
+
+    def _evict_exact(self) -> FlowEntry:
+        """Remove and return the exact entry a full scan would pick.
+
+        The pick is the least ``(score, entry_id)``, score being
+        ``last_used`` (LRU) or ``installed_at`` (FIFO).  Every live exact
+        entry has at least one heap item, and an item's stored score
+        never exceeds its entry's current score (time only moves
+        forward; hits update ``last_used`` without touching the heap).
+        Items whose entry has left the table are dropped, items whose
+        score fell behind are re-pushed at the current score, and the
+        first top item that is fresh is the scan's pick, ties included.
+        """
+        exact = self._exact
+        score = self._score
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = [
+                (score(entry), entry.entry_id, next(self._push_seq), key,
+                 entry) for key, entry in exact.items()]
+            heapq.heapify(heap)
+        while True:
+            stored, entry_id, _seq, key, entry = heap[0]
+            if exact.get(key) is not entry:
+                heapq.heappop(heap)
+                continue
+            current = score(entry)
+            if stored != current:
+                heapq.heapreplace(heap, (current, entry_id,
+                                         next(self._push_seq), key, entry))
+                continue
+            heapq.heappop(heap)
+            del exact[key]
+            return entry
 
     def remove(self, match: Match, strict_priority: Optional[int] = None,
                now: Optional[float] = None) -> int:
@@ -229,8 +282,8 @@ class FlowTable:
         With ``strict_priority`` only an identical match at that priority is
         removed (OFPFC_DELETE_STRICT); otherwise all covered entries go
         (OFPFC_DELETE).  When ``now`` is given, entries that had already
-        expired are swept out first and not counted as deletions — a dead
-        rule cannot be deleted twice.
+        expired are swept out (and reported) first and not counted as
+        deletions — a dead rule cannot be deleted twice.
         """
         if now is not None:
             self.expire(now)
@@ -276,10 +329,17 @@ class FlowTable:
             else:
                 keep.append(entry)
         self._wildcards = keep
-        self.expirations += len(expired)
         if expired:
-            self.generation += 1
+            self._expired(expired, now)
         return expired
+
+    def _expired(self, entries: list[FlowEntry], now: float) -> None:
+        """Count and report ``entries``, just removed as timed out."""
+        self.expirations += len(entries)
+        self.generation += 1
+        if self.on_expire is not None:
+            for entry in entries:
+                self.on_expire(now, entry)
 
     def entries(self) -> list[FlowEntry]:
         """All live entries (exact first, then wildcards by priority)."""

@@ -10,7 +10,8 @@ else is a hit.
 
 Entries are written atomically (temp file + ``os.replace``) so parallel
 workers and concurrent CLI invocations can share one cache directory,
-and a corrupted or truncated entry degrades to a miss, never an error.
+and a corrupted or truncated entry degrades to a miss, never an error —
+but not a silent one: it is counted, deleted and warned about.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import warnings
 from pathlib import Path
 from typing import Optional, Union
 
@@ -116,6 +118,8 @@ class ResultCache:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.hits = 0
         self.misses = 0
+        #: Unreadable or wrong-type entries (each also counted a miss).
+        self.corrupt = 0
         self.stores = 0
 
     def path_for(self, key: str) -> Path:
@@ -131,19 +135,28 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except Exception:
-            # Truncated/corrupt entry: drop it and recompute.
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        except Exception as exc:
+            # Truncated/corrupt entry (unpickling can raise almost
+            # anything): drop it and recompute.
+            self._drop_corrupt(path, type(exc).__name__)
             return None
         if not isinstance(value, RunMetrics):
-            self.misses += 1
+            self._drop_corrupt(path, f"payload is {type(value).__name__}, "
+                                     f"not RunMetrics")
             return None
         self.hits += 1
         return value
+
+    def _drop_corrupt(self, path: Path, why: str) -> None:
+        """Count, warn about and delete an entry that cannot be used."""
+        self.misses += 1
+        self.corrupt += 1
+        warnings.warn(f"result cache: dropping corrupt entry {path} "
+                      f"({why})", RuntimeWarning, stacklevel=3)
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
     def put(self, key: str, metrics: RunMetrics) -> None:
         """Store ``metrics`` atomically (safe under concurrent writers)."""
@@ -156,6 +169,7 @@ class ResultCache:
         self.stores += 1
 
     def stats(self) -> str:
-        """One-line hit/miss/store accounting for telemetry."""
-        return (f"{self.hits} hits, {self.misses} misses, "
+        """One-line hit/miss/corrupt/store accounting for telemetry."""
+        return (f"{self.hits} hits, {self.misses} misses "
+                f"({self.corrupt} corrupt), "
                 f"{self.stores} stores under {self.root}")

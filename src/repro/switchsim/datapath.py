@@ -13,6 +13,7 @@ yields the paper's flow-setup / forwarding delay metrics.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, TYPE_CHECKING
 
 from ..obs.registry import MetricsRegistry
@@ -40,8 +41,12 @@ class Datapath:
         self.config = config
         self.cpu = cpu
         self.events = events
+        # Every expiry the table sees (its sweep, a lookup that finds a
+        # dead rule, a DELETE's pre-sweep) becomes one flow_expired event.
         self.table = FlowTable(capacity=config.flow_table_capacity,
-                               eviction=config.flow_table_eviction)
+                               eviction=config.flow_table_eviction,
+                               on_expire=partial(events.emit,
+                                                 "flow_expired"))
         self.cache = MicroflowCache(config.microflow_cache_capacity)
         self.ports: Dict[int, SwitchPort] = {}
         self._agent: Optional["OpenFlowAgent"] = None
@@ -212,9 +217,7 @@ class Datapath:
     # Housekeeping
     # ------------------------------------------------------------------
     def _expiry_sweep(self) -> None:
-        expired = self.table.expire(self.sim.now)
-        for entry in expired:
-            self.events.emit("flow_expired", self.sim.now, entry)
+        self.table.expire(self.sim.now)
         self._sweep_handle = self.sim.schedule(
             self.config.expiry_sweep_interval, self._expiry_sweep)
 

@@ -3,16 +3,21 @@
 Hypothesis drives random sequences of inserts, lookups, deletes and time
 advances against both the real :class:`FlowTable` and a brutally simple
 reference model (a list scanned linearly).  Any divergence in lookup
-results, sizes or expiry behaviour is a bug in the optimized table (its
-exact-match hash index, lazy expiry, or eviction bookkeeping).
+results, sizes, expiry reports or eviction victims is a bug in the
+optimized table (its exact-match hash index, lazy expiry, or eviction
+heap).  One machine runs without eviction pressure; two more run a
+four-rule table under LRU and FIFO, where the model picks every victim
+with the full scan the table's heap replaced.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
-                                 rule)
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine,
+                                 initialize, invariant, multiple, rule)
 
 from repro.openflow import FlowEntry, FlowTable, Match, OutputAction
 from repro.packets import udp_packet
@@ -20,6 +25,10 @@ from repro.packets import udp_packet
 #: A tiny universe of addresses so operations collide often.
 _IPS = [f"10.0.0.{i}" for i in range(1, 5)]
 _PORTS = [1000, 2000]
+#: One exact flow: (src, dst, sport, dport, in_port).
+_FLOWS = st.tuples(st.sampled_from(_IPS), st.sampled_from(_IPS),
+                   st.sampled_from(_PORTS), st.sampled_from(_PORTS),
+                   st.sampled_from([1, 2]))
 
 
 def _packet(src_ip, dst_ip, src_port, dst_port):
@@ -30,32 +39,57 @@ def _packet(src_ip, dst_ip, src_port, dst_port):
 class _ReferenceTable:
     """The obviously-correct model: a list, scanned in full."""
 
-    def __init__(self):
+    def __init__(self, capacity, eviction):
+        self.capacity = capacity
+        self.eviction = eviction
         self.entries = []           # (match, priority, entry_id, state)
+        #: Every entry removed because it timed out, in removal order.
+        self.expired = []
         self._next_id = 0
 
     def insert(self, match, priority, now, idle, hard):
+        """Install a rule; returns the evicted entry, if any."""
         # Replacement semantics: identical match+priority replaces
         # (exact matches replace on match alone, like the real table).
-        # A replacement keeps the replaced entry's id — its tie-break
-        # rank — mirroring the real table's in-place slot reuse.
+        # A wildcard replacement keeps the replaced entry's id — its
+        # tie-break rank — mirroring the real table's in-place slot
+        # reuse; an exact replacement is a new entry with a fresh id.
+        exact = match.wildcard_count == 0
+
         def replaces(existing):
-            if existing["match"] == match:
-                return (existing["match"].wildcard_count == 0
-                        or existing["priority"] == priority)
-            return False
+            return existing["match"] == match and (
+                exact or existing["priority"] == priority)
 
         replaced = [e for e in self.entries if replaces(e)]
-        if replaced:
+        if replaced and not exact:
             entry_id = replaced[0]["id"]
         else:
             self._next_id += 1
             entry_id = self._next_id
+        evicted = None
+        if not replaced and len(self.entries) >= self.capacity:
+            evicted = self._evict()
         self.entries = [e for e in self.entries if not replaces(e)]
         self.entries.append({
             "match": match, "priority": priority, "id": entry_id,
             "installed": now, "last_used": now, "idle": idle,
             "hard": hard})
+        return evicted
+
+    def _evict(self):
+        """The full scan: the least (last_used | installed, id) exact
+        entry, or the least (last_used, id) wildcard when no exact entry
+        is left."""
+        exact = [e for e in self.entries
+                 if e["match"].wildcard_count == 0]
+        if exact:
+            score = "last_used" if self.eviction == "lru" else "installed"
+            victim = min(exact, key=lambda e: (e[score], e["id"]))
+        else:
+            victim = min(self.entries,
+                         key=lambda e: (e["last_used"], e["id"]))
+        self.entries.remove(victim)
+        return victim
 
     def _alive(self, entry, now):
         if entry["hard"] > 0 and now - entry["installed"] >= entry["hard"]:
@@ -64,8 +98,22 @@ class _ReferenceTable:
             return False
         return True
 
+    def sweep(self, now, examined=lambda entry: True):
+        """Remove (and record) the dead entries among ``examined``."""
+        keep = []
+        for entry in self.entries:
+            if examined(entry) and not self._alive(entry, now):
+                self.expired.append(entry)
+            else:
+                keep.append(entry)
+        self.entries = keep
+
     def lookup(self, packet, in_port, now):
-        self.entries = [e for e in self.entries if self._alive(e, now)]
+        # Expiry is lazy, as in the real table: a lookup removes only the
+        # dead rules it examines — the packet's own exact rule and every
+        # wildcard — so unswept dead rules still fill the table.
+        self.sweep(now, lambda e: (e["match"].wildcard_count > 0
+                                   or e["match"].matches(packet, in_port)))
         candidates = [e for e in self.entries
                       if e["match"].matches(packet, in_port)]
         if not candidates:
@@ -80,26 +128,39 @@ class _ReferenceTable:
         return best
 
     def remove_covered(self, match, now):
-        self.entries = [e for e in self.entries if self._alive(e, now)]
+        self.sweep(now)
         removed = [e for e in self.entries if match.covers(e["match"])]
         self.entries = [e for e in self.entries
                         if not match.covers(e["match"])]
         return len(removed)
 
-    def live_count(self, now):
-        return sum(1 for e in self.entries if self._alive(e, now))
+
+def _same_rule(real, model):
+    """A real entry and a model entry describe the same installed rule."""
+    if real is None or model is None:
+        return real is None and model is None
+    return ((real.match, real.priority, real.installed_at, real.last_used)
+            == (model["match"], model["priority"], model["installed"],
+                model["last_used"]))
 
 
 class FlowTableMachine(RuleBasedStateMachine):
     """Random operation sequences, both implementations in lockstep."""
 
+    capacity = 10_000           # no eviction pressure
+    eviction = "lru"
+
     def __init__(self):
         super().__init__()
-        self.real = FlowTable(capacity=10_000)   # no eviction pressure
-        self.model = _ReferenceTable()
+        self.expired = []
+        self.real = FlowTable(
+            capacity=self.capacity, eviction=self.eviction,
+            on_expire=lambda now, entry: self.expired.append(entry))
+        self.model = _ReferenceTable(self.capacity, self.eviction)
         self.now = 0.0
 
     matches = Bundle("matches")
+    exact_flows = Bundle("exact_flows")
 
     @rule(target=matches,
           src=st.sampled_from(_IPS) | st.none(),
@@ -118,10 +179,12 @@ class FlowTableMachine(RuleBasedStateMachine):
         entry = FlowEntry(match=match, actions=(OutputAction(2),),
                           priority=priority, idle_timeout=idle,
                           hard_timeout=hard)
-        self.real.insert(entry, now=self.now)
-        self.model.insert(match, priority, self.now, idle, hard)
+        evicted = self.real.insert(entry, now=self.now)
+        assert _same_rule(evicted, self.model.insert(
+            match, priority, self.now, idle, hard))
 
-    @rule(src=st.sampled_from(_IPS), dst=st.sampled_from(_IPS),
+    @rule(target=exact_flows,
+          src=st.sampled_from(_IPS), dst=st.sampled_from(_IPS),
           sport=st.sampled_from(_PORTS), dport=st.sampled_from(_PORTS),
           in_port=st.sampled_from([1, 2]), priority=st.integers(1, 5),
           idle=st.sampled_from([0.0, 2.0]))
@@ -132,8 +195,10 @@ class FlowTableMachine(RuleBasedStateMachine):
                                         in_port=in_port)
         entry = FlowEntry(match=match, actions=(OutputAction(2),),
                           priority=priority, idle_timeout=idle)
-        self.real.insert(entry, now=self.now)
-        self.model.insert(match, priority, self.now, idle, 0.0)
+        evicted = self.real.insert(entry, now=self.now)
+        assert _same_rule(evicted, self.model.insert(
+            match, priority, self.now, idle, 0.0))
+        return (src, dst, sport, dport, in_port)
 
     @rule(src=st.sampled_from(_IPS), dst=st.sampled_from(_IPS),
           sport=st.sampled_from(_PORTS), dport=st.sampled_from(_PORTS),
@@ -148,32 +213,80 @@ class FlowTableMachine(RuleBasedStateMachine):
             assert real_hit.priority == model_hit["priority"]
             assert real_hit.match == model_hit["match"]
 
+    @rule(flow=exact_flows)
+    def lookup_installed(self, flow):
+        """Look up a flow that once got an exact rule: hits (which move
+        LRU scores) and lazily found expiries become common, not a
+        one-in-128 draw."""
+        self.lookup(*flow)
+
+    @rule(flow=exact_flows, priority=st.integers(1, 5),
+          idle=st.sampled_from([0.0, 2.0]))
+    def reinstall(self, flow, priority, idle):
+        """Re-install an exact rule, replacing the live one if any."""
+        self.insert_exact(*flow, priority=priority, idle=idle)
+
     @rule(match=matches)
     def remove_covered(self, match):
         real_removed = self.real.remove(match, now=self.now)
         model_removed = self.model.remove_covered(match, self.now)
         assert real_removed == model_removed
 
-    @rule(delta=st.sampled_from([0.5, 1.5, 3.0]))
+    @rule(delta=st.sampled_from([0.0, 0.5, 1.5, 3.0]))
     def advance_time(self, delta):
+        # A zero step keeps more operations on one timestamp, so equal
+        # scores reach the eviction's entry_id tie-break.
         self.now += delta
 
     @rule()
     def sweep(self):
-        self.real.expire(self.now)
-        # The model expires lazily; force it for the size invariant.
-        self.model.entries = [e for e in self.model.entries
-                              if self.model._alive(e, self.now)]
+        swept = self.real.expire(self.now)
+        before = len(self.model.expired)
+        self.model.sweep(self.now)
+        assert len(swept) == len(self.model.expired) - before
 
     @invariant()
-    def sizes_agree_after_full_expiry(self):
-        # The real table may still hold expired entries (lazy removal),
-        # so compare on live counts only.
-        live_real = sum(1 for e in self.real.entries()
-                        if not e.is_expired(self.now))
-        assert live_real == self.model.live_count(self.now)
+    def sizes_agree(self):
+        # Both sides expire lazily at the same points, so unswept dead
+        # entries count on both.
+        assert len(self.real) == len(self.model.entries)
+
+    @invariant()
+    def expiries_reported(self):
+        # Every entry that timed out reached the listener exactly once,
+        # whichever path removed it.
+        assert (Counter((e.match, e.priority) for e in self.expired)
+                == Counter((e["match"], e["priority"])
+                           for e in self.model.expired))
+        assert self.real.expirations == len(self.model.expired)
 
 
-FlowTableMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None)
+class LruEvictionMachine(FlowTableMachine):
+    """A four-rule table: most inserts evict, and every victim must be
+    the one the model's full scan picks."""
+
+    capacity = 4
+
+    @initialize(target=FlowTableMachine.exact_flows,
+                flows=st.lists(_FLOWS, min_size=capacity + 1,
+                               max_size=capacity + 1, unique=True))
+    def fill(self, flows):
+        """Start past full, so the eviction heap exists from the first
+        step and every later hit leaves a stored score behind."""
+        for flow in flows:
+            self.insert_exact(*flow, priority=1, idle=0.0)
+        return multiple(*flows)
+
+
+class FifoEvictionMachine(LruEvictionMachine):
+    eviction = "fifo"
+
+
+_SETTINGS = settings(max_examples=40, stateful_step_count=30,
+                     deadline=None)
+FlowTableMachine.TestCase.settings = _SETTINGS
+LruEvictionMachine.TestCase.settings = _SETTINGS
+FifoEvictionMachine.TestCase.settings = _SETTINGS
 TestFlowTableAgainstModel = FlowTableMachine.TestCase
+TestLruEvictionAgainstScan = LruEvictionMachine.TestCase
+TestFifoEvictionAgainstScan = FifoEvictionMachine.TestCase

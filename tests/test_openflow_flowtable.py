@@ -138,6 +138,103 @@ def test_fifo_eviction_ignores_recency():
     assert table.lookup(p1, in_port=1, now=4.0) is None   # oldest evicted
 
 
+def _scan_victim(table):
+    """The full-table scan the eviction heap replaced: the exact entry
+    with the least (last_used | installed_at, entry_id)."""
+    score = "last_used" if table.eviction == "lru" else "installed_at"
+    return min((e for e in table.entries() if e.match.wildcard_count == 0),
+               key=lambda e: (getattr(e, score), e.entry_id))
+
+
+def test_lru_tie_on_last_used_evicts_the_lowest_entry_id():
+    table = FlowTable(capacity=3)
+    p1, p2, p3, p4, p5 = (_packet(i) for i in range(1, 6))
+    e1, e2, e3 = (_exact_entry(p) for p in (p1, p2, p3))
+    for entry in (e1, e2, e3):
+        table.insert(entry, now=0.0)
+    # p2 is hit before p1 at the same instant; hit order must not matter.
+    table.lookup(p2, in_port=1, now=1.0)
+    table.lookup(p1, in_port=1, now=1.0)
+    assert table.insert(_exact_entry(p4), now=1.0) is e3
+    # e1, e2 and the new entry were all last used at t=1.
+    assert table.insert(_exact_entry(p5), now=1.0) is e1
+
+
+def test_victim_after_stale_heap_items():
+    # A hit, a DELETE, an expiry and an exact replacement each leave a
+    # heap item whose entry is gone or whose score fell behind, and a
+    # clear leaves only such items; the victim must still be the one
+    # the full scan picks.
+    table = FlowTable(capacity=4)
+    packets = [_packet(i) for i in range(10)]
+    a, b, c, d = (_exact_entry(packets[i]) for i in range(4))
+    for entry in (a, b, c, d):
+        table.insert(entry, now=0.0)
+    idle = _exact_entry(packets[4], idle_timeout=1.5)
+    assert table.insert(idle, now=1.0) is a
+    assert table.remove(c.match) == 1
+    new_c = _exact_entry(packets[2])
+    table.insert(new_c, now=2.0)
+    table.lookup(packets[1], in_port=1, now=3.0)         # b: 0 -> 3
+    assert table.insert(_exact_entry(packets[3]), now=3.0) is None
+    assert table.expire(now=3.0) == [idle]
+    table.insert(_exact_entry(packets[5]), now=3.0)
+    # b's item still says 0, but new_c is the least recently used.
+    assert _scan_victim(table) is new_c
+    assert table.insert(_exact_entry(packets[6]), now=4.0) is new_c
+
+    table.clear()
+    refill = [_exact_entry(packets[i]) for i in range(4)]
+    for entry in refill:
+        table.insert(entry, now=5.0)
+    table.lookup(packets[0], in_port=1, now=6.0)
+    assert _scan_victim(table) is refill[1]
+    assert table.insert(_exact_entry(packets[9]), now=6.0) is refill[1]
+
+
+def test_only_a_full_table_holds_the_eviction_heap():
+    table = FlowTable(capacity=8)
+    packets = [_packet(i) for i in range(40)]
+    for i in range(8):
+        table.insert(_exact_entry(packets[i]), now=float(i))
+    assert table._heap is None
+    table.insert(_exact_entry(packets[8]), now=8.0)
+    assert len(table._heap) == 8
+    # Deleting most rules leaves their items stale; the next insert
+    # drops the mostly stale heap, and the next eviction rebuilds it.
+    for i in range(1, 8):
+        table.remove(_exact_entry(packets[i]).match)
+    table.insert(_exact_entry(packets[20]), now=20.0)
+    assert table._heap is None
+    for i in range(21, 27):
+        table.insert(_exact_entry(packets[i]), now=float(i))
+    evicted = table.insert(_exact_entry(packets[30]), now=30.0)
+    assert evicted.match == _exact_entry(packets[8]).match
+    assert len(table._heap) == 8
+
+
+def test_every_expiry_path_reports_to_the_listener():
+    reported = []
+    table = FlowTable(on_expire=lambda now, entry: reported.append(
+        (now, entry)))
+    packet = _packet(1)
+    lazy = _exact_entry(packet, idle_timeout=0.2, send_flow_removed=True)
+    table.insert(lazy, now=0.0)
+    assert table.lookup(packet, in_port=1, now=0.25) is None
+    assert table.expire(now=0.3) == []
+    wildcard = FlowEntry(match=Match(ip_dst="10.9.9.9"),
+                         actions=(OutputAction(2),), hard_timeout=1.0)
+    table.insert(wildcard, now=0.3)
+    # A miss still sweeps the dead wildcards it walks past.
+    assert table.lookup(_packet(2), in_port=1, now=1.5) is None
+    swept = _exact_entry(_packet(3), idle_timeout=0.1)
+    table.insert(swept, now=1.5)
+    # A DELETE sweeps dead rules before it deletes.
+    assert table.remove(Match(ip_src="10.99.0.1"), now=2.0) == 0
+    assert reported == [(0.25, lazy), (1.5, wildcard), (2.0, swept)]
+    assert table.expirations == 3
+
+
 def test_remove_covered_entries():
     table = FlowTable()
     table.insert(_exact_entry(_packet(1)), now=0.0)

@@ -105,6 +105,40 @@ def test_flow_removed_sent_on_idle_expiry():
     testbed.shutdown()
 
 
+@pytest.mark.parametrize("finder", ["packet", "delete"])
+def test_flow_removed_sent_when_expiry_is_found_before_the_sweep(finder):
+    # The sweep is pushed past the run, so the flagged rule can only be
+    # found dead lazily: by a packet's lookup, or by a DELETE's pre-sweep.
+    from repro.openflow import FlowMod, FlowModCommand, OutputAction
+    from repro.packets import udp_packet
+    calibration = TestbedCalibration(
+        switch=SwitchConfig(expiry_sweep_interval=10.0),
+        controller=ControllerConfig())
+    testbed = _live_testbed(n_flows=1, calibration=calibration,
+                            run_until=0.1)
+    testbed.channel.send_to_switch(FlowMod(
+        match=Match(ip_src="10.52.0.1"), actions=(OutputAction(2),),
+        idle_timeout=0.2, send_flow_removed=True))
+    removed = []
+    testbed.controller.events.on(
+        "flow_removed", lambda t, m, dpid: removed.append(m))
+    testbed.sim.run(until=0.5)              # expired, not yet swept
+    assert not removed
+    if finder == "packet":
+        testbed.switch.datapath.ingress(udp_packet(
+            "00:00:00:00:00:01", "00:00:00:00:00:02", "10.52.0.1",
+            "10.0.0.2", 1000, 2000), 1)
+    else:
+        testbed.channel.send_to_switch(FlowMod(
+            match=Match(ip_src="10.99.0.1"),
+            command=FlowModCommand.DELETE))
+    testbed.sim.run(until=2.0)
+    assert [m.match for m in removed] == [Match(ip_src="10.52.0.1")]
+    assert removed[0].reason == 0           # idle
+    assert testbed.switch.agent.flow_removed_sent == 1
+    testbed.shutdown()
+
+
 def test_flow_removed_reports_hard_timeout_reason():
     from repro.openflow import FlowMod, OutputAction
     testbed = _live_testbed(n_flows=1, run_until=0.1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -90,22 +91,36 @@ def test_key_includes_repro_version(monkeypatch):
 # storage behavior
 # ---------------------------------------------------------------------------
 
-def test_corrupted_entry_degrades_to_miss(tmp_path):
+def _corrupt_get(tmp_path, payload):
+    """Plant ``payload`` as an entry and read it back: the warning."""
     cache = ResultCache(tmp_path)
-    job = _job()
-    key = _key_of(job)
+    key = _key_of(_job())
     path = cache.path_for(key)
     path.parent.mkdir(parents=True)
-    path.write_bytes(b"not a pickle")
-    assert cache.get(key) is None
-    assert cache.misses == 1
+    path.write_bytes(payload)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert cache.get(key) is None
+    (warning,) = caught
+    assert str(path) in str(warning.message)
+    assert (cache.misses, cache.corrupt, cache.hits) == (1, 1, 0)
+    assert "1 misses (1 corrupt)" in cache.stats()
     assert not path.exists()          # dropped, will be recomputed
+    return str(warning.message)
+
+
+def test_corrupted_entry_degrades_to_miss(tmp_path):
+    assert "UnpicklingError" in _corrupt_get(tmp_path, b"not a pickle")
+
+
+def test_wrong_type_entry_degrades_to_miss(tmp_path):
+    message = _corrupt_get(tmp_path, pickle.dumps({"not": "metrics"}))
+    assert "payload is dict, not RunMetrics" in message
 
 
 def test_missing_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.get("0" * 64) is None
-    assert cache.misses == 1
+    assert (cache.misses, cache.corrupt) == (1, 0)
 
 
 def test_stats_line_mentions_root(tmp_path):
