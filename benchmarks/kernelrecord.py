@@ -20,7 +20,9 @@ machine-specific, the committed speedups are the meaningful signal.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 import time
 from typing import Callable, Dict, Optional
 
@@ -39,23 +41,29 @@ OUTPUT_PATH = pathlib.Path(__file__).resolve().parent / "_output" / "BENCH_kerne
 #: workload** (the figscale 10^5-flow point, same machine, workload
 #: construction excluded), so the recorded speedup IS the
 #: hybrid-vs-packet ratio the engine exists to deliver.
+#: ``full_testbed`` (500 flows, every one a table miss) was re-based
+#: when it became gated: *before* is the commit whose links still spent
+#: two events per hop (DESIGN.md §20), *after* the one-event link; each
+#: side is the best of 15 interleaved runs of the best-of-5 probe on one
+#: 2-vCPU host, Python 3.11.7.
 BEFORE_SECONDS = {
     "event_loop": 0.025808,
     "zero_delay_dispatch": 0.038466,
     "station": 0.029756,
     "pktbuf_private": 0.013748,
-    "full_testbed": 0.114428,
+    "full_testbed": 0.092399,
     "hybrid_flows": 753.517388,
 }
 
 #: Work units executed per probe run (events for the chains, jobs for
-#: the station, flows for the hybrid scale probe; the testbed probe is
-#: measured in simulated seconds).
+#: the station, flows for the testbed and hybrid scale probes; the
+#: testbed probe also reports simulated seconds per wall second).
 PROBE_UNITS = {
     "event_loop": 20_000,
     "zero_delay_dispatch": 20_000,
     "station": 10_000,
     "pktbuf_private": 20_000,
+    "full_testbed": 500,
     "hybrid_flows": 100_000,
 }
 
@@ -127,8 +135,11 @@ def build_record(after_seconds: Dict[str, float],
     measured wall-time ratios of the observability layer (profiled /
     plain event loop, traced / plain testbed).  Both are optional so v1
     callers keep working, but the record schema is always written as
-    ``bench-kernel/2``.
+    ``bench-kernel/2``.  Every probe is stamped with the core count and
+    Python version of the machine that measured its *after*.
     """
+    machine = {"cpu_count": os.cpu_count() or 1,
+               "python": platform.python_version()}
     benchmarks: Dict[str, object] = {}
     for name, before_s in BEFORE_SECONDS.items():
         # A probe can legitimately be absent from one measuring run
@@ -144,6 +155,7 @@ def build_record(after_seconds: Dict[str, float],
             "before": _rates(name, before_s, window),
             "after": _rates(name, after_s, window),
             "speedup": round(before_s / after_s, 2),
+            **machine,
         }
     # After-only probes (no committed *before*) are new measurements
     # that predate their baseline capture — record them rather than
@@ -155,6 +167,7 @@ def build_record(after_seconds: Dict[str, float],
         benchmarks[name] = {
             "units": PROBE_UNITS.get(name, None),
             "after": _rates(name, after_s, window),
+            **machine,
         }
     record: Dict[str, object] = {
         "schema": CURRENT_SCHEMA,

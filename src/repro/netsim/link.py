@@ -1,9 +1,13 @@
 """Point-to-point links with bandwidth, propagation delay and FIFO queueing.
 
 A :class:`Link` is unidirectional: it serializes items one at a time at its
-bandwidth (a 1-server queueing station), then delivers each item to the
-receive callback after the propagation delay.  A :class:`DuplexLink` is the
-pair of opposite directions, which is how the testbed wires host↔switch and
+bandwidth, first come first served, then delivers each item to the receive
+callback after the propagation delay.  A FIFO single-server transmitter's
+finish time is known the moment an item is sent — the Lindley recurrence
+``d_k = max(t_k, d_{k-1}) + S_k`` — so the link keeps only the time its
+transmitter frees up and each item costs one kernel event, its delivery
+(DESIGN.md §20).  A :class:`DuplexLink` is the pair of opposite
+directions, which is how the testbed wires host↔switch and
 switch↔controller cables.
 
 Links support *taps*: observer callbacks invoked on every transmission,
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..simkit import ServiceStation, Simulator, transmission_delay
+from ..simkit import Simulator, transmission_delay
 
 #: Receiver signature: receives the transported item.
 Receiver = Callable[[Any], None]
@@ -37,15 +41,21 @@ class Link:
         self.name = name
         self.bandwidth_bps = bandwidth_bps
         self.propagation_delay = propagation_delay
-        self._station = ServiceStation(sim, f"{name}.tx", servers=1)
         self._receiver: Optional[Receiver] = None
         self._taps: list[Tap] = []
         self._idle_listeners: list[Callable[[], None]] = []
-        #: Partition seam (``repro.shard``).  When set, transmitted items
-        #: leave the local event loop as ``(delivery_time, item)`` pairs
-        #: instead of being scheduled for local delivery; ``None`` keeps
-        #: the serial fast path byte-for-byte unchanged.
+        #: Partition seam (``repro.shard``).  When set, each sent item
+        #: leaves the local event loop at send time as a
+        #: ``(delivery_time, item)`` pair instead of being scheduled for
+        #: local delivery; ``None`` keeps the serial path.
         self._outbound: Optional[Callable[[float, Any], None]] = None
+        #: When the transmitter finishes the last item sent so far.
+        self._free_at = sim.now
+        #: Transmit time booked in the accounting window: every item
+        #: sent since the last reset, plus the remainder a reset found
+        #: still in flight.
+        self._booked = 0.0
+        self._accounting_start = sim.now
         #: Cumulative bytes and items accepted for transmission.
         self.bytes_sent = 0
         self.items_sent = 0
@@ -55,14 +65,16 @@ class Link:
         self._receiver = receiver
 
     def add_tap(self, tap: Tap) -> None:
-        """Observe every transmission (called at serialization start)."""
+        """Observe every transmission (called when the item is sent)."""
         self._taps.append(tap)
 
     def add_idle_listener(self, listener: Callable[[], None]) -> None:
         """Notify ``listener`` whenever the transmitter drains.
 
         Used by egress schedulers that hold their own queues and hand the
-        link exactly one frame at a time.
+        link exactly one frame at a time.  Only a link with listeners
+        pays an event at each transmit end, for frames sent after the
+        listener was added.
         """
         self._idle_listeners.append(listener)
 
@@ -74,24 +86,34 @@ class Link:
             raise ValueError(f"size must be positive, got {size_bytes}")
         self.bytes_sent += size_bytes
         self.items_sent += 1
+        sim = self.sim
+        now = sim._now
         if self._taps:
-            now = self.sim._now
             for tap in self._taps:
                 tap(now, item, size_bytes)
         service = transmission_delay(size_bytes, self.bandwidth_bps)
-        self._station.submit(item, service, self._transmitted)
-
-    def _transmitted(self, item: Any) -> None:
+        free_at = self._free_at
+        # Serialization starts once both the item and the transmitter
+        # are ready.  Keep this one addition of these operands: delivery
+        # times must equal a FIFO station's bit for bit (DESIGN.md §20).
+        done = (free_at if free_at > now else now) + service
+        self._free_at = done
+        self._booked += service
+        if self._idle_listeners:
+            sim.schedule_at(done, self._drained, done)
         if self._outbound is not None:
             # Cut link: the receiver lives in another shard.  Hand the
             # item (stamped with its physical delivery time) to the shard
             # runtime; serialization, taps and byte accounting above all
             # happened sender-side exactly as in the serial path.
-            self._outbound(self.sim._now + self.propagation_delay, item)
+            self._outbound(done + self.propagation_delay, item)
         else:
-            self.sim.schedule(self.propagation_delay, self._deliver, item)
-        station = self._station
-        if not station._busy and not station._queue:
+            sim.schedule_at(done + self.propagation_delay, self._deliver,
+                            item)
+
+    def _drained(self, done: float) -> None:
+        # Nothing was sent behind the frame that finished at ``done``.
+        if self._free_at == done:
             for listener in self._idle_listeners:
                 listener()
 
@@ -99,29 +121,36 @@ class Link:
         assert self._receiver is not None
         self._receiver(item)
 
-    @property
-    def queue_length(self) -> int:
-        """Items waiting behind the one being serialized."""
-        return self._station.queue_length
-
-    @property
-    def backlog(self) -> int:
-        """Items queued plus the one in serialization, if any."""
-        return self._station.backlog
-
     def utilization_percent(self) -> float:
-        """Share of time the link spent transmitting, in percent."""
-        return self._station.utilization_percent()
+        """Share of the accounting window spent transmitting, in percent.
+
+        Counts the elapsed part of every booked transmission, the frame
+        in flight included: booked time minus what still lies ahead of
+        the clock.
+        """
+        now = self.sim._now
+        wall = now - self._accounting_start
+        if wall <= 0:
+            return 0.0
+        ahead = self._free_at - now
+        busy = self._booked - ahead if ahead > 0 else self._booked
+        return 100.0 * busy / wall
 
     def reset_accounting(self) -> None:
-        """Restart byte counters and the utilization window."""
+        """Restart byte counters and the utilization window.
+
+        Transmit time still ahead of the clock carries into the new
+        window, where it elapses.
+        """
         self.bytes_sent = 0
         self.items_sent = 0
-        self._station.reset_accounting()
+        now = self.sim._now
+        self._booked = max(0.0, self._free_at - now)
+        self._accounting_start = now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Link({self.name!r}, {self.bandwidth_bps / 1e6:.0f}Mbps, "
-                f"backlog={self.backlog})")
+                f"free_at={self._free_at:.9f})")
 
 
 class DuplexLink:

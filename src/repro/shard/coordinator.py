@@ -64,7 +64,7 @@ from .spec import DEFAULT_TRANSPORT, TransportSpec
 from .state import extract_state, graft_states, merged_events
 from .transport import (RelayHub, ShardChannel, ShmRing, StringTable,
                         TransportStats, decode_frame, encode_advance,
-                        encode_reply, scan_frame)
+                        encode_reply, encode_round, scan_frame, scan_round)
 
 
 def _fork_available() -> bool:
@@ -89,7 +89,7 @@ class _InlineShard:
     def __init__(self, build_args: dict, shard_index: int,
                  transport: TransportSpec = DEFAULT_TRANSPORT,
                  hub: Optional[RelayHub] = None, n_shards: int = 1):
-        self._ctx, self.next_time = _build_shard_context(
+        self._ctx, self.next_time, self.ready = _build_shard_context(
             build_args, shard_index)
         self._codec = transport.codec
         self._shard_index = shard_index
@@ -100,6 +100,10 @@ class _InlineShard:
             self._worker_dec = StringTable()
             self._worker_enc = StringTable(offset=shard_index,
                                            stride=n_shards)
+            # The same bytes a fork worker's ready reply carries.
+            minted, self.ready, _end = scan_round(
+                encode_round(self.ready, self._worker_enc))
+            self._hub.publish(minted, shard_index)
 
     def advance(self, t_end: float, messages: List[ShardMessage],
                 inclusive: bool) -> None:
@@ -180,7 +184,7 @@ class _ForkShard:
                                         recv_ring=up_ring,
                                         role="parent", hub=hub,
                                         shard_index=shard_index)
-            self.next_time = self._recv("ready")
+            self.next_time, self.ready = self._recv("ready")
         except BaseException:
             self.kill()
             raise
@@ -256,9 +260,14 @@ class _ForkShard:
             ring.unlink()
 
 
-def _build_shard_context(build_args: dict,
-                         shard_index: int) -> Tuple[ShardContext, float]:
-    """Replicated build + adoption; returns (context, first event time)."""
+def _build_shard_context(build_args: dict, shard_index: int
+                         ) -> Tuple[ShardContext, float, List[ShardMessage]]:
+    """Replicated build + adoption.
+
+    Returns the context, its first event time and the cross-shard
+    messages adoption sent: a cut link emits at send time, so the
+    controller handshake leaves before the first round.
+    """
     from ..faults import install_faults
     from ..scenarios import build_scenario
 
@@ -272,7 +281,7 @@ def _build_shard_context(build_args: dict,
     context = ShardContext(testbed, plan, shard_index,
                            build_args["workload"], build_args["settle"],
                            record_events=build_args["record_events"])
-    return context, testbed.sim.peek()
+    return context, testbed.sim.peek(), context.take_outbox()
 
 
 def _shard_worker(conn, build_args: dict, shard_index: int,
@@ -289,8 +298,8 @@ def _shard_worker(conn, build_args: dict, shard_index: int,
                            recv_ring=down_ring, role="worker",
                            shard_index=shard_index, n_shards=n_shards)
     try:
-        context, first = _build_shard_context(build_args, shard_index)
-        channel.send_control(("ready", first))
+        context, first, ready = _build_shard_context(build_args, shard_index)
+        channel.send_ready(first, ready)
         while True:
             command = channel.recv()
             if command[0] == "advance":
@@ -360,11 +369,20 @@ class ShardCoordinator:
         self.n = plan.n_shards
         self.lookahead = plan.lookahead
         self.cut_dst = [cut.dst for cut in plan.cut_links]
-        #: Per-destination in-flight messages, not yet injected.
+        #: Per-destination in-flight messages, not yet injected; seeded
+        #: with those the shards sent while adopting, so the first
+        #: horizons already see them.
         self.pending: List[List[ShardMessage]] = [[] for _ in range(self.n)]
+        for handle in handles:
+            self._route(handle.ready)
         self.next_time = [handle.next_time for handle in handles]
         self.horizon = [0.0] * self.n
         self.completed: Optional[int] = None
+
+    def _route(self, messages: List[ShardMessage]) -> None:
+        for message in messages:
+            self.pending[self.cut_dst[message[1]]].append(message)
+        self.report.messages += len(messages)
 
     def _next_effective(self) -> List[float]:
         effective = []
@@ -461,9 +479,7 @@ class ShardCoordinator:
                 final_done[i] = final_done[i] or inclusive
                 if completed is not None and i == self.plan.egress_shard:
                     self.completed = completed
-                for message in outbound:
-                    self.pending[self.cut_dst[message[1]]].append(message)
-                self.report.messages += len(outbound)
+                self._route(outbound)
         for i in range(self.n):
             self.report.spans.add_span(
                 f"shard-{i}", segment_start[i]["start"], deadline,

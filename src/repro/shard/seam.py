@@ -10,8 +10,10 @@ partition:
 * non-owned metric samplers are stopped, so every sample series is
   produced exactly once across the shard set;
 * cut links whose **sender** lives here get their
-  :attr:`~repro.netsim.Link._outbound` seam installed, turning
-  transmissions into timestamped cross-shard messages;
+  :attr:`~repro.netsim.Link._outbound` seam installed, turning each
+  send into a timestamped cross-shard message — adoption itself sends
+  some (the controller handshake), which travel with the shard's
+  ``ready`` reply;
 * cut links whose **receiver** lives here are indexed for injection;
 * only owned packet generators start, and only the controller's owner
   runs the handshake.
@@ -244,11 +246,15 @@ class ShardContext:
             self.stalled_rounds += 1
         if target > self.sim._now:
             self.sim.run(until=target)
+        completed = None
+        if inclusive:
+            completed = self.testbed.metrics.delay_tracker.completed_flows
+        return self.take_outbox(), self.sim.peek(), completed
+
+    def take_outbox(self) -> List[ShardMessage]:
+        """Drain the cross-shard messages sent since the last drain."""
         # Drain in place: the seam closures hold a reference to this
         # exact list, so rebinding would orphan them.
         outbound = list(self._outbox)
         self._outbox.clear()
-        completed = None
-        if inclusive:
-            completed = self.testbed.metrics.delay_tracker.completed_flows
-        return outbound, self.sim.peek(), completed
+        return outbound

@@ -1214,6 +1214,17 @@ class ShardChannel:
         self.conn.send_bytes(pickle.dumps(obj,
                                           protocol=pickle.HIGHEST_PROTOCOL))
 
+    def send_ready(self, next_time: float, outbound) -> None:
+        """Announce a built shard, with the messages its adoption sent.
+
+        A control message, pickled like the others; under the framed
+        codecs its items are encoded first, against this worker's table
+        as a reply's are, so the coordinator relays them verbatim.
+        """
+        if self.codec != "pickle":
+            outbound = encode_round(outbound, self._enc)
+        self.send_control(("ready", (next_time, outbound)))
+
     def send_advance(self, t_end: float, messages, inclusive: bool) -> None:
         if self.codec == "pickle":
             self._send_pickled(("advance", t_end, messages, inclusive))
@@ -1264,6 +1275,12 @@ class ShardChannel:
             return self._decode_hot(data, len(data))
         start = perf_counter()
         obj = pickle.loads(data)
+        if obj[0] == "ready" and self.codec != "pickle":
+            next_time, block = obj[1]
+            minted, messages, _end = scan_round(block)
+            if self._hub is not None:
+                self._hub.publish(minted, self._shard_index)
+            return ("ready", (next_time, messages))
         if obj and obj[0] in ("advance", "advanced"):
             self.stats.decode_seconds += perf_counter() - start
             self.stats.frames_in += 1

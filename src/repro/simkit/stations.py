@@ -1,10 +1,13 @@
 """Queueing stations — the workhorse abstraction of the testbed model.
 
-Every contended device in the simulated testbed (switch CPU cores, the
-controller CPU, the ASIC-to-CPU bus, the Ethernet links) is a
-:class:`ServiceStation`: ``servers`` identical servers in front of a FIFO
-queue.  A job carries its own service time; when a server finishes a job it
-invokes the job's completion callback and pulls the next queued job.
+Every contended processor in the simulated testbed (switch CPU cores, the
+controller CPU, the ASIC-to-CPU bus) is a :class:`ServiceStation`:
+``servers`` identical servers in front of a FIFO queue.  A job carries its
+own service time; when a server finishes a job it invokes the job's
+completion callback and pulls the next queued job.  (Ethernet links are
+FIFO single servers too, but a frame's finish time is known when it is
+sent, so :class:`~repro.netsim.Link` keeps only the time its transmitter
+frees up.)
 
 The station keeps *busy-time* accounting, from which CPU utilization
 percentages are derived exactly the way the paper reports them: busy core
@@ -139,16 +142,17 @@ class ServiceStation:
         """Jobs waiting plus jobs in service."""
         return len(self._queue) + self._busy
 
-    def utilization_percent(self, since: Optional[float] = None) -> float:
-        """Summed per-core utilization in percent over the window.
+    def utilization_percent(self) -> float:
+        """Summed per-core utilization in percent since the last reset.
 
         With 4 servers all busy the station reads 400 %, matching how the
-        paper reports multi-core CPU usage from ``top``.  ``since`` defaults
-        to the last :meth:`reset_accounting` (or creation).  In-flight jobs
-        contribute the portion of service already elapsed.
+        paper reports multi-core CPU usage from ``top``.  The window opens
+        at the last :meth:`reset_accounting` (or creation).  Only completed
+        jobs count: a job's whole service is booked when it finishes, so
+        a job still in service adds nothing yet — the convention
+        :class:`~repro.metrics.UtilizationSampler` relies on.
         """
-        start = self._accounting_start if since is None else since
-        wall = self.sim.now - start
+        wall = self.sim.now - self._accounting_start
         if wall <= 0:
             return 0.0
         return 100.0 * self.busy_time / wall

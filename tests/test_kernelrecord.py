@@ -5,6 +5,8 @@ from __future__ import annotations
 import pathlib
 import sys
 
+import pytest
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "benchmarks"))
 
@@ -32,6 +34,29 @@ def test_build_record_carries_after_only_probes():
     assert bench["after"]["seconds"] == 0.5
     assert "before" not in bench
     assert "speedup" not in bench
+
+
+def test_build_record_stamps_the_measuring_machine():
+    record = kernelrecord.build_record(
+        {"event_loop": 0.01, "brand_new_probe": 0.5}, testbed_window_s=1.0)
+    for bench in record["benchmarks"].values():
+        assert bench["cpu_count"] >= 1
+        assert bench["python"].count(".") == 2
+
+
+def test_full_testbed_probe_is_gated_in_flows():
+    # The miss-path probe: 500 flows per run, gated like the kernel
+    # probes, its committed record stamped with the measuring machine.
+    import perf_gate
+    assert perf_gate.GATED_PROBES["test_full_testbed_event_cost"] \
+        == "full_testbed"
+    assert kernelrecord.PROBE_UNITS["full_testbed"] == 500
+    bench = kernelrecord.load_baseline()["benchmarks"]["full_testbed"]
+    assert bench["units"] == 500
+    assert bench["after"]["events_per_sec"] == pytest.approx(
+        500 / bench["after"]["seconds"], rel=1e-4)
+    assert bench["cpu_count"] >= 1
+    assert bench["python"].count(".") == 2
 
 
 def test_committed_record_has_shard_scaling_section():

@@ -71,6 +71,20 @@ def test_utilization_can_exceed_100_on_multicore(sim):
     assert station.utilization_percent() == pytest.approx(400.0)
 
 
+def test_utilization_counts_completed_jobs_only(sim):
+    # A job in service adds nothing until it finishes; the CPU samplers
+    # book each job to the window it finishes in.
+    station = ServiceStation(sim, "s", servers=1)
+    station.submit("a", 1.0)
+    station.submit("b", 2.0)
+    sim.run(until=0.5)
+    assert station.utilization_percent() == 0.0
+    sim.run(until=2.0)
+    assert station.utilization_percent() == 50.0        # a: 1 s of 2 s
+    sim.run(until=4.0)
+    assert station.utilization_percent() == 75.0        # a + b: 3 s of 4 s
+
+
 def test_job_timing_properties(sim):
     station = ServiceStation(sim, "s", servers=1)
     first = station.submit("a", 2.0)
