@@ -24,7 +24,7 @@ from repro.scenarios import SINGLE
 from repro.openflow import PacketBuffer
 from repro.packets import udp_packet
 from repro.simkit import ServiceStation, Simulator, mbps
-from repro.trafficgen import single_packet_flows
+from repro.trafficgen import batched_multi_packet_flows, single_packet_flows
 from repro.simkit import RandomStreams
 
 
@@ -111,6 +111,32 @@ def _testbed_run():
     workload = single_packet_flows(mbps(60), n_flows=500,
                                    rng=RandomStreams(0))
     return run_once(buffer_256(), workload)
+
+
+#: Best-of rounds for the workload-generation probe, recorded and gated
+#: alike.
+GENERATION_ROUNDS = 7
+#: Generator calls in one quick ``all`` pass (``repro-sdn-buffer all
+#: --flows 150 --reps 1``): 26 §V workloads of 50 flows x 20 packets and
+#: 72 §IV workloads of 150 single-packet flows.
+BATCHED_CALLS, SINGLE_CALLS = 26, 72
+GENERATION_PACKETS = BATCHED_CALLS * 50 * 20 + SINGLE_CALLS * 150
+
+
+def _workload_generation():
+    """Build the quick ``all`` grid's workloads: 36,800 packets.
+
+    Each call builds and validates its header stacks and packets
+    exactly as a sweep's workload factories do, jitter draws included.
+    """
+    rng = RandomStreams(0)
+    packets = 0
+    for _ in range(BATCHED_CALLS):
+        packets += batched_multi_packet_flows(mbps(60), rng=rng).n_packets
+    for _ in range(SINGLE_CALLS):
+        packets += single_packet_flows(mbps(60), n_flows=150,
+                                       rng=rng).n_packets
+    return packets
 
 
 #: Flows in the hybrid-engine scale probe.  Matches the figscale
@@ -208,6 +234,17 @@ def test_full_testbed_event_cost(benchmark):
     assert result.completed_flows == 500
 
 
+def test_workload_generation(benchmark):
+    """Packets/sec building the quick ``all`` grid's workloads.
+
+    Gated by ``perf_gate.py``; runs as many rounds as the recorded
+    best-of.
+    """
+    packets = benchmark.pedantic(_workload_generation,
+                                 rounds=GENERATION_ROUNDS, iterations=1)
+    assert packets == GENERATION_PACKETS
+
+
 def test_hybrid_flow_throughput(benchmark):
     """Hybrid-engine flows/sec at the figscale 10^5-flow point."""
     workload = _hybrid_flow_workload()
@@ -236,6 +273,8 @@ def main(argv=None):
         "pktbuf_private": kernelrecord.best_of(_pktbuf_private_run),
         "full_testbed": kernelrecord.best_of(_testbed_run,
                                              rounds=TESTBED_ROUNDS),
+        "workload_generation": kernelrecord.best_of(
+            _workload_generation, rounds=GENERATION_ROUNDS),
     }
     # The scale probe costs ~half a minute per round; one round is
     # plenty — the committed speedup is ~an order of magnitude, far

@@ -45,25 +45,32 @@ OUTPUT_PATH = pathlib.Path(__file__).resolve().parent / "_output" / "BENCH_kerne
 #: when it became gated: *before* is the commit whose links still spent
 #: two events per hop (DESIGN.md §20), *after* the one-event link; each
 #: side is the best of 15 interleaved runs of the best-of-5 probe on one
-#: 2-vCPU host, Python 3.11.7.
+#: 2-vCPU host, Python 3.11.7.  ``workload_generation`` (the quick
+#: ``all`` grid's 98 generator calls) joined when generators began
+#: building each header stack once per flow: *before* is the commit
+#: that built and validated every packet's headers from scratch, and
+#: both sides were measured interleaved the same way (best-of-7 probe).
 BEFORE_SECONDS = {
     "event_loop": 0.025808,
     "zero_delay_dispatch": 0.038466,
     "station": 0.029756,
     "pktbuf_private": 0.013748,
     "full_testbed": 0.092399,
+    "workload_generation": 0.417841,
     "hybrid_flows": 753.517388,
 }
 
 #: Work units executed per probe run (events for the chains, jobs for
-#: the station, flows for the testbed and hybrid scale probes; the
-#: testbed probe also reports simulated seconds per wall second).
+#: the station, flows for the testbed and hybrid scale probes, packets
+#: for workload generation; the testbed probe also reports simulated
+#: seconds per wall second).
 PROBE_UNITS = {
     "event_loop": 20_000,
     "zero_delay_dispatch": 20_000,
     "station": 10_000,
     "pktbuf_private": 20_000,
     "full_testbed": 500,
+    "workload_generation": 36_800,
     "hybrid_flows": 100_000,
 }
 

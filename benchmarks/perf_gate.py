@@ -56,13 +56,16 @@ import kernelrecord
 #: pytest-benchmark test name -> (BENCH_kernel.json probe, work units).
 #: ``hybrid_flows`` gates the hybrid engine's flows/sec at the figscale
 #: 10^5-flow point — the number the 10^6-flow sweep claim rests on —
-#: and ``full_testbed`` the packet engine's flows/sec when every flow
-#: takes the discrete miss path (switch CPU, bus, links, controller).
+#: ``full_testbed`` the packet engine's flows/sec when every flow
+#: takes the discrete miss path (switch CPU, bus, links, controller),
+#: and ``workload_generation`` the packets/sec of building the quick
+#: ``all`` grid's workloads.
 GATED_PROBES = {
     "test_event_loop_throughput": "event_loop",
     "test_zero_delay_dispatch": "zero_delay_dispatch",
     "test_pktbuf_private_throughput": "pktbuf_private",
     "test_full_testbed_event_cost": "full_testbed",
+    "test_workload_generation": "workload_generation",
     "test_hybrid_flow_throughput": "hybrid_flows",
 }
 

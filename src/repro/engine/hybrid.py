@@ -129,25 +129,24 @@ class HybridFlowDriver:
     def start(self, at: float = 0.0) -> None:
         """Schedule first packets discretely; arm the open detector.
 
-        First packets are scheduled with exactly the copy/stamp-reset
-        behaviour of :meth:`PacketGenerator.start`, in workload-entry
-        order — on single-packet-flow workloads the resulting event
-        stream is indistinguishable from the packet engine's.
+        Every entry is replayed through
+        :meth:`~repro.packets.Packet.replay_copy`, exactly as
+        :meth:`PacketGenerator.start` does (a shallow copy sharing the
+        immutable headers, stamps cleared), and first packets are
+        scheduled in workload-entry order — on single-packet-flow
+        workloads the resulting event stream is indistinguishable from
+        the packet engine's.
         """
         if self._started:
             raise RuntimeError("driver already started")
         self._started = True
         self._base = self.sim.now + at
         lazy_tails = getattr(self.workload, "tails", None)
-        import copy as _copy
         for offset, packet in self.workload.entries:
             flow_id = packet.flow_id
             state = self._states.get(flow_id) if flow_id is not None \
                 else None
-            fresh = _copy.copy(packet)
-            fresh.created_at = None
-            fresh.switch_in_at = None
-            fresh.switch_out_at = None
+            fresh = packet.replay_copy()
             if state is None:
                 if flow_id is not None:
                     state = _FlowState(flow_id)

@@ -2,7 +2,8 @@
 
 from .ethernet import (ETHERTYPE_ARP, ETHERTYPE_IPV4, MAX_FRAME, MIN_FRAME,
                        EthernetHeader, int_to_mac, mac_to_int)
-from .factory import tcp_control_packet, tcp_packet, udp_packet
+from .factory import (frame_payload_len, tcp_control_packet,
+                      tcp_packet, udp_packet)
 from .flowkey import FiveTuple
 from .ipv4 import (PROTO_ICMP, PROTO_TCP, PROTO_UDP, IPv4Header, int_to_ip,
                    ip_to_int, proto_name)
@@ -21,6 +22,6 @@ __all__ = [
     "UDPHeader", "TCPHeader", "flags_to_str",
     "FLAG_FIN", "FLAG_SYN", "FLAG_RST", "FLAG_PSH", "FLAG_ACK",
     "FiveTuple", "Packet", "L4Header",
-    "udp_packet", "tcp_packet", "tcp_control_packet",
+    "udp_packet", "tcp_packet", "tcp_control_packet", "frame_payload_len",
     "encode_packet", "decode_packet", "DecodeError", "internet_checksum",
 ]

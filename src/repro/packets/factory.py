@@ -12,9 +12,23 @@ from typing import Optional
 
 from .ethernet import EthernetHeader
 from .ipv4 import PROTO_TCP, PROTO_UDP, IPv4Header
-from .packet import Packet
+from .packet import L4Header, Packet
 from .tcp import TCPHeader
 from .udp import UDPHeader
+
+
+def frame_payload_len(frame_len: int, eth: EthernetHeader, ip: IPv4Header,
+                      l4: L4Header) -> int:
+    """Payload bytes that make ``eth``/``ip``/``l4`` a ``frame_len`` frame.
+
+    Workload generators call this once per header stack and wrap every
+    packet of a flow around the same (immutable) headers.
+    """
+    header_len = eth.header_len + ip.header_len + l4.header_len
+    if frame_len < header_len:
+        raise ValueError(
+            f"frame_len {frame_len} smaller than header stack {header_len}")
+    return frame_len - header_len
 
 
 def udp_packet(src_mac: str, dst_mac: str, src_ip: str, dst_ip: str,
@@ -25,11 +39,8 @@ def udp_packet(src_mac: str, dst_mac: str, src_ip: str, dst_ip: str,
     eth = EthernetHeader(src_mac=src_mac, dst_mac=dst_mac)
     ip = IPv4Header(src_ip=src_ip, dst_ip=dst_ip, protocol=PROTO_UDP)
     l4 = UDPHeader(src_port=src_port, dst_port=dst_port)
-    header_len = eth.header_len + ip.header_len + l4.header_len
-    if frame_len < header_len:
-        raise ValueError(
-            f"frame_len {frame_len} smaller than header stack {header_len}")
-    return Packet(eth=eth, ip=ip, l4=l4, payload_len=frame_len - header_len,
+    return Packet(eth=eth, ip=ip, l4=l4,
+                  payload_len=frame_payload_len(frame_len, eth, ip, l4),
                   flow_id=flow_id, seq_in_flow=seq_in_flow)
 
 
@@ -43,11 +54,8 @@ def tcp_packet(src_mac: str, dst_mac: str, src_ip: str, dst_ip: str,
     ip = IPv4Header(src_ip=src_ip, dst_ip=dst_ip, protocol=PROTO_TCP)
     l4 = TCPHeader(src_port=src_port, dst_port=dst_port, flags=flags,
                    seq=seq, ack=ack)
-    header_len = eth.header_len + ip.header_len + l4.header_len
-    if frame_len < header_len:
-        raise ValueError(
-            f"frame_len {frame_len} smaller than header stack {header_len}")
-    return Packet(eth=eth, ip=ip, l4=l4, payload_len=frame_len - header_len,
+    return Packet(eth=eth, ip=ip, l4=l4,
+                  payload_len=frame_payload_len(frame_len, eth, ip, l4),
                   flow_id=flow_id, seq_in_flow=seq_in_flow)
 
 

@@ -9,7 +9,6 @@ material for the paper's flow-setup-delay and forwarding-delay definitions.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -118,19 +117,34 @@ class Packet:
             key = self._five_tuple = FiveTuple.from_packet(self)
         return key
 
-    def fresh_copy(self) -> "Packet":
-        """A header-sharing copy with its own identity and clean stamps.
+    def replay_copy(self) -> "Packet":
+        """A header-sharing copy that keeps ``uid`` and clears the stamps.
 
-        ``copy.copy`` alone duplicates ``uid``, which would confuse any
-        uid-keyed observer (the delay tracker identifies a flow's first
-        packet by uid).  Workloads that mint *new* logical packets from a
-        template — the hybrid engine's lazy tails — use this instead.
+        How a run replays a workload's template packets: the copy is the
+        one the switch and the metrics layer stamp, so a template can be
+        replayed by any number of runs and never carries one run's
+        ``created_at`` into the next.  Headers are immutable and the
+        lookup-key caches derive only from them (and the payload length),
+        so both are shared, not rebuilt.
         """
-        clone = copy.copy(self)
+        clone = object.__new__(type(self))
+        state = clone.__dict__
+        state.update(self.__dict__)
+        state["created_at"] = state["switch_in_at"] = \
+            state["switch_out_at"] = None
+        return clone
+
+    def fresh_copy(self) -> "Packet":
+        """A :meth:`replay_copy` with its own identity.
+
+        A replay copy keeps ``uid``, which would confuse any uid-keyed
+        observer if both copies were live in one run (the delay tracker
+        identifies a flow's first packet by uid).  Workloads that mint
+        *new* logical packets from a template — the hybrid engine's lazy
+        tails — use this instead.
+        """
+        clone = self.replay_copy()
         clone.uid = next(_packet_ids)
-        clone.created_at = None
-        clone.switch_in_at = None
-        clone.switch_out_at = None
         return clone
 
     def exact_key(self, in_port: int) -> tuple:

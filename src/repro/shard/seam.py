@@ -101,11 +101,11 @@ def _detail(args: tuple) -> Any:
 def first_packet_uids(workload) -> Dict[int, int]:
     """Each flow's first-to-be-sent packet uid, from entry order.
 
-    The generator sends ``copy.copy`` of each pre-built packet, which
-    aliases ``uid`` — so workload entry order (earliest offset first,
-    entry order on ties, exactly the generator's scheduling order)
-    identifies the packet serial runs see first at every hop of a
-    FIFO path.
+    The generator sends a ``replay_copy`` of each pre-built packet,
+    which keeps its ``uid`` — so workload entry order (earliest offset
+    first, entry order on ties, exactly the generator's scheduling
+    order) identifies the packet serial runs see first at every hop of
+    a FIFO path.
     """
     best: Dict[int, Tuple[float, int, int]] = {}
     for position, (offset, packet) in enumerate(workload.entries):

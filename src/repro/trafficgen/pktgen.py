@@ -8,8 +8,6 @@ replay the same workload across repetitions with fresh packet objects.
 
 from __future__ import annotations
 
-import copy
-
 from ..netsim import Host
 from ..simkit import Simulator
 from .workloads import Workload
@@ -31,17 +29,15 @@ class PacketGenerator:
     def start(self, at: float = 0.0) -> None:
         """Schedule the whole train, starting ``at`` seconds from now.
 
-        Packets are deep-copied per run so measurement stamps from one
-        repetition never leak into the next.
+        Each run sends a :meth:`~repro.packets.Packet.replay_copy` of
+        every template packet: a shallow copy that shares the immutable
+        headers, so measurement stamps from one repetition never leak
+        into the next.
         """
         base = self.sim.now + at
         for offset, packet in self.workload.entries:
-            fresh = copy.copy(packet)  # headers are immutable; stamps reset
-            fresh.created_at = None
-            fresh.switch_in_at = None
-            fresh.switch_out_at = None
-            handle = self.sim.schedule_at(base + offset, self._send, fresh)
-            self._handles.append(handle)
+            self._handles.append(self.sim.schedule_at(
+                base + offset, self._send, packet.replay_copy()))
 
     def _send(self, packet) -> None:
         if self._stopped:

@@ -12,6 +12,13 @@
 A :class:`Workload` is a list of timed packets plus per-flow bookkeeping
 (how many packets each flow has), which the metrics layer needs to decide
 when a flow has fully arrived (flow forwarding delay).
+
+Like pktgen, which forges a new source IP onto an otherwise fixed frame,
+each generator builds every distinct header once per call — one
+Ethernet header, and one IPv4 plus one L4 header per flow — and every
+packet of a flow wraps that shared, already-validated stack.  Headers
+are frozen, and runs only ever touch replay copies of the packets
+(:meth:`~repro.packets.Packet.replay_copy`), so sharing is safe.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..packets import (FLAG_ACK, FLAG_SYN, FiveTuple, Packet,
-                       tcp_control_packet, tcp_packet, udp_packet)
+from ..packets import (FLAG_ACK, FLAG_SYN, PROTO_TCP, PROTO_UDP,
+                       EthernetHeader, FiveTuple, IPv4Header, Packet,
+                       TCPHeader, UDPHeader, frame_payload_len)
 from ..simkit import ArithmeticTimes, RandomStreams, transmission_delay
 from .schedules import constant_gap_times, cross_sequence
 
@@ -45,7 +53,12 @@ class FlowSpec:
 
 @dataclass
 class Workload:
-    """A fully materialized, time-stamped packet train."""
+    """A fully materialized, time-stamped packet train.
+
+    The entries are templates: every run replays a
+    :meth:`~repro.packets.Packet.replay_copy` of each, so a workload is
+    never stamped and can be replayed any number of times.
+    """
 
     name: str
     entries: List[Tuple[float, Packet]] = field(default_factory=list)
@@ -72,9 +85,13 @@ class Workload:
         return self.entries[-1][0] if self.entries else 0.0
 
     def schedule_on(self, sim, host, start: float = 0.0) -> None:
-        """Schedule every send on ``host`` relative to ``start``."""
+        """Schedule every send on ``host`` relative to ``start``.
+
+        Sends a :meth:`~repro.packets.Packet.replay_copy` of each entry,
+        so the run stamps its copies and the workload can be replayed.
+        """
         for offset, packet in self.entries:
-            sim.schedule_at(start + offset, host.send, packet)
+            sim.schedule_at(start + offset, host.send, packet.replay_copy())
 
 
 @dataclass
@@ -174,12 +191,12 @@ def flow_train_flows(rate_bps: float, n_flows: int = 1000,
     flow_spacing = 1.0 / flow_rate
     workload = AggregateWorkload(
         name=f"flow-train-{n_flows}x{packets_per_flow}")
+    eth = EthernetHeader(src_mac=HOST1_MAC, dst_mac=HOST2_MAC)
     for i in range(n_flows):
         start = i * flow_spacing
-        packet = udp_packet(src_mac=HOST1_MAC, dst_mac=HOST2_MAC,
-                            src_ip=_forged_source_ip(i), dst_ip=HOST2_IP,
-                            src_port=1024 + (i % 50000), dst_port=dst_port,
-                            frame_len=frame_len, flow_id=i, seq_in_flow=0)
+        stack = _udp_stack(eth, _forged_source_ip(i), 1024 + (i % 50000),
+                           dst_port, frame_len)
+        packet = Packet(*stack, i, 0)
         workload.entries.append((start, packet))
         if packets_per_flow > 1:
             workload.tails[i] = (packet, ArithmeticTimes(
@@ -201,6 +218,18 @@ def _forged_source_ip(index: int) -> str:
     return f"{a}.{b + index // 65536}.{(index // 256) % 256}.{index % 256}"
 
 
+def _udp_stack(eth: EthernetHeader, src_ip: str, src_port: int,
+               dst_port: int, frame_len: int) -> tuple:
+    """One UDP flow's validated ``(eth, ip, l4, payload_len)`` to host 2.
+
+    Built once per flow; ``Packet(*stack, flow_id, seq_in_flow)`` wraps
+    it for each of the flow's packets.
+    """
+    ip = IPv4Header(src_ip=src_ip, dst_ip=HOST2_IP, protocol=PROTO_UDP)
+    l4 = UDPHeader(src_port=src_port, dst_port=dst_port)
+    return eth, ip, l4, frame_payload_len(frame_len, eth, ip, l4)
+
+
 def single_packet_flows(rate_bps: float, n_flows: int = 1000,
                         frame_len: int = 1000, dst_port: int = 9,
                         rng: Optional[RandomStreams] = None,
@@ -217,13 +246,11 @@ def single_packet_flows(rate_bps: float, n_flows: int = 1000,
                                jitter_fraction=jitter_fraction if rng else 0.0,
                                rng=rng)
     workload = Workload(name=f"single-packet-flows-{n_flows}")
+    eth = EthernetHeader(src_mac=HOST1_MAC, dst_mac=HOST2_MAC)
     for i in range(n_flows):
-        src_ip = _forged_source_ip(i)
-        src_port = 1024 + (i % 50000)
-        packet = udp_packet(src_mac=HOST1_MAC, dst_mac=HOST2_MAC,
-                            src_ip=src_ip, dst_ip=HOST2_IP,
-                            src_port=src_port, dst_port=dst_port,
-                            frame_len=frame_len, flow_id=i, seq_in_flow=0)
+        stack = _udp_stack(eth, _forged_source_ip(i), 1024 + (i % 50000),
+                           dst_port, frame_len)
+        packet = Packet(*stack, i, 0)
         workload.entries.append((times[i], packet))
         workload.flows[i] = FlowSpec(flow_id=i,
                                      five_tuple=packet.five_tuple,
@@ -244,6 +271,10 @@ def batched_multi_packet_flows(rate_bps: float, n_flows: int = 50,
     packet at the sending rate; after a batch completes, the next batch
     starts ``batch_gap`` later, until ``n_flows`` flows have been sent.
     """
+    if n_flows < 1:
+        raise ValueError(f"n_flows must be >= 1, got {n_flows}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if n_flows % batch_size != 0:
         raise ValueError(
             f"n_flows ({n_flows}) must be a multiple of batch_size "
@@ -252,6 +283,10 @@ def batched_multi_packet_flows(rate_bps: float, n_flows: int = 50,
     workload = Workload(
         name=f"batched-flows-{n_flows}x{packets_per_flow}")
     order = cross_sequence(batch_size, packets_per_flow)
+    eth = EthernetHeader(src_mac=HOST1_MAC, dst_mac=HOST2_MAC)
+    stacks = [_udp_stack(eth, _forged_source_ip(flow_id), 2000 + flow_id,
+                         dst_port, frame_len)
+              for flow_id in range(n_flows)]
     batch_start = 0.0
     for batch_index in range(n_flows // batch_size):
         for slot, (flow_in_batch, seq) in enumerate(order):
@@ -262,12 +297,7 @@ def batched_multi_packet_flows(rate_bps: float, n_flows: int = 50,
                                  -jitter_fraction * gap,
                                  jitter_fraction * gap)
                 t = max(t, batch_start)
-            src_ip = _forged_source_ip(flow_id)
-            packet = udp_packet(src_mac=HOST1_MAC, dst_mac=HOST2_MAC,
-                                src_ip=src_ip, dst_ip=HOST2_IP,
-                                src_port=2000 + flow_id, dst_port=dst_port,
-                                frame_len=frame_len, flow_id=flow_id,
-                                seq_in_flow=seq)
+            packet = Packet(*stacks[flow_id], flow_id, seq)
             workload.entries.append((t, packet))
             if flow_id not in workload.flows:
                 workload.flows[flow_id] = FlowSpec(
@@ -303,36 +333,35 @@ def tcp_eviction_scenario(rate_bps: float, initial_packets: int = 10,
         raise ValueError("idle_gap must be positive")
     workload = Workload(name="tcp-eviction")
     gap = transmission_delay(frame_len, rate_bps)
+    eth = EthernetHeader(src_mac=HOST1_MAC, dst_mac=HOST2_MAC)
+    ip = IPv4Header(src_ip=HOST1_IP, dst_ip=HOST2_IP, protocol=PROTO_TCP)
+    syn = TCPHeader(src_port=src_port, dst_port=dst_port, flags=FLAG_SYN)
+    #: The final handshake ACK and every data segment carry this header.
+    ack = TCPHeader(src_port=src_port, dst_port=dst_port, flags=FLAG_ACK)
+    data_len = frame_payload_len(frame_len, eth, ip, ack)
     seq = 0
     t = 0.0
 
-    def add(packet: Packet, at: float) -> None:
+    def add(l4: TCPHeader, payload_len: int, at: float) -> None:
         nonlocal seq
-        packet.flow_id = 0
-        packet.seq_in_flow = seq
+        workload.entries.append(
+            (at, Packet(eth, ip, l4, payload_len, 0, seq)))
         seq += 1
-        workload.entries.append((at, packet))
 
     # Handshake (client side): SYN, then the final ACK.  These are
     # minimum-size control segments, as the paper's §VI.B describes.
-    add(tcp_control_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
-                           src_port, dst_port, flags=FLAG_SYN), t)
+    add(syn, 0, t)
     t += gap
-    add(tcp_control_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
-                           src_port, dst_port, flags=FLAG_ACK), t)
+    add(ack, 0, t)
     t += gap
     for _ in range(initial_packets):
-        add(tcp_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
-                       src_port, dst_port, flags=FLAG_ACK,
-                       frame_len=frame_len), t)
+        add(ack, data_len, t)
         t += gap
     #: The data burst resumes after the idle gap.
     t += idle_gap
     burst_start = t
     for _ in range(burst_packets):
-        add(tcp_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
-                       src_port, dst_port, flags=FLAG_ACK,
-                       frame_len=frame_len), t)
+        add(ack, data_len, t)
         t += gap
 
     five_tuple = workload.entries[0][1].five_tuple
@@ -357,14 +386,14 @@ def recurring_flows(rate_bps: float, n_flows: int = 20,
         raise ValueError("need at least one flow and one round")
     workload = Workload(name=f"recurring-{n_flows}x{rounds}")
     gap = transmission_delay(frame_len, rate_bps)
+    eth = EthernetHeader(src_mac=HOST1_MAC, dst_mac=HOST2_MAC)
+    stacks = [_udp_stack(eth, _forged_source_ip(flow_id), 3000 + flow_id,
+                         dst_port, frame_len)
+              for flow_id in range(n_flows)]
     slot = 0
     for round_index in range(rounds):
         for flow_id in range(n_flows):
-            packet = udp_packet(src_mac=HOST1_MAC, dst_mac=HOST2_MAC,
-                                src_ip=_forged_source_ip(flow_id),
-                                dst_ip=HOST2_IP, src_port=3000 + flow_id,
-                                dst_port=dst_port, frame_len=frame_len,
-                                flow_id=flow_id, seq_in_flow=round_index)
+            packet = Packet(*stacks[flow_id], flow_id, round_index)
             workload.entries.append((slot * gap, packet))
             slot += 1
             if flow_id not in workload.flows:
@@ -413,6 +442,16 @@ def mixed_tcp_udp(rate_bps: float, n_tcp_flows: int = 10,
             slots[slot] = ("udp", udp_index, 0)
             udp_index += 1
 
+    eth = EthernetHeader(src_mac=HOST1_MAC, dst_mac=HOST2_MAC)
+    tcp_ip = IPv4Header(src_ip=HOST1_IP, dst_ip=HOST2_IP, protocol=PROTO_TCP)
+    #: Per TCP flow: its SYN header, its data header, the data payload.
+    tcp_stacks = []
+    for index in range(n_tcp_flows):
+        syn = TCPHeader(src_port=40000 + index, dst_port=80, flags=FLAG_SYN)
+        data = TCPHeader(src_port=40000 + index, dst_port=80,
+                         flags=FLAG_ACK)
+        tcp_stacks.append(
+            (syn, data, frame_payload_len(frame_len, eth, tcp_ip, data)))
     tcp_seq_seen: Dict[int, int] = {}
     for slot, (kind, index, seq) in enumerate(slots):
         t = slot * gap
@@ -421,17 +460,11 @@ def mixed_tcp_udp(rate_bps: float, n_tcp_flows: int = 10,
                                          0.02 * gap))
         if kind == "tcp":
             flow_id = index
-            src_port = 40000 + index
+            syn, data, data_len = tcp_stacks[index]
             if seq == 0:
-                packet = tcp_control_packet(
-                    HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
-                    src_port, 80, flags=FLAG_SYN,
-                    flow_id=flow_id, seq_in_flow=seq)
+                packet = Packet(eth, tcp_ip, syn, 0, flow_id, seq)
             else:
-                packet = tcp_packet(
-                    HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
-                    src_port, 80, flags=FLAG_ACK, frame_len=frame_len,
-                    flow_id=flow_id, seq_in_flow=seq)
+                packet = Packet(eth, tcp_ip, data, data_len, flow_id, seq)
             tcp_seq_seen[flow_id] = seq
             if flow_id not in workload.flows:
                 workload.flows[flow_id] = FlowSpec(
@@ -439,10 +472,9 @@ def mixed_tcp_udp(rate_bps: float, n_tcp_flows: int = 10,
                     n_packets=packets_per_tcp)
         else:
             flow_id = n_tcp_flows + index
-            packet = udp_packet(
-                HOST1_MAC, HOST2_MAC, _forged_source_ip(index), HOST2_IP,
-                5000 + index % 1000, 9, frame_len=frame_len,
-                flow_id=flow_id, seq_in_flow=0)
+            stack = _udp_stack(eth, _forged_source_ip(index),
+                               5000 + index % 1000, 9, frame_len)
+            packet = Packet(*stack, flow_id, 0)
             workload.flows[flow_id] = FlowSpec(
                 flow_id=flow_id, five_tuple=packet.five_tuple, n_packets=1)
         workload.entries.append((t, packet))

@@ -59,6 +59,25 @@ def test_full_testbed_probe_is_gated_in_flows():
     assert bench["python"].count(".") == 2
 
 
+def test_workload_generation_probe_is_gated_in_packets():
+    # The quick ``all`` grid's 98 generator calls, 36,800 packets per
+    # run, recorded against the per-packet header construction it
+    # replaced and stamped with the measuring machine.
+    import perf_gate
+    assert perf_gate.GATED_PROBES["test_workload_generation"] \
+        == "workload_generation"
+    assert kernelrecord.PROBE_UNITS["workload_generation"] == 36_800
+    bench = kernelrecord.load_baseline()["benchmarks"]["workload_generation"]
+    assert bench["units"] == 36_800
+    assert bench["before"]["seconds"] \
+        == kernelrecord.BEFORE_SECONDS["workload_generation"]
+    assert bench["after"]["events_per_sec"] == pytest.approx(
+        36_800 / bench["after"]["seconds"], rel=1e-4)
+    assert bench["speedup"] > 1
+    assert bench["cpu_count"] >= 1
+    assert bench["python"].count(".") == 2
+
+
 def test_committed_record_has_shard_scaling_section():
     record = kernelrecord.load_baseline()
     section = record["shard_scaling"]

@@ -144,6 +144,75 @@ def test_packet_uids_are_unique():
     assert len(uids) == 10
 
 
+# ---------------------------------------------------------------------------
+# Replay and fresh copies
+# ---------------------------------------------------------------------------
+
+def _stamped_template():
+    template = udp_packet("00:00:00:00:00:01", "00:00:00:00:00:02",
+                          "10.0.0.1", "10.0.0.2", 1111, 2222,
+                          flow_id=3, seq_in_flow=4)
+    # Fill the lookup-key caches and every measurement stamp.
+    assert template.wire_len == 1000
+    assert template.five_tuple is not None
+    template.exact_key(1)
+    template.created_at = 0.25
+    template.switch_in_at = 0.5
+    template.switch_out_at = 0.75
+    return template
+
+
+def test_replay_copy_is_a_new_object_with_the_same_uid():
+    template = _stamped_template()
+    clone = template.replay_copy()
+    assert clone is not template
+    assert type(clone) is Packet
+    assert clone.uid == template.uid
+    assert (clone.payload_len, clone.flow_id, clone.seq_in_flow) == (
+        template.payload_len, template.flow_id, template.seq_in_flow)
+
+
+def test_replay_copy_shares_headers_and_key_caches():
+    template = _stamped_template()
+    clone = template.replay_copy()
+    assert clone.eth is template.eth
+    assert clone.ip is template.ip
+    assert clone.l4 is template.l4
+    assert clone._five_tuple is template._five_tuple
+    assert clone._exact_key is template._exact_key
+    assert clone.wire_len == template.wire_len
+    assert clone.exact_key(1) is template.exact_key(1)
+
+
+def test_replay_copy_clears_the_stamps():
+    clone = _stamped_template().replay_copy()
+    assert clone.created_at is None
+    assert clone.switch_in_at is None
+    assert clone.switch_out_at is None
+
+
+def test_replay_copy_writes_leave_the_template_untouched():
+    template = _stamped_template()
+    before = dict(vars(template))
+    clone = template.replay_copy()
+    clone.created_at = 9.0
+    clone.switch_in_at = clone.switch_out_at = 9.5
+    clone.seq_in_flow = 99
+    clone.exact_key(7)
+    assert vars(template) == before
+    assert template.exact_key(1)[0] == 1
+
+
+def test_fresh_copy_takes_a_new_uid():
+    template = _stamped_template()
+    clone = template.fresh_copy()
+    assert clone.uid > template.uid
+    assert clone.eth is template.eth and clone.l4 is template.l4
+    assert (clone.created_at, clone.switch_in_at,
+            clone.switch_out_at) == (None, None, None)
+    assert template.created_at == 0.25
+
+
 def test_l4_without_ip_rejected():
     eth = EthernetHeader("00:00:00:00:00:01", "00:00:00:00:00:02")
     with pytest.raises(ValueError):
