@@ -8,15 +8,16 @@ Events/sec uses one instrumented serial run's ``events_executed`` as the
 numerator for every configuration: the workload is identical (the verify
 mode asserts bit-identity), so the rate ratio IS the wall-time ratio.
 
-**shard_transport** — per-round coordination overhead of each wire
-codec (pickle / framed / shm) at 2 fork workers.  The overhead of one
-codec is ``(rounds_wall_fork - rounds_wall_inline) / rounds``: the
-inline transport runs the identical shard round loop in-process with no
-IPC, so the difference is exactly what the transport costs per advance/
-reply round — codec time, syscalls, context switches.  Each repetition
-interleaves the baseline and every codec back-to-back (the
-``paired_ratio`` idea from ``kernelrecord``) so all points see the same
-machine state, and best-of-N minima are compared.
+**shard_transport** — what the pipe costs per round at 2 workers.
+Inline shards ship the same frames as forked ones, through the same
+channel code, joined by an in-process loopback instead of a pipe; so
+``(rounds_wall_fork - rounds_wall_inline) / rounds`` is the pipe's cost
+alone — syscalls, context switches, the second process — with the codec
+work on both sides of the difference.  Each repetition runs inline then
+fork back to back (the ``paired_ratio`` idea from ``kernelrecord``) and
+best-of-N minima are compared.  The section records both walls, the
+codec time, the wire bytes, and the measuring machine's core count and
+Python version; it is a record, not a gate.
 
 Both probes use a *shard-friendly calibration*:
 ``link_propagation_delay`` raised to 5 ms (WAN-ish inter-site cables)
@@ -27,24 +28,24 @@ null-message overhead swamps any parallelism (DESIGN.md §17 quantifies
 when sharding loses).  The serial baseline runs the *identical*
 calibration, so the comparison is honest.
 
-Floors are only physical on a multi-core machine: the committed scaling
-floor (≥1.8x events/sec at 2 workers) and transport floor (≥3x less
-per-round overhead, framed+shm vs pickle) are enforced by
-``perf_gate.py`` and the ``--check`` mode below when
-``os.cpu_count() >= 2``, and reported as skipped otherwise.  On one
-core the workers time-share: the scaling probe measures pure overhead,
-and the transport ratio is compressed because the worker-side codec —
-which multi-core overlaps across cores but one core serializes — is
-charged to the round gap for framed/shm while pickle's parent-side
-re-encode/decode dominates only when the parent is the critical path.
-The record always stores the measuring machine's core count alongside
-the numbers.
+The scaling floor (≥1.8x events/sec at 2 workers) is only physical on a
+multi-core machine: ``perf_gate.py`` and the ``--check`` mode below
+enforce it when ``os.cpu_count() >= 2`` and report it as skipped
+otherwise.  On one core the workers time-share, so the scaling probe
+measures pure overhead.  The record always stores the measuring
+machine's core count alongside the numbers.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_shard.py                    # measure
     PYTHONPATH=src python benchmarks/bench_shard.py --update-baseline  # commit
     PYTHONPATH=src python benchmarks/bench_shard.py --check --floor 1.8
+
+To re-record the transport section alone::
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'benchmarks'); \\
+        import bench_shard as b, kernelrecord as k; \\
+        b.merge_into(k.BASELINE_PATH, b.measure_transport(), 'shard_transport')"
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import pathlib
+import platform
 import sys
-import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
@@ -76,9 +78,6 @@ DEFAULT_FLOOR = 1.8
 #: every round carries real cross-shard traffic.
 TRANSPORT_FLOWS = 400
 TRANSPORT_WORKERS = 2
-TRANSPORT_CODECS = ("pickle", "framed", "shm")
-#: Committed floor: pickle per-round overhead / shm per-round overhead.
-DEFAULT_TRANSPORT_FLOOR = 3.0
 
 
 def _calibration():
@@ -147,42 +146,44 @@ def _transport_workload():
                                rng=RandomStreams(SEED))
 
 
-def _transport_run(codec: str, transport: str):
+def _transport_run(transport: str):
     """One sharded repetition; returns its ShardRunReport."""
     from repro.core import BufferConfig
     from repro.shard import ShardSpec, execute_sharded
     spec = _scenario().with_shard(
-        ShardSpec(mode="per-switch", workers=TRANSPORT_WORKERS,
-                  transport=codec))
+        ShardSpec(mode="per-switch", workers=TRANSPORT_WORKERS))
     result = execute_sharded(BufferConfig(), _transport_workload(),
                              seed=SEED, calibration=_calibration(),
                              scenario=spec, transport=transport)
     return result.report
 
 
-def measure_transport(rounds: int = 5,
-                      codecs=TRANSPORT_CODECS) -> dict:
-    """Best-of-N per-round overhead for every codec, interleaved.
+def measure_transport(rounds: int = 7) -> dict:
+    """Best-of-N rounds wall, inline vs fork, and the pipe's per-round cost.
 
-    Every repetition runs the inline baseline and each fork codec
-    back-to-back before the next repetition starts, so all points share
-    the machine state of the same time slice; minima are then compared
-    across repetitions (``kernelrecord.paired_ratio``'s approach,
-    generalized to four workloads).
+    Both carriers ship the same frames through the same channel code, so
+    ``(fork - inline) / rounds`` is what the pipe itself costs per
+    advance/reply round: syscalls, context switches, the second process.
+    Each repetition runs inline then fork back to back, so the two share
+    the machine state of one time slice; minima are then compared across
+    repetitions (``kernelrecord.paired_ratio``'s approach).  A record,
+    not a gate.
     """
-    points = [("inline", "pickle")] + [("fork", c) for c in codecs]
-    best = {}     # (transport, codec) -> min rounds_wall_seconds
-    reports = {}  # (transport, codec) -> report of the best repetition
+    best = {}     # transport -> min rounds_wall_seconds
+    reports = {}  # transport -> report of the best repetition
     for _ in range(rounds):
-        for transport, codec in points:
-            report = _transport_run(codec, transport)
-            key = (transport, codec)
-            if report.rounds_wall_seconds < best.get(key, float("inf")):
-                best[key] = report.rounds_wall_seconds
-                reports[key] = report
-
-    baseline = reports[("inline", "pickle")]
-    baseline_s = best[("inline", "pickle")]
+        for transport in ("inline", "fork"):
+            report = _transport_run(transport)
+            if report.rounds_wall_seconds < best.get(transport, math.inf):
+                best[transport] = report.rounds_wall_seconds
+                reports[transport] = report
+    inline, fork = reports["inline"], reports["fork"]
+    if (inline.rounds, inline.bytes_total) != (fork.rounds, fork.bytes_total):
+        raise RuntimeError(
+            f"inline and fork runs diverged: rounds {inline.rounds} vs "
+            f"{fork.rounds}, bytes {inline.bytes_total} vs "
+            f"{fork.bytes_total}")
+    overhead_ms = (best["fork"] - best["inline"]) / max(fork.rounds, 1) * 1e3
     section = {
         "scenario": SCENARIO,
         "flows": TRANSPORT_FLOWS,
@@ -190,36 +191,20 @@ def measure_transport(rounds: int = 5,
         "link_propagation_delay": PROPAGATION_DELAY,
         "workers": TRANSPORT_WORKERS,
         "cpu_count": os.cpu_count() or 1,
-        "rounds": baseline.rounds,
-        "floor_overhead_ratio_shm": DEFAULT_TRANSPORT_FLOOR,
-        "inline_rounds_wall_seconds": round(baseline_s, 6),
-        "codecs": {},
+        "python": platform.python_version(),
+        "best_of": rounds,
+        "rounds": fork.rounds,
+        "rounds_coalesced": fork.rounds_coalesced,
+        "inline_rounds_wall_seconds": round(best["inline"], 6),
+        "fork_rounds_wall_seconds": round(best["fork"], 6),
+        "overhead_ms_per_round": round(overhead_ms, 4),
+        "serialize_seconds": round(fork.serialize_seconds, 6),
+        "bytes_total": fork.bytes_total,
     }
-    print(f"bench-shard: transport baseline inline {baseline_s:8.3f}s "
-          f"rounds_wall ({baseline.rounds} rounds)")
-    for codec in codecs:
-        report = reports[("fork", codec)]
-        wall = best[("fork", codec)]
-        overhead_ms = (wall - baseline_s) / max(report.rounds, 1) * 1e3
-        section["codecs"][codec] = {
-            "rounds_wall_seconds": round(wall, 6),
-            "overhead_ms_per_round": round(overhead_ms, 4),
-            "serialize_seconds": round(report.serialize_seconds, 6),
-            "bytes_total": report.bytes_total,
-            "rounds_coalesced": report.rounds_coalesced,
-        }
-        print(f"bench-shard: transport {codec:>7}/fork {wall:8.3f}s "
-              f"rounds_wall -> {overhead_ms:6.3f} ms/round "
-              f"({report.bytes_total:,} wire bytes)")
-    pickle_ms = section["codecs"]["pickle"]["overhead_ms_per_round"]
-    for codec in codecs:
-        if codec == "pickle":
-            continue
-        codec_ms = section["codecs"][codec]["overhead_ms_per_round"]
-        ratio = pickle_ms / codec_ms if codec_ms > 0 else float("inf")
-        section[f"overhead_ratio_{codec}"] = round(ratio, 3)
-        print(f"bench-shard: transport pickle/{codec} overhead ratio "
-              f"x{ratio:.2f}")
+    print(f"bench-shard: transport inline {best['inline']:8.3f}s, fork "
+          f"{best['fork']:8.3f}s rounds_wall ({fork.rounds} rounds) -> "
+          f"{overhead_ms:6.3f} ms/round pipe cost "
+          f"({fork.bytes_total:,} wire bytes)")
     return section
 
 
@@ -277,22 +262,15 @@ def main(argv=None) -> int:
     parser.add_argument("--floor", type=float, default=DEFAULT_FLOOR,
                         help="minimum 2-worker speedup for --check "
                              f"(default {DEFAULT_FLOOR})")
-    parser.add_argument("--transport-floor", type=float,
-                        default=DEFAULT_TRANSPORT_FLOOR,
-                        help="minimum pickle/shm per-round overhead "
-                             "ratio for --check "
-                             f"(default {DEFAULT_TRANSPORT_FLOOR})")
     args = parser.parse_args(argv)
 
     if args.check:
         cores = os.cpu_count() or 1
         if cores < 2:
             print(f"bench-shard: check SKIPPED — {cores} CPU core(s); "
-                  f"the 2-worker scaling floor and the transport "
-                  f"overhead-ratio floor both need a multi-core machine "
-                  f"(one core time-shares the workers: scaling measures "
-                  f"pure overhead, and the overhead ratio is compressed "
-                  f"because worker-side codec time cannot overlap)")
+                  f"the 2-worker scaling floor needs a multi-core machine "
+                  f"(one core time-shares the workers, so scaling "
+                  f"measures pure overhead)")
             return 0
         events = count_serial_events()
         serial_s = time_serial(args.rounds)
@@ -302,26 +280,15 @@ def main(argv=None) -> int:
               f"({events / serial_s:,.0f} ev/s), 2 workers "
               f"{sharded_s:.3f}s ({events / sharded_s:,.0f} ev/s) — "
               f"x{speedup:.2f} (floor x{args.floor})")
-        failed = False
         if speedup < args.floor:
             print("bench-shard: FAIL — 2-worker scaling below floor")
-            failed = True
-        section = measure_transport(rounds=max(args.rounds, 3))
-        ratio = section.get("overhead_ratio_shm", 0.0)
-        print(f"bench-shard: transport pickle/shm overhead x{ratio:.2f} "
-              f"(floor x{args.transport_floor})")
-        if ratio < args.transport_floor:
-            print("bench-shard: FAIL — shm per-round overhead ratio "
-                  "below floor")
-            failed = True
-        if failed:
             return 1
         print("bench-shard: PASS")
         return 0
 
     section = measure(rounds=args.rounds)
     merge_into(kernelrecord.OUTPUT_PATH, section)
-    transport = measure_transport(rounds=max(args.rounds, 5))
+    transport = measure_transport(rounds=max(args.rounds, 7))
     merge_into(kernelrecord.OUTPUT_PATH, transport, "shard_transport")
     print(f"bench-shard: wrote {kernelrecord.OUTPUT_PATH}")
     if args.update_baseline:

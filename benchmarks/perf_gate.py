@@ -25,18 +25,15 @@ machine-independent; only the disabled-path check compares against the
 committed record, so CI passes a wider disabled tolerance for runner
 noise.
 
-Finally, two shard probes: the **shard-scaling probe** (skippable with
+Finally, the **shard-scaling probe** (skippable with
 ``--no-shard-probe``) re-measures the 2-worker sharded speedup on
 line:4 live and enforces the committed
-``shard_scaling.floor_workers_2`` floor, and the **shard-transport
-probe** (skippable with ``--no-transport-probe``) re-measures the
-per-round coordination overhead of the shm wire codec against pickle
-and enforces the committed
-``shard_transport.floor_overhead_ratio_shm`` floor.  Both run on
-multi-core machines only, since a single-core host time-shares the
-workers — a wall-clock speedup is not physically possible and the
-overhead ratio is compressed because worker-side codec time cannot
-overlap (the probes skip loudly in that case).
+``shard_scaling.floor_workers_2`` floor.  It runs on multi-core
+machines only, since a single-core host time-shares the workers and a
+wall-clock speedup is not physically possible there (the probe skips
+loudly in that case).  The committed ``shard_transport`` section is a
+record of the pipe's per-round cost, not a gate, so nothing here
+re-measures it.
 
 Usage::
 
@@ -151,41 +148,6 @@ def shard_scaling_probe(baseline, rounds: int = 2) -> bool:
     return passed
 
 
-def shard_transport_probe(baseline, rounds: int = 3) -> bool:
-    """Gate the wire codec's per-round overhead ratio vs pickle.
-
-    Re-measures the line:4 per-round coordination overhead live for the
-    pickle and shm transports (interleaved best-of, see
-    ``bench_shard.measure_transport``) and enforces the committed
-    ``shard_transport.floor_overhead_ratio_shm`` floor.  Multi-core
-    machines only: on one core the worker-side codec cannot overlap
-    across cores, which compresses the ratio toward the pure
-    codec-parity limit and makes the floor unenforceable (the probe
-    skips loudly there instead of reporting a fake regression).
-    """
-    section = baseline.get("shard_transport")
-    if section is None:
-        print("perf-gate: shard transport       no committed "
-              "shard_transport section — skipped")
-        return True
-    floor = section.get("floor_overhead_ratio_shm", 3.0)
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        print(f"perf-gate: shard transport       SKIPPED — {cores} CPU "
-              f"core(s); the pickle/shm overhead-ratio floor (x{floor}) "
-              f"needs a multi-core machine")
-        return True
-    import bench_shard
-    measured = bench_shard.measure_transport(rounds=rounds,
-                                             codecs=("pickle", "shm"))
-    ratio = measured.get("overhead_ratio_shm", 0.0)
-    passed = ratio >= floor
-    print(f"perf-gate: shard transport       x{ratio:.2f} pickle/shm "
-          f"per-round overhead (floor x{floor})  "
-          f"{'ok' if passed else 'REGRESSED'}")
-    return passed
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report", help="pytest-benchmark JSON report")
@@ -212,8 +174,6 @@ def main(argv=None) -> int:
                         help="skip the observability-overhead probe")
     parser.add_argument("--no-shard-probe", action="store_true",
                         help="skip the shard-scaling floor probe")
-    parser.add_argument("--no-transport-probe", action="store_true",
-                        help="skip the shard wire-codec overhead probe")
     args = parser.parse_args(argv)
 
     baseline = kernelrecord.load_baseline()
@@ -250,8 +210,6 @@ def main(argv=None) -> int:
             args.obs_enabled_tolerance, args.obs_trace_tolerance)) or failed
     if not args.no_shard_probe:
         failed = (not shard_scaling_probe(baseline)) or failed
-    if not args.no_transport_probe:
-        failed = (not shard_transport_probe(baseline)) or failed
     if failed:
         print(f"perf-gate: FAIL — events/sec dropped more than "
               f"{args.tolerance:.0%} below the committed BENCH_kernel.json; "

@@ -72,14 +72,6 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                              "(worker processes under the fork transport), "
                              "'per-switch:N' caps the worker count, 'off' "
                              "keeps the single serial loop (default)")
-    parser.add_argument("--shard-transport", metavar="CODEC", default=None,
-                        help="how sharded rounds travel between "
-                             "coordinator and workers: 'framed' (default; "
-                             "struct-packed binary frames), 'shm' "
-                             "(frames through shared-memory rings, "
-                             "optionally 'shm:KIB' for the ring size), or "
-                             "'pickle' (the legacy wire).  Bit-identical "
-                             "by contract; requires --shard")
     parser.add_argument("--scale-flows", type=int, nargs="+", default=None,
                         metavar="N",
                         help="figscale flow counts (default: 1e3 1e4 1e5 "
@@ -188,46 +180,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             pool_spec = parse_pool(args.pool if args.pool is not None
                                    else args.pool_policy)
+            scenario = (scenario if scenario is not None
+                        else single_scenario()).with_pool(pool_spec)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        scenario = (scenario if scenario is not None
-                    else single_scenario()).with_pool(pool_spec)
 
     if args.engine is not None:
         from ..scenarios import parse_engine, single_scenario
         try:
             engine = parse_engine(args.engine)
+            scenario = (scenario if scenario is not None
+                        else single_scenario()).with_engine(engine)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        scenario = (scenario if scenario is not None
-                    else single_scenario()).with_engine(engine)
 
     if args.shard is not None:
         from ..scenarios import single_scenario
         from ..shard import parse_shard
         try:
             shard = parse_shard(args.shard)
+            scenario = (scenario if scenario is not None
+                        else single_scenario()).with_shard(shard)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        scenario = (scenario if scenario is not None
-                    else single_scenario()).with_shard(shard)
-
-    if args.shard_transport is not None:
-        from ..shard import parse_transport
-        if scenario is None or not scenario.shard.is_active:
-            print("--shard-transport requires an active --shard",
-                  file=sys.stderr)
-            return 2
-        try:
-            transport = parse_transport(args.shard_transport)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        scenario = scenario.with_shard(
-            scenario.shard.with_transport(transport))
 
     if args.loss is not None and args.fault is not None:
         print("--loss and --fault are mutually exclusive", file=sys.stderr)

@@ -249,23 +249,15 @@ def bench_diff_main(argv: Optional[Sequence[str]] = None) -> int:
                   f"x{entry['speedup_vs_serial']:.2f} vs serial{delta}")
 
     transport = new.get("shard_transport")
-    if transport:
-        old_codecs = (old.get("shard_transport") or {}).get("codecs", {})
-        print(f"\nshard transport per-round overhead on "
-              f"{transport.get('scenario')} "
+    if transport and "overhead_ms_per_round" in transport:
+        was = (old.get("shard_transport") or {}).get("overhead_ms_per_round")
+        delta = (f"  (was {was:.3f})" if was is not None else "")
+        print(f"\nshard transport on {transport.get('scenario')} "
               f"({transport.get('workers')} workers, "
               f"{transport.get('cpu_count')} cores):")
-        for codec, entry in transport.get("codecs", {}).items():
-            was = old_codecs.get(codec, {}).get("overhead_ms_per_round")
-            delta = (f"  (was {was:.3f})" if was is not None else "")
-            print(f"  {codec:<24} {entry['overhead_ms_per_round']:6.3f} "
-                  f"ms/round, {entry['bytes_total']:,} wire bytes{delta}")
-        for key in sorted(transport):
-            if key.startswith("overhead_ratio_"):
-                codec = key[len("overhead_ratio_"):]
-                print(f"  pickle/{codec:<17} x{transport[key]:.2f} "
-                      f"(floor x{transport.get('floor_overhead_ratio_shm')}"
-                      f" on shm, multi-core)")
+        print(f"  {'fork - inline pipe cost':<24} "
+              f"{transport['overhead_ms_per_round']:6.3f} ms/round, "
+              f"{transport['bytes_total']:,} wire bytes{delta}")
 
     if args.fail_below is not None and -worst > args.fail_below:
         print(f"bench diff: FAIL — a probe dropped {-worst:.1%} "

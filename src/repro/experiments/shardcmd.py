@@ -35,10 +35,6 @@ def shard_verify_main(argv: Optional[Sequence[str]] = None) -> int:
                         help="shard transport to exercise (default inline: "
                              "deterministic and debuggable; fork exercises "
                              "the real worker plumbing)")
-    parser.add_argument("--shard-transport", metavar="CODEC", default=None,
-                        help="wire codec for the sharded run: pickle, "
-                             "framed, or shm[:KIB] (default: the shard "
-                             "spec's, i.e. framed)")
     parser.add_argument("--loss", type=float, default=None, metavar="P",
                         help="verify under control-plane loss probability "
                              "P (exercises the Algorithm-1 re-request "
@@ -48,17 +44,13 @@ def shard_verify_main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from ..scenarios import parse_scenario
-    from ..shard import parse_shard, parse_transport, \
-        verify_shard_equivalence
+    from ..shard import parse_shard, verify_shard_equivalence
     try:
         scenario = parse_scenario(args.scenario)
         shard = parse_shard(args.shard)
         if not shard.is_active:
             raise ValueError("shard-verify needs an active shard spec; "
                              "got 'off'")
-        if args.shard_transport is not None:
-            shard = shard.with_transport(
-                parse_transport(args.shard_transport))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -76,7 +68,6 @@ def shard_verify_main(argv: Optional[Sequence[str]] = None) -> int:
             "scenario": report.scenario,
             "n_shards": report.n_shards,
             "transport": report.transport,
-            "codec": report.codec,
             "ok": report.ok,
             "rounds": report.rounds,
             "messages": report.messages,

@@ -76,6 +76,19 @@ class ScenarioSpec:
         if self.n_sources < 1:
             raise ValueError(
                 f"need at least one source host, got {self.n_sources}")
+        # Cross-axis checks run at construction, so a combination that
+        # cannot run fails when the spec is built (through ``with_*`` in
+        # either order), at the CLI, and not inside every sweep task.
+        if self.shard.is_active and self.engine.is_hybrid:
+            raise ValueError(
+                "sharded execution does not compose with the hybrid engine: "
+                "its per-pktgen drivers reach across switch boundaries; run "
+                "with engine=packet or shard=off")
+        if self.shard.is_active and self.pool is not None:
+            raise ValueError(
+                "sharded execution does not compose with a shared buffer "
+                "pool: pool admission is cross-switch-synchronous; run with "
+                "pool=None or shard=off")
         # Canonicalize overrides so logically equal specs hash equal
         # (and produce the same cache token) regardless of input order.
         canonical = tuple(sorted(

@@ -27,20 +27,18 @@ from .coordinator import (ShardCoordinator, ShardRunReport,
                           run_once_sharded)
 from .partition import CutLink, PartitionPlan, build_partition_plan
 from .seam import EventRecorder, ShardContext, first_packet_uids
-from .spec import (CODECS, DEFAULT_TRANSPORT, OFF, PER_SWITCH, SHARD_MODES,
-                   ShardSpec, TransportSpec, parse_shard, parse_transport)
-from .transport import (MAGIC_FRAME, MAGIC_RING, WIRE_VERSION, RelayHub,
-                        ShardChannel, ShmRing, StringTable, TransportStats,
-                        decode_frame, decode_round, emit_round,
-                        encode_round, scan_frame, scan_round)
+from .spec import OFF, PER_SWITCH, SHARD_MODES, ShardSpec, parse_shard
+from .transport import (MAGIC_FRAME, WIRE_VERSION, RelayHub, ShardChannel,
+                        StringTable, TransportStats, decode_frame,
+                        decode_round, emit_round, encode_round,
+                        loopback_pair, scan_frame, scan_round)
 from .verify import (VerifyReport, metrics_fingerprint,
                      verify_shard_equivalence)
 
 __all__ = [
     "OFF", "PER_SWITCH", "SHARD_MODES", "ShardSpec", "parse_shard",
-    "CODECS", "DEFAULT_TRANSPORT", "TransportSpec", "parse_transport",
-    "MAGIC_FRAME", "MAGIC_RING", "WIRE_VERSION", "RelayHub",
-    "ShardChannel", "ShmRing", "StringTable", "TransportStats",
+    "MAGIC_FRAME", "WIRE_VERSION", "RelayHub", "ShardChannel",
+    "StringTable", "TransportStats", "loopback_pair",
     "encode_round", "decode_round", "scan_round", "emit_round",
     "decode_frame", "scan_frame",
     "CutLink", "PartitionPlan", "build_partition_plan",

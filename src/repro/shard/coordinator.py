@@ -41,6 +41,13 @@ always clears its own next event.  A shard advanced over a window
 holding no local events and no injections counts a *horizon stall* —
 the null-message overhead figure exported on the parent registry.
 
+Every round travels as framed bytes (:mod:`repro.shard.transport`)
+between two :class:`~repro.shard.transport.ShardChannel` ends, whatever
+carries them: a pipe to a forked worker (``fork``) or an in-process
+loopback (``inline``).  Both carriers answer the coordinator through
+one function, :func:`_serve`, so an inline run ships exactly the bytes
+a fork run does; only the final state is handed over in-process.
+
 Results merge by grafting (:mod:`repro.shard.state`) onto a never-run
 parent replica, then running the standard ``metrics.snapshot`` — the
 whole ``run_once`` tail (deadline extension, active window, load
@@ -60,11 +67,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..obs.spans import SpanRecorder
 from .partition import PartitionPlan, build_partition_plan
 from .seam import ShardContext, ShardMessage
-from .spec import DEFAULT_TRANSPORT, TransportSpec
 from .state import extract_state, graft_states, merged_events
-from .transport import (RelayHub, ShardChannel, ShmRing, StringTable,
-                        TransportStats, decode_frame, encode_advance,
-                        encode_reply, encode_round, scan_frame, scan_round)
+from .transport import (RelayHub, ShardChannel, TransportStats,
+                        loopback_pair)
 
 
 def _fork_available() -> bool:
@@ -73,121 +78,18 @@ def _fork_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shard handles: one local, one forked — same advance/collect protocol
+# Shard handles: one local, one forked — same channel, same frames
 # ---------------------------------------------------------------------------
 
-class _InlineShard:
-    """A shard's event loop living in the coordinator's own process.
+class _ShardHandle:
+    """The coordinator's end of one shard's :class:`ShardChannel`.
 
-    Under the ``framed``/``shm`` codecs, rounds still travel through the
-    real frame encoder and back — emit → decode down, encode → scan up,
-    with relay gossip through the shared hub — so inline verification
-    exercises exactly the bytes fork would ship (shm collapses to
-    framed in-process, there being no pipe to avoid).
+    Subclasses attach ``channel`` (role ``parent``) to a carrier and
+    receive the shard's ready announcement; advancing, collecting
+    replies and the transport stats are common to both carriers.
     """
 
-    def __init__(self, build_args: dict, shard_index: int,
-                 transport: TransportSpec = DEFAULT_TRANSPORT,
-                 hub: Optional[RelayHub] = None, n_shards: int = 1):
-        self._ctx, self.next_time, self.ready = _build_shard_context(
-            build_args, shard_index)
-        self._codec = transport.codec
-        self._shard_index = shard_index
-        self.stats = TransportStats()
-        if self._codec != "pickle":
-            self._hub = hub if hub is not None else RelayHub()
-            self._gossip = self._hub.register()
-            self._worker_dec = StringTable()
-            self._worker_enc = StringTable(offset=shard_index,
-                                           stride=n_shards)
-            # The same bytes a fork worker's ready reply carries.
-            minted, self.ready, _end = scan_round(
-                encode_round(self.ready, self._worker_enc))
-            self._hub.publish(minted, shard_index)
-
-    def advance(self, t_end: float, messages: List[ShardMessage],
-                inclusive: bool) -> None:
-        if self._codec == "pickle":
-            self._reply = self._ctx.advance(t_end, messages, inclusive)
-            return
-        stats = self.stats
-        start = perf_counter()
-        frame = encode_advance(t_end, messages, inclusive, self._gossip)
-        stats.encode_seconds += perf_counter() - start
-        stats.frames_out += 1
-        stats.bytes_out += len(frame)
-        start = perf_counter()
-        _tag, t_end, messages, inclusive = decode_frame(frame,
-                                                        self._worker_dec)
-        stats.decode_seconds += perf_counter() - start
-        outbound, next_time, completed = self._ctx.advance(
-            t_end, messages, inclusive)
-        start = perf_counter()
-        frame = encode_reply(outbound, next_time, completed,
-                             self._worker_enc)
-        stats.encode_seconds += perf_counter() - start
-        stats.frames_in += 1
-        stats.bytes_in += len(frame)
-        start = perf_counter()
-        _tag, self._reply, minted = scan_frame(frame)
-        if minted:
-            self._hub.publish(minted, self._shard_index)
-        stats.decode_seconds += perf_counter() - start
-
-    def result(self) -> Tuple[List[ShardMessage], float, Optional[int]]:
-        return self._reply
-
-    def collect(self) -> Dict[str, Any]:
-        state = extract_state(self._ctx)
-        self._ctx.testbed.shutdown()
-        return state
-
-    def kill(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class _ForkShard:
-    """A shard's event loop in a forked worker, spoken to over a pipe.
-
-    Under the ``shm`` codec the parent creates one ring per direction
-    *before* forking; the child inherits them through fork memory (no
-    re-attach, so the resource tracker registers each segment exactly
-    once) and only the parent ever unlinks — in :meth:`close` on the
-    graceful path, :meth:`kill` on the crash path.
-    """
-
-    def __init__(self, ctx: multiprocessing.context.BaseContext,
-                 build_args: dict, shard_index: int,
-                 transport: TransportSpec = DEFAULT_TRANSPORT,
-                 hub: Optional[RelayHub] = None, n_shards: int = 1):
-        self._rings: List[ShmRing] = []
-        self._process = None
-        self._conn, child = ctx.Pipe(duplex=True)
-        try:
-            down_ring = up_ring = None
-            if transport.codec == "shm":
-                down_ring = ShmRing(transport.ring_bytes)
-                up_ring = ShmRing(transport.ring_bytes)
-                self._rings = [down_ring, up_ring]
-            self._process = ctx.Process(
-                target=_shard_worker,
-                args=(child, build_args, shard_index, transport.codec,
-                      down_ring, up_ring, n_shards),
-                daemon=True)
-            self._process.start()
-            child.close()
-            self.channel = ShardChannel(self._conn, transport.codec,
-                                        send_ring=down_ring,
-                                        recv_ring=up_ring,
-                                        role="parent", hub=hub,
-                                        shard_index=shard_index)
-            self.next_time, self.ready = self._recv("ready")
-        except BaseException:
-            self.kill()
-            raise
+    channel: ShardChannel
 
     @property
     def stats(self) -> TransportStats:
@@ -221,17 +123,76 @@ class _ForkShard:
     def result(self) -> Tuple[List[ShardMessage], float, Optional[int]]:
         return self._recv("advanced")
 
+
+class _InlineShard(_ShardHandle):
+    """A shard's event loop living in the coordinator's own process.
+
+    Its worker end is a real worker-role :class:`ShardChannel`, joined to
+    the coordinator's end by a :func:`loopback_pair` instead of a pipe:
+    every round is encoded, shipped, decoded and scanned exactly as under
+    fork, through :func:`_serve`, so inline runs verify the very bytes a
+    fork run ships.  Only the final state skips the wire — it is handed
+    over as the object :func:`_serve` returns.
+    """
+
+    def __init__(self, build_args: dict, shard_index: int,
+                 hub: RelayHub, n_shards: int):
+        parent_end, worker_end = loopback_pair()
+        self._worker = ShardChannel(worker_end, role="worker",
+                                    shard_index=shard_index,
+                                    n_shards=n_shards)
+        self._context = _start_shard(self._worker, build_args, shard_index)
+        self.channel = ShardChannel(parent_end, role="parent", hub=hub,
+                                    shard_index=shard_index)
+        self.next_time, self.ready = self._recv("ready")
+
+    def advance(self, t_end: float, messages: List[ShardMessage],
+                inclusive: bool) -> None:
+        super().advance(t_end, messages, inclusive)
+        _serve(self._context, self._worker, self._worker.recv())
+
+    def collect(self) -> Dict[str, Any]:
+        return _serve(self._context, self._worker, ("collect",))
+
+    def kill(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class _ForkShard(_ShardHandle):
+    """A shard's event loop in a forked worker, spoken to over a pipe."""
+
+    def __init__(self, build_args: dict, shard_index: int,
+                 hub: RelayHub, n_shards: int):
+        self._process = None
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child = ctx.Pipe(duplex=True)
+        try:
+            self._process = ctx.Process(
+                target=_shard_worker,
+                args=(child, build_args, shard_index, n_shards),
+                daemon=True)
+            self._process.start()
+            child.close()
+            self.channel = ShardChannel(self._conn, role="parent", hub=hub,
+                                        shard_index=shard_index)
+            self.next_time, self.ready = self._recv("ready")
+        except BaseException:
+            self.kill()
+            raise
+
     def collect(self) -> Dict[str, Any]:
         self.channel.send_control(("collect",))
         return self._recv("state")
 
     def kill(self) -> None:
-        """Hard teardown: terminate the worker, free every OS resource.
+        """Hard teardown: terminate the worker and close its pipe.
 
         Idempotent, and safe to call from any partially-constructed or
         already-closed state — this is the crash path that keeps a dead
-        worker's siblings from blocking forever in ``recv`` and its
-        rings from leaking in ``/dev/shm``.
+        worker's siblings from blocking forever in ``recv``.
         """
         process = self._process
         if process is not None and process.is_alive():
@@ -241,9 +202,6 @@ class _ForkShard:
             self._conn.close()
         except OSError:  # pragma: no cover - cleanup
             pass
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
 
     def close(self) -> None:
         try:
@@ -255,18 +213,15 @@ class _ForkShard:
             self._process.join(timeout=5.0)
             if self._process.is_alive():  # pragma: no cover - cleanup
                 self._process.terminate()
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
 
 
-def _build_shard_context(build_args: dict, shard_index: int
-                         ) -> Tuple[ShardContext, float, List[ShardMessage]]:
-    """Replicated build + adoption.
+def _start_shard(channel: ShardChannel, build_args: dict,
+                 shard_index: int) -> ShardContext:
+    """Replicated build + adoption, announced down the worker's channel.
 
-    Returns the context, its first event time and the cross-shard
-    messages adoption sent: a cut link emits at send time, so the
-    controller handshake leaves before the first round.
+    The ready message carries the shard's first event time and the
+    cross-shard messages adoption sent: a cut link emits at send time,
+    so the controller handshake leaves before the first round.
     """
     from ..faults import install_faults
     from ..scenarios import build_scenario
@@ -281,39 +236,47 @@ def _build_shard_context(build_args: dict, shard_index: int
     context = ShardContext(testbed, plan, shard_index,
                            build_args["workload"], build_args["settle"],
                            record_events=build_args["record_events"])
-    return context, testbed.sim.peek(), context.take_outbox()
+    channel.send_ready(testbed.sim.peek(), context.take_outbox())
+    return context
+
+
+def _serve(context: ShardContext, channel: ShardChannel, command):
+    """Carry out one coordinator command on a worker's end of the wire.
+
+    Both carriers call this: the fork worker for every command it
+    receives, the inline shard right after each advance it ships.  An
+    advance is answered down ``channel``; ``collect`` returns the
+    shard's final state, which the caller hands over (the fork worker
+    pickles it up the pipe, the inline shard returns it as is).
+    """
+    if command[0] == "advance":
+        _tag, t_end, messages, inclusive = command
+        outbound, next_time, completed = context.advance(
+            t_end, messages, inclusive)
+        channel.send_reply(outbound, next_time, completed)
+        return None
+    if command[0] == "collect":
+        state = extract_state(context)
+        state["transport"] = channel.stats.as_dict()
+        context.testbed.shutdown()
+        return state
+    raise ValueError(f"unknown shard command {command[0]!r}")
 
 
 def _shard_worker(conn, build_args: dict, shard_index: int,
-                  codec: str = "pickle", down_ring=None,
-                  up_ring=None, n_shards: int = 1) -> None:
-    """Worker process main loop: build once, then serve advance rounds.
-
-    ``down_ring``/``up_ring`` are the parent's ShmRing objects, valid
-    here because fork inherits their mappings; the worker reads advances
-    from ``down_ring`` and writes replies into ``up_ring``, and never
-    closes or unlinks either (the parent owns their lifecycle).
-    """
-    channel = ShardChannel(conn, codec, send_ring=up_ring,
-                           recv_ring=down_ring, role="worker",
-                           shard_index=shard_index, n_shards=n_shards)
+                  n_shards: int) -> None:
+    """Worker process main loop: build once, then serve until ``stop``."""
+    channel = ShardChannel(conn, role="worker", shard_index=shard_index,
+                           n_shards=n_shards)
     try:
-        context, first, ready = _build_shard_context(build_args, shard_index)
-        channel.send_ready(first, ready)
+        context = _start_shard(channel, build_args, shard_index)
         while True:
             command = channel.recv()
-            if command[0] == "advance":
-                _tag, t_end, messages, inclusive = command
-                outbound, next_time, completed = context.advance(
-                    t_end, messages, inclusive)
-                channel.send_reply(outbound, next_time, completed)
-            elif command[0] == "collect":
-                state = extract_state(context)
-                state["transport"] = channel.stats.as_dict()
-                channel.send_control(("state", state))
-                context.testbed.shutdown()
-            elif command[0] == "stop":
+            if command[0] == "stop":
                 return
+            state = _serve(context, channel, command)
+            if state is not None:
+                channel.send_control(("state", state))
     except BaseException:  # pragma: no cover - surfaced parent-side
         import traceback
         try:
@@ -333,9 +296,8 @@ class ShardRunReport:
     """What one sharded run did, beyond its metrics."""
 
     n_shards: int
+    #: Carrier the shards ran on: ``inline`` or ``fork``.
     transport: str
-    #: Wire codec the rounds travelled on (pickle/framed/shm).
-    codec: str = "pickle"
     rounds: int = 0
     messages: int = 0
     #: Advances over windows with no local events and no injections.
@@ -343,14 +305,15 @@ class ShardRunReport:
     #: Per-shard advances skipped entirely: the horizon moved but the
     #: window could not contain events or injections, so no IPC was paid.
     rounds_coalesced: int = 0
-    #: Hot-path frame bytes, counted once per frame (parent side).
+    #: Hot-path frame bytes, counted once per frame (parent side);
+    #: inline and fork runs of one repetition ship the same bytes.
     bytes_total: int = 0
     #: Encode+decode wall time summed over both ends of every channel.
     serialize_seconds: float = 0.0
     #: Wall time spent inside ``run_until`` — the advance/reply rounds
-    #: themselves, excluding fork/build/collect/graft.  The transport
-    #: bench subtracts inline from fork on this figure to isolate
-    #: per-round coordination overhead.
+    #: themselves, excluding fork/build/collect/graft.  Inline rounds
+    #: carry the same frames, so the transport bench subtracts inline
+    #: from fork on this figure to isolate the pipe's per-round cost.
     rounds_wall_seconds: float = 0.0
     #: Per-component event streams (verify mode only).
     events: Optional[Dict[str, List[tuple]]] = None
@@ -516,16 +479,6 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
     if scenario is None or not scenario.shard.is_active:
         raise ValueError("execute_sharded needs a scenario with an "
                          "active ShardSpec (shard.mode != 'off')")
-    if scenario.engine.is_hybrid:
-        raise ValueError(
-            "sharded execution does not compose with the hybrid engine: "
-            "its per-pktgen drivers reach across switch boundaries; run "
-            "with engine=packet or shard=off")
-    if scenario.pool is not None:
-        raise ValueError(
-            "sharded execution does not compose with a shared buffer "
-            "pool: pool admission is cross-switch-synchronous; run with "
-            "pool=None or shard=off")
     if transport == "auto":
         transport = "fork" if _fork_available() else "inline"
     if transport not in ("fork", "inline"):
@@ -547,24 +500,15 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
                       workload=workload, calibration=calibration,
                       seed=seed, faults=faults, settle=settle,
                       record_events=record_events)
-    tspec = scenario.shard.transport
-    report = ShardRunReport(n_shards=plan.n_shards, transport=transport,
-                            codec=tspec.codec)
-    handles: List[Any] = []
+    report = ShardRunReport(n_shards=plan.n_shards, transport=transport)
+    handles: List[_ShardHandle] = []
     shard_cls = _ForkShard if transport == "fork" else _InlineShard
-    ctx = (multiprocessing.get_context("fork") if transport == "fork"
-           else None)
-    hub = RelayHub() if tspec.codec != "pickle" else None
+    hub = RelayHub()
     try:
         # Handles append one by one so a constructor failure mid-fleet
         # still leaves every already-started worker reachable for kill().
         for i in range(plan.n_shards):
-            if ctx is not None:
-                handles.append(shard_cls(ctx, build_args, i, tspec,
-                                         hub, plan.n_shards))
-            else:
-                handles.append(shard_cls(build_args, i, tspec,
-                                         hub, plan.n_shards))
+            handles.append(shard_cls(build_args, i, hub, plan.n_shards))
         coordinator = ShardCoordinator(handles, plan, report)
 
         deadline = settle + workload.duration + drain
@@ -583,8 +527,8 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
         states = [handle.collect() for handle in handles]
     except BaseException:
         # A dead or wedged worker must not leave siblings blocked in
-        # recv or shm segments leaked: hard-stop the whole fleet first,
-        # then let the graceful close in ``finally`` no-op.
+        # recv: hard-stop the whole fleet first, then let the graceful
+        # close in ``finally`` no-op.
         for handle in handles:
             handle.kill()
         raise
@@ -597,10 +541,9 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
         wire.merge(handle.stats)
     worker_serialize = 0.0
     for state in states:
-        worker_side = state.pop("transport", None)
-        if worker_side is not None:
-            worker_serialize += (worker_side["encode_seconds"]
-                                 + worker_side["decode_seconds"])
+        worker_side = state.pop("transport")
+        worker_serialize += (worker_side["encode_seconds"]
+                             + worker_side["decode_seconds"])
     graft_states(parent, plan, states)
     report.horizon_stalls = sum(s["stalled_rounds"] for s in states)
     report.bytes_total = wire.bytes_out + wire.bytes_in

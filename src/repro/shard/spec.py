@@ -17,6 +17,11 @@ Two modes ship:
   minimum propagation delay on cut cables.  ``workers`` groups the
   partitions onto that many event loops (``None`` = one per partition).
 
+A spec says nothing about the wire: rounds always travel as the framed
+records of :mod:`repro.shard.transport`.  Combinations a sharded run
+cannot carry (the hybrid engine, a shared buffer pool) are refused by
+:class:`~repro.scenarios.ScenarioSpec` when it is built.
+
 This module is dependency-light on purpose: ``scenarios.spec`` imports
 it, so it must not import simulation machinery.  The coordinator itself
 lives in :mod:`repro.shard.coordinator`.
@@ -30,65 +35,6 @@ from typing import Optional
 #: The sharding modes a spec may name.
 SHARD_MODES = ("off", "per-switch")
 
-#: The transport codecs a spec may name (see :mod:`repro.shard.transport`).
-CODECS = ("pickle", "framed", "shm")
-DEFAULT_RING_KIB = 1024
-
-
-@dataclass(frozen=True)
-class TransportSpec:
-    """How coordinator and workers exchange advance rounds.
-
-    Defined here (and re-exported by :mod:`repro.shard.transport`) so the
-    dependency-light spec layer can carry it without importing the codec
-    machinery.  An execution detail by contract: every codec is
-    bit-identical and :meth:`ShardSpec.cache_token` excludes it.
-    """
-
-    codec: str = "framed"
-    #: Ring capacity per direction (shm codec only), in KiB.
-    ring_kib: int = DEFAULT_RING_KIB
-
-    def __post_init__(self) -> None:
-        if self.codec not in CODECS:
-            raise ValueError(f"unknown shard transport codec "
-                             f"{self.codec!r}; expected one of {CODECS}")
-        if self.ring_kib <= 0:
-            raise ValueError(f"ring_kib must be > 0, got {self.ring_kib}")
-
-    @property
-    def ring_bytes(self) -> int:
-        return self.ring_kib * 1024
-
-    @property
-    def name(self) -> str:
-        """CLI-style name: ``pickle``, ``framed``, ``shm``, ``shm:256``."""
-        if self.codec == "shm" and self.ring_kib != DEFAULT_RING_KIB:
-            return f"shm:{self.ring_kib}"
-        return self.codec
-
-
-#: The default wire: struct-framed over the pipe.
-DEFAULT_TRANSPORT = TransportSpec()
-
-
-def parse_transport(text) -> TransportSpec:
-    """Parse ``pickle`` / ``framed`` / ``shm`` / ``shm:<ring KiB>``."""
-    if isinstance(text, TransportSpec):
-        return text
-    body = str(text).strip().lower()
-    if ":" in body:
-        codec, _, arg = body.partition(":")
-        if codec != "shm":
-            raise ValueError(f"only the shm codec takes a parameter, "
-                             f"got {text!r}")
-        try:
-            kib = int(arg)
-        except ValueError:
-            raise ValueError(f"malformed ring size in {text!r}") from None
-        return TransportSpec("shm", kib)
-    return TransportSpec(body)
-
 
 @dataclass(frozen=True)
 class ShardSpec:
@@ -101,9 +47,6 @@ class ShardSpec:
     #: (processes under the fork transport).  ``None`` resolves at plan
     #: time to one loop per partition.
     workers: Optional[int] = None
-    #: How rounds travel between coordinator and workers.  A string
-    #: coerces through :func:`parse_transport` for ergonomic literals.
-    transport: TransportSpec = DEFAULT_TRANSPORT
 
     def __post_init__(self) -> None:
         if self.mode not in SHARD_MODES:
@@ -114,9 +57,6 @@ class ShardSpec:
         if self.workers is not None and self.workers < 1:
             raise ValueError(
                 f"shard workers must be >= 1, got {self.workers!r}")
-        if not isinstance(self.transport, TransportSpec):
-            object.__setattr__(self, "transport",
-                               parse_transport(self.transport))
 
     @property
     def is_active(self) -> bool:
@@ -134,16 +74,13 @@ class ShardSpec:
         """This sharding with a different worker count."""
         return replace(self, workers=workers)
 
-    def with_transport(self, transport) -> "ShardSpec":
-        """This sharding with a different round transport."""
-        return replace(self, transport=parse_transport(transport))
-
     def cache_token(self) -> str:
         """Canonical text for the result cache's content hash.
 
-        The transport is deliberately absent: every codec is verified
-        bit-identical, so ``pickle``/``framed``/``shm`` runs of the same
-        grid point share cache entries (and the schema needs no bump).
+        Only what changes the partitioning keys the cache.  How shards
+        are carried (inline or forked) is an execution detail that
+        ``shard-verify`` proves bit-identical, so it stays out; this
+        text is pinned byte for byte in ``tests/test_scenarios.py``.
         """
         return f"mode={self.mode}|workers={self.workers!r}"
 

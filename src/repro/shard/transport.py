@@ -1,47 +1,34 @@
-"""Pickle-free shard transport: binary framing, shm rings, stats.
+"""The shard wire: framed rounds, cut-through relay, stats.
 
 Cross-shard messages have a fixed shape — ``(deliver_time, cut_index,
 per_link_seq, item)`` where the item is a :class:`~repro.packets.Packet`
 or an OpenFlow control message built from a small, closed vocabulary of
-immutable headers.  Pickling that shape on every advance round pays for
-generality nobody uses; this module replaces it with three stacked fast
-paths, selected by a :class:`TransportSpec`:
+immutable headers.  Every advance/reply round travels as one versioned
+``struct``-packed frame: a string-table delta (MAC/IP strings are
+interned once per channel direction and referenced by integer id
+thereafter), a varint message count, and per-message fixed-format
+records — one ``struct.pack`` per item on the common paths.  Items with
+no frame encoder (the flow- and port-stats requests and replies that
+cross the controller↔switch cut) and items whose fields overflow the
+packed formats are pickle-escaped *per item* (``TAG_PICKLE``), so
+correctness never depends on the fast path's coverage.
 
-``framed``
-    A versioned ``struct``-packed codec.  Each round is one contiguous
-    frame: a string-table delta (MAC/IP strings are interned once per
-    channel direction and referenced by integer id thereafter), a varint
-    message count, and per-message fixed-format records — one
-    ``struct.pack`` per item on the common paths.  Items the codec does
-    not recognise (stats replies, exotic header shapes, out-of-range
-    fields) are pickle-escaped *per item*, so correctness never depends
-    on the fast path's coverage.
+Frames ride a :class:`ShardChannel` over anything with ``send_bytes``
+and ``recv_bytes``: a duplex pipe to a forked worker, or the two ends of
+a :func:`loopback_pair` when the shard runs in the coordinator's own
+process — so inline runs ship exactly the bytes a fork run does.
+Cold-path control messages (ready/collect/state/stop/error) are pickled
+and never timed: the hot path is the per-round advance/reply pair, and
+that is what :class:`TransportStats` measures.
 
-``shm``
-    The same frames, carried through a ``multiprocessing.shared_memory``
-    SPSC ring per channel direction.  The pipe stays as doorbell and
-    fallback: a 5-byte doorbell announces a frame in the ring; frames
-    larger than the ring travel inline over the pipe.  Because the
-    coordinator/worker protocol is strictly request/reply, the doorbell
-    orders every access — both sides keep lock-step local cursors and
-    the ring needs no shared atomics.
-
-``pickle``
-    The PR 9 wire, kept as reference and escape hatch.
-
-Cold-path control messages (ready/collect/state/stop/error) are always
-pickled and never timed: the hot path is the per-round advance/reply
-pair, and that is what :class:`TransportStats` measures.
-
-Transport choice is an execution detail: all codecs are bit-identical
-(``shard-verify`` cross-checks them) and share result-cache entries —
-:meth:`repro.shard.spec.ShardSpec.cache_token` deliberately excludes the
-transport.
+The wire is an execution detail and stays out of the result cache's
+key: :meth:`repro.shard.spec.ShardSpec.cache_token` does not mention it.
 """
 
 from __future__ import annotations
 
 import pickle
+from collections import deque
 from dataclasses import asdict, dataclass
 from struct import Struct
 from struct import error as StructError
@@ -61,16 +48,12 @@ from ..packets.ipv4 import IPv4Header
 from ..packets.packet import _UNSET, Packet
 from ..packets.tcp import TCPHeader
 from ..packets.udp import UDPHeader
-from .spec import (CODECS, DEFAULT_RING_KIB, DEFAULT_TRANSPORT,  # noqa: F401
-                   TransportSpec, parse_transport)
 
 #: Bump on any wire-format change; the golden-frame test change-detects it.
 WIRE_VERSION = 1
 
 #: First byte of a framed message on the pipe (pickle streams start 0x80).
 MAGIC_FRAME = 0xF5
-#: First byte of a ring doorbell: "a frame of N bytes awaits in the ring".
-MAGIC_RING = 0xF6
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +926,6 @@ KIND_REPLY = 2
 
 #: magic, version, kind, flags, time (t_end or next_time).
 _FRAME = Struct("<BBBBd")
-#: magic, frame length (ring doorbell).
-_DOORBELL = Struct("<BI")
 
 _FLAG_INCLUSIVE = 1     # advance frames
 _FLAG_COMPLETED = 1     # reply frames
@@ -1068,8 +1049,6 @@ class TransportStats:
     bytes_in: int = 0
     encode_seconds: float = 0.0
     decode_seconds: float = 0.0
-    #: Frames too large for the shm ring, shipped inline instead.
-    ring_overflows: int = 0
 
     def merge(self, other) -> None:
         values = other if isinstance(other, dict) else asdict(other)
@@ -1079,103 +1058,51 @@ class TransportStats:
         self.bytes_in += values["bytes_in"]
         self.encode_seconds += values["encode_seconds"]
         self.decode_seconds += values["decode_seconds"]
-        self.ring_overflows += values["ring_overflows"]
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory SPSC ring
+# The channel and its in-process carrier
 # ---------------------------------------------------------------------------
 
-class ShmRing:
-    """A fixed-size byte ring in shared memory, one writer, one reader.
+class Loopback:
+    """One end of an in-process duplex byte pipe (see :func:`loopback_pair`).
 
-    The coordinator/worker protocol is strict request/reply, so every
-    access is already ordered by the pipe doorbell: the writer finishes
-    its copy before sending the doorbell, the reader starts after
-    receiving it.  Both sides therefore keep *local* cursors that
-    advance in lock-step — no shared head/tail words, no locks.  Created
-    by the parent before ``Process.start()`` and inherited through
-    fork; only the parent ever unlinks.
+    ``send_bytes`` queues onto the peer's inbox and ``recv_bytes`` pops
+    this end's own, first in first out: the two calls a
+    :class:`ShardChannel` makes of a ``multiprocessing`` connection.
+    The protocol is strict request/reply, so a receive always finds the
+    message its peer sent just before.
     """
 
-    def __init__(self, capacity: int):
-        from multiprocessing import shared_memory
-        self.capacity = capacity
-        self._shm = shared_memory.SharedMemory(create=True, size=capacity)
-        self._write_pos = 0
-        self._read_pos = 0
-        self._closed = False
-        self._unlinked = False
+    __slots__ = ("_inbox", "_outbox")
 
-    @property
-    def name(self) -> str:
-        return self._shm.name
+    def __init__(self, inbox: deque, outbox: deque) -> None:
+        self._inbox = inbox
+        self._outbox = outbox
 
-    def try_write(self, data: bytes) -> bool:
-        """Copy ``data`` in at the cursor; False if it cannot ever fit."""
-        size = len(data)
-        if size > self.capacity:
-            return False
-        pos = self._write_pos
-        end = pos + size
-        buf = self._shm.buf
-        if end <= self.capacity:
-            buf[pos:end] = data
-        else:
-            split = self.capacity - pos
-            buf[pos:] = data[:split]
-            buf[:size - split] = data[split:]
-            end -= self.capacity
-        self._write_pos = end % self.capacity
-        return True
+    def send_bytes(self, data: bytes) -> None:
+        self._outbox.append(data)
 
-    def read(self, size: int) -> bytes:
-        pos = self._read_pos
-        end = pos + size
-        buf = self._shm.buf
-        if end <= self.capacity:
-            data = bytes(buf[pos:end])
-        else:
-            split = self.capacity - pos
-            data = bytes(buf[pos:]) + bytes(buf[:size - split])
-            end -= self.capacity
-        self._read_pos = end % self.capacity
-        return data
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        except (BufferError, OSError):  # pragma: no cover - cleanup
-            pass
-
-    def unlink(self) -> None:
-        if self._unlinked:
-            return
-        self._unlinked = True
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+    def recv_bytes(self) -> bytes:
+        return self._inbox.popleft()
 
 
-# ---------------------------------------------------------------------------
-# The channel
-# ---------------------------------------------------------------------------
+def loopback_pair() -> Tuple[Loopback, Loopback]:
+    """Two joined :class:`Loopback` ends: what one sends, the other gets."""
+    forward, backward = deque(), deque()
+    return Loopback(backward, forward), Loopback(forward, backward)
+
 
 class ShardChannel:
-    """One side of the coordinator↔worker wire, any codec.
+    """One end of the coordinator↔worker wire.
 
     Everything travels via ``send_bytes``/``recv_bytes`` and the first
-    byte dispatches: ``0xF5`` an inline frame, ``0xF6`` a ring doorbell,
-    anything else (pickle streams start ``0x80``) a pickled control
-    tuple.  Cold-path control messages stay pickled under every codec;
-    only advance/reply rounds ride the fast paths and feed ``stats``.
+    byte dispatches: ``0xF5`` a frame, anything else (pickle streams
+    start ``0x80``) a pickled control tuple.  Only advance/reply rounds
+    are framed, and only they feed ``stats``.
 
     The two roles are asymmetric by design.  The ``worker`` role
     materialises objects: it decodes advances fully and encodes its
@@ -1186,19 +1113,14 @@ class ShardChannel:
     and advances splice the raw items verbatim — cut-through relay.
     """
 
-    def __init__(self, conn, codec: str,
-                 send_ring: Optional[ShmRing] = None,
-                 recv_ring: Optional[ShmRing] = None, *,
-                 role: str = "worker", hub: Optional[RelayHub] = None,
+    def __init__(self, conn, *, role: str = "worker",
+                 hub: Optional[RelayHub] = None,
                  shard_index: int = 0, n_shards: int = 1):
         if role not in ("parent", "worker"):
             raise ValueError(f"unknown channel role {role!r}")
         self.conn = conn
-        self.codec = codec
         self.role = role
         self.stats = TransportStats()
-        self._send_ring = send_ring
-        self._recv_ring = recv_ring
         self._hub = hub
         self._shard_index = shard_index
         if role == "parent":
@@ -1217,18 +1139,14 @@ class ShardChannel:
     def send_ready(self, next_time: float, outbound) -> None:
         """Announce a built shard, with the messages its adoption sent.
 
-        A control message, pickled like the others; under the framed
-        codecs its items are encoded first, against this worker's table
-        as a reply's are, so the coordinator relays them verbatim.
+        A control message, pickled like the others; its items are
+        encoded first, against this worker's table as a reply's are, so
+        the coordinator relays them verbatim.
         """
-        if self.codec != "pickle":
-            outbound = encode_round(outbound, self._enc)
-        self.send_control(("ready", (next_time, outbound)))
+        self.send_control(("ready",
+                           (next_time, encode_round(outbound, self._enc))))
 
     def send_advance(self, t_end: float, messages, inclusive: bool) -> None:
-        if self.codec == "pickle":
-            self._send_pickled(("advance", t_end, messages, inclusive))
-            return
         start = perf_counter()
         frame = encode_advance(t_end, messages, inclusive, self._enc)
         self.stats.encode_seconds += perf_counter() - start
@@ -1236,68 +1154,41 @@ class ShardChannel:
 
     def send_reply(self, outbound, next_time: float,
                    completed: Optional[int]) -> None:
-        if self.codec == "pickle":
-            self._send_pickled(("advanced", (outbound, next_time,
-                                             completed)))
-            return
         start = perf_counter()
         frame = encode_reply(outbound, next_time, completed, self._enc)
         self.stats.encode_seconds += perf_counter() - start
         self._ship(frame)
 
-    def _send_pickled(self, obj) -> None:
-        start = perf_counter()
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        self.stats.encode_seconds += perf_counter() - start
-        self.stats.frames_out += 1
-        self.stats.bytes_out += len(data)
-        self.conn.send_bytes(data)
-
     def _ship(self, frame: bytes) -> None:
         self.stats.frames_out += 1
         self.stats.bytes_out += len(frame)
-        ring = self._send_ring
-        if ring is not None:
-            if ring.try_write(frame):
-                self.conn.send_bytes(_DOORBELL.pack(MAGIC_RING, len(frame)))
-                return
-            self.stats.ring_overflows += 1
         self.conn.send_bytes(frame)
 
     # -- receiving ------------------------------------------------------
     def recv(self):
         data = self.conn.recv_bytes()
-        first = data[0]
-        if first == MAGIC_RING:
-            _magic, length = _DOORBELL.unpack(data)
-            return self._decode_hot(self._recv_ring.read(length), length)
-        if first == MAGIC_FRAME:
-            return self._decode_hot(data, len(data))
-        start = perf_counter()
+        if data[0] == MAGIC_FRAME:
+            return self._decode_hot(data)
         obj = pickle.loads(data)
-        if obj[0] == "ready" and self.codec != "pickle":
+        if obj[0] == "ready":
             next_time, block = obj[1]
             minted, messages, _end = scan_round(block)
             if self._hub is not None:
                 self._hub.publish(minted, self._shard_index)
             return ("ready", (next_time, messages))
-        if obj and obj[0] in ("advance", "advanced"):
-            self.stats.decode_seconds += perf_counter() - start
-            self.stats.frames_in += 1
-            self.stats.bytes_in += len(data)
         return obj
 
-    def _decode_hot(self, payload: bytes, length: int):
+    def _decode_hot(self, frame: bytes):
         start = perf_counter()
         if self.role == "parent":
-            scanned = scan_frame(payload)
+            scanned = scan_frame(frame)
             minted = scanned[-1]
             if minted and self._hub is not None:
                 self._hub.publish(minted, self._shard_index)
             result = scanned[:-1]
         else:
-            result = decode_frame(payload, self._dec)
+            result = decode_frame(frame, self._dec)
         self.stats.decode_seconds += perf_counter() - start
         self.stats.frames_in += 1
-        self.stats.bytes_in += length
+        self.stats.bytes_in += len(frame)
         return result

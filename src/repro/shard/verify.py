@@ -45,8 +45,6 @@ class VerifyReport:
     n_shards: int
     transport: str
     ok: bool
-    #: Wire codec the sharded run used (pickle/framed/shm).
-    codec: str = "pickle"
     mismatches: List[str] = field(default_factory=list)
     #: Events compared per component (serial counts).
     event_counts: Dict[str, int] = field(default_factory=dict)
@@ -63,8 +61,8 @@ class VerifyReport:
         lines = [
             f"shard-verify {self.scenario}: {status}",
             f"  shards={self.n_shards} transport={self.transport} "
-            f"codec={self.codec} rounds={self.rounds} "
-            f"messages={self.messages} stalls={self.horizon_stalls}",
+            f"rounds={self.rounds} messages={self.messages} "
+            f"stalls={self.horizon_stalls}",
             f"  events compared: {events} across "
             f"{len(self.event_counts)} components",
             f"  cache tokens distinct: "
@@ -122,7 +120,6 @@ def verify_shard_equivalence(scenario, buffer_config=None, *,
     report = VerifyReport(
         scenario=shard_spec.name, n_shards=result.report.n_shards,
         transport=result.report.transport, ok=True,
-        codec=result.report.codec,
         rounds=result.report.rounds,
         horizon_stalls=result.report.horizon_stalls,
         messages=result.report.messages,

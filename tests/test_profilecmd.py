@@ -80,3 +80,31 @@ def test_bench_diff_rejects_non_bench_records(tmp_path, capsys):
     ok.write_text(json.dumps(_record("bench-kernel/1", 1.0)))
     assert cli_main(["bench", "diff", str(bogus), str(ok)]) == 2
     assert "not a BENCH_kernel record" in capsys.readouterr().err
+
+
+def test_bench_diff_prints_one_shard_transport_line(tmp_path, capsys):
+    section = {"scenario": "line:4", "workers": 2, "cpu_count": 2,
+               "overhead_ms_per_round": 0.75, "bytes_total": 662179}
+    old = tmp_path / "old.json"
+    new = tmp_path / "new.json"
+    # A record from before the one-wire shape has no comparable number.
+    old.write_text(json.dumps(_record(
+        "bench-kernel/2", 1.0,
+        {"shard_transport": {"codecs": {"framed": {
+            "overhead_ms_per_round": 1.6, "bytes_total": 662355}}}})))
+    new.write_text(json.dumps(_record("bench-kernel/2", 1.0,
+                                      {"shard_transport": section})))
+    assert cli_main(["bench", "diff", str(old), str(new)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "ms/round" in line]
+    assert len(lines) == 1
+    assert "0.750 ms/round" in lines[0] and "662,179" in lines[0]
+    assert "was" not in lines[0]
+    # Against a one-wire record, the line carries the old reading.
+    old.write_text(json.dumps(_record(
+        "bench-kernel/2", 1.0,
+        {"shard_transport": dict(section, overhead_ms_per_round=1.25)})))
+    assert cli_main(["bench", "diff", str(old), str(new)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "ms/round" in line]
+    assert len(lines) == 1 and "(was 1.250)" in lines[0]

@@ -466,3 +466,28 @@ def test_kernel_task_keys_pinned(scenario_name, faults):
     tokens = tuple(task_key(job, task) for task in job.tasks())
     assert tokens \
         == _KERNEL_GOLDEN_TASK_KEYS[_kernel_combo_id(scenario_name, faults)]
+
+
+#: The line:2/none grid above, sharded per-switch (CACHE_SCHEMA v6).
+#: Captured while ``ShardSpec`` still carried a wire-codec field that
+#: its token left out; removing the field must leave every sharded
+#: cache entry addressable, so these keys may not move.
+_SHARDED_GOLDEN_TASK_KEYS = (
+    "591edb3019a2dfb431387e72b71db79d4dc08edfc11448e545ff14f61052060b",
+    "c337ade87fe278fdf3562b952149e68e63b000d4c184e9ac5e7286c91c24d365",
+)
+
+
+def test_sharded_task_keys_and_shard_tokens_pinned():
+    from repro.shard import PER_SWITCH
+    assert PER_SWITCH.cache_token() == "mode=per-switch|workers=None"
+    assert (PER_SWITCH.with_workers(2).cache_token()
+            == "mode=per-switch|workers=2")
+    job = SweepJob(config=buffer_256(),
+                   factory=workload_a_factory(n_flows=20),
+                   rates_mbps=(20.0, 60.0), repetitions=1, base_seed=11,
+                   scenario=parse_scenario("line:2").with_shard(PER_SWITCH),
+                   job_id=1)
+    assert CACHE_SCHEMA == 6
+    assert tuple(task_key(job, task) for task in job.tasks()) \
+        == _SHARDED_GOLDEN_TASK_KEYS

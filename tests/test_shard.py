@@ -15,7 +15,7 @@ from repro.parallel import SweepJob, register_jobs, task_key
 from repro.scenarios import build_scenario, parse_scenario
 from repro.shard import (OFF, PER_SWITCH, ShardSpec, build_partition_plan,
                          execute_sharded, metrics_fingerprint, parse_shard,
-                         run_once_sharded, verify_shard_equivalence)
+                         verify_shard_equivalence)
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import single_packet_flows
 
@@ -185,11 +185,17 @@ def test_fork_transport_matches_inline():
     spec = parse_scenario("line:2").with_shard(PER_SWITCH)
     runs = {}
     for transport in ("inline", "fork"):
-        runs[transport] = run_once_sharded(
+        runs[transport] = execute_sharded(
             BufferConfig(), _workload(n_flows=10), seed=3, scenario=spec,
             transport=transport)
-    assert metrics_fingerprint(runs["inline"]) \
-        == metrics_fingerprint(runs["fork"])
+    assert metrics_fingerprint(runs["inline"].metrics) \
+        == metrics_fingerprint(runs["fork"].metrics)
+    # Inline shards ride the fork path's own channel over a loopback, so
+    # they run the same rounds and ship the very same frame bytes.
+    def wire(report):
+        return (report.rounds, report.messages, report.bytes_total,
+                report.rounds_coalesced)
+    assert wire(runs["inline"].report) == wire(runs["fork"].report)
 
 
 def test_run_once_dispatches_to_sharded():
@@ -202,20 +208,43 @@ def test_run_once_dispatches_to_sharded():
 
 
 def test_sharded_refuses_incompatible_scenarios():
+    """Shard×hybrid and shard×pool fail when the spec is built, in
+    either composition order, not inside the sharded run."""
     workload = _workload(n_flows=5)
     with pytest.raises(ValueError, match="active ShardSpec"):
         execute_sharded(BufferConfig(), workload,
                         scenario=parse_scenario("line:2"))
-    from repro.scenarios import parse_engine
-    hybrid = (parse_scenario("line:2").with_shard(PER_SWITCH)
-              .with_engine(parse_engine("hybrid")))
-    with pytest.raises(ValueError, match="hybrid engine"):
-        execute_sharded(BufferConfig(), workload, scenario=hybrid)
     from repro.bufferpool import parse_pool
-    pooled = (parse_scenario("line:2").with_shard(PER_SWITCH)
-              .with_pool(parse_pool("static")))
+    from repro.scenarios import parse_engine
+    line = parse_scenario("line:2")
+    hybrid, pool = parse_engine("hybrid"), parse_pool("static")
+    with pytest.raises(ValueError, match="hybrid engine"):
+        line.with_shard(PER_SWITCH).with_engine(hybrid)
+    with pytest.raises(ValueError, match="hybrid engine"):
+        line.with_engine(hybrid).with_shard(PER_SWITCH)
     with pytest.raises(ValueError, match="shared buffer"):
-        execute_sharded(BufferConfig(), workload, scenario=pooled)
+        line.with_shard(PER_SWITCH).with_pool(pool)
+    with pytest.raises(ValueError, match="shared buffer"):
+        line.with_pool(pool).with_shard(PER_SWITCH)
+    # Each axis alone still composes, and so does shard=off.
+    assert line.with_engine(hybrid).with_shard(OFF).engine == hybrid
+    assert line.with_pool(pool).with_shard(OFF).pool == pool
+
+
+@pytest.mark.parametrize("axis", (["--engine", "hybrid"],
+                                  ["--pool", "static"]))
+def test_cli_rejects_shard_combination_before_any_task(axis, capsys,
+                                                       monkeypatch):
+    from repro.experiments import cli as cli_module
+    ran = []
+    monkeypatch.setattr(cli_module, "run_benefits_experiment",
+                        lambda **kwargs: ran.append(kwargs))
+    code = cli_module.main(["fig2a", *axis, "--shard", "per-switch",
+                            "--rates", "20", "--reps", "1", "--flows", "20",
+                            "--workers", "1", "--no-cache"])
+    assert code == 2
+    assert ran == []
+    assert "sharded execution does not compose" in capsys.readouterr().err
 
 
 def test_unknown_transport_rejected():

@@ -1,11 +1,10 @@
-"""Shard wire-transport tests: TransportSpec parsing, the framed codec
-(round-trip property, golden frame, pickle escape), cut-through relay,
-the shm ring, crash cleanup, and transport-blind cache keying."""
+"""Shard wire tests: the framed codec (round-trip property, golden
+frame, per-item pickle escape), cut-through relay over a pipe and over
+the in-process loopback, and crash cleanup."""
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,45 +22,14 @@ from repro.packets.ipv4 import IPv4Header
 from repro.packets.packet import Packet
 from repro.packets.tcp import TCPHeader
 from repro.packets.udp import UDPHeader
-from repro.parallel import SweepJob, register_jobs, task_key
 from repro.scenarios import parse_scenario
 from repro.shard import (MAGIC_FRAME, PER_SWITCH, RelayHub, ShardChannel,
-                         ShardSpec, ShmRing, StringTable, TransportSpec,
-                         WIRE_VERSION, decode_frame, decode_round,
-                         emit_round, encode_round, execute_sharded,
-                         parse_transport, scan_round)
+                         StringTable, WIRE_VERSION, decode_frame,
+                         decode_round, emit_round, encode_round,
+                         execute_sharded, loopback_pair, scan_round)
 from repro.shard.transport import TAG_PICKLE
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import single_packet_flows
-
-
-# ---------------------------------------------------------------------------
-# TransportSpec parsing and validation
-# ---------------------------------------------------------------------------
-
-def test_parse_transport():
-    assert parse_transport("pickle") == TransportSpec("pickle")
-    assert parse_transport("framed") == TransportSpec("framed")
-    assert parse_transport("shm") == TransportSpec("shm")
-    assert parse_transport("shm:256") == TransportSpec("shm", 256)
-    assert parse_transport("shm:256").name == "shm:256"
-    assert parse_transport("shm").name == "shm"
-    spec = TransportSpec("shm", 256)
-    assert parse_transport(spec) is spec
-    with pytest.raises(ValueError):
-        parse_transport("framed:2")
-    with pytest.raises(ValueError):
-        parse_transport("shm:tiny")
-    with pytest.raises(ValueError):
-        parse_transport("carrier-pigeon")
-    with pytest.raises(ValueError):
-        TransportSpec("shm", 0)
-
-
-def test_shard_spec_carries_transport():
-    spec = ShardSpec(mode="per-switch", transport="shm:64")
-    assert spec.transport == TransportSpec("shm", 64)
-    assert PER_SWITCH.with_transport("pickle").transport.codec == "pickle"
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +266,14 @@ def test_channel_relay_end_to_end():
     hub = RelayHub()
     conn_a_parent, conn_a_worker = multiprocessing.Pipe(duplex=True)
     conn_b_parent, conn_b_worker = multiprocessing.Pipe(duplex=True)
-    parent_a = ShardChannel(conn_a_parent, "framed", role="parent",
-                            hub=hub, shard_index=0)
-    parent_b = ShardChannel(conn_b_parent, "framed", role="parent",
-                            hub=hub, shard_index=1)
-    worker_a = ShardChannel(conn_a_worker, "framed", role="worker",
-                            shard_index=0, n_shards=2)
-    worker_b = ShardChannel(conn_b_worker, "framed", role="worker",
-                            shard_index=1, n_shards=2)
+    parent_a = ShardChannel(conn_a_parent, role="parent", hub=hub,
+                            shard_index=0)
+    parent_b = ShardChannel(conn_b_parent, role="parent", hub=hub,
+                            shard_index=1)
+    worker_a = ShardChannel(conn_a_worker, role="worker", shard_index=0,
+                            n_shards=2)
+    worker_b = ShardChannel(conn_b_worker, role="worker", shard_index=1,
+                            n_shards=2)
     batch = _golden_batch()
     worker_a.send_reply(batch, 0.625, None)
     tag, (raw_messages, next_time, completed) = parent_a.recv()
@@ -319,68 +287,41 @@ def test_channel_relay_end_to_end():
         conn.close()
 
 
-# ---------------------------------------------------------------------------
-# The shm ring
-# ---------------------------------------------------------------------------
+def test_loopback_carries_the_frames_a_pipe_does():
+    """The inline carrier: each end receives what the other sent, in
+    order, and channels over it relay exactly as over pipes, shipping
+    the same frame bytes."""
+    left, right = loopback_pair()
+    left.send_bytes(b"a")
+    left.send_bytes(b"b")
+    right.send_bytes(b"c")
+    assert [right.recv_bytes(), right.recv_bytes()] == [b"a", b"b"]
+    assert left.recv_bytes() == b"c"
 
-def test_shm_ring_wraps_around():
-    ring = ShmRing(16)
-    try:
-        assert ring.try_write(b"0123456789")        # pos 0..10
-        assert ring.read(10) == b"0123456789"
-        assert ring.try_write(b"abcdefghij")        # wraps at 16
-        assert ring.read(10) == b"abcdefghij"
-        assert not ring.try_write(b"x" * 17)        # can never fit
-    finally:
-        ring.close()
-        ring.unlink()
-
-
-def test_channel_ring_and_overflow_fallback():
-    ring = ShmRing(128)
-    conn_parent, conn_worker = multiprocessing.Pipe(duplex=True)
-    try:
-        parent = ShardChannel(conn_parent, "shm", send_ring=ring,
-                              role="parent", shard_index=0)
-        worker = ShardChannel(conn_worker, "shm", recv_ring=ring,
-                              role="worker", shard_index=0, n_shards=1)
-        parent.send_advance(0.5, [], False)          # small: rides the ring
-        assert worker.recv() == ("advance", 0.5, [], False)
-        assert parent.stats.ring_overflows == 0
-        # A batch whose frame exceeds the 128-byte ring falls back to the
-        # pipe inline; raw relay tuples come from a real worker encoding.
-        batch = [(0.1, 0, i, _golden_batch()[0][3]) for i in range(8)]
-        minted, raw_messages, _ = scan_round(
-            encode_round(batch, StringTable()))
-        parent._enc.adopt(minted)
-        parent.send_advance(0.6, raw_messages, True)
-        tag, t_end, messages, inclusive = worker.recv()
-        assert (tag, t_end, inclusive) == ("advance", 0.6, True)
-        assert messages == batch
-        assert parent.stats.ring_overflows == 1
-    finally:
-        conn_parent.close()
-        conn_worker.close()
-        ring.close()
-        ring.unlink()
-
-
-def _shm_segments() -> set:
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
-        return set()
-    return set(os.listdir(shm_dir))
-
-
-def test_shm_run_leaves_no_segments():
-    before = _shm_segments()
-    spec = (parse_scenario("line:2")
-            .with_shard(PER_SWITCH.with_transport("shm:64")))
-    workload = single_packet_flows(mbps(4.0), n_flows=6,
-                                   rng=RandomStreams(3))
-    execute_sharded(buffer_256(), workload, seed=3, scenario=spec,
-                    transport="fork")
-    assert _shm_segments() <= before
+    from repro.shard.transport import encode_reply
+    hub = RelayHub()
+    parents, workers = [], []
+    for index in range(2):
+        parent_end, worker_end = loopback_pair()
+        parents.append(ShardChannel(parent_end, role="parent", hub=hub,
+                                    shard_index=index))
+        workers.append(ShardChannel(worker_end, role="worker",
+                                    shard_index=index, n_shards=2))
+    workers[0].send_ready(0.25, [(0.5, 1, 0, Hello(xid=1))])
+    tag, (first, ready) = parents[0].recv()
+    assert (tag, first, [m[:3] for m in ready]) == ("ready", 0.25,
+                                                    [(0.5, 1, 0)])
+    batch = _golden_batch()
+    workers[0].send_reply(batch, 0.625, 3)
+    tag, (raw_messages, next_time, completed) = parents[0].recv()
+    assert (tag, next_time, completed) == ("advanced", 0.625, 3)
+    parents[1].send_advance(0.75, raw_messages, True)
+    assert workers[1].recv() == ("advance", 0.75, batch, True)
+    # Shard 0 of 2 mints ids 0, 2, 4, …: its reply is byte for byte what
+    # a pipe-connected worker with the same table sends.
+    expected = encode_reply(batch, 0.625, 3, StringTable(offset=0, stride=2))
+    assert parents[0].stats.bytes_in == workers[0].stats.bytes_out \
+        == len(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +329,8 @@ def test_shm_run_leaves_no_segments():
 # ---------------------------------------------------------------------------
 
 def test_worker_crash_cleans_up_fleet(monkeypatch):
-    """Killing one fork worker mid-run raises, terminates the siblings,
-    and leaves no shm segment behind."""
+    """Killing one fork worker mid-run raises and terminates the
+    siblings."""
     from repro.shard import coordinator as coord
 
     original = coord.ShardCoordinator.run_until
@@ -399,56 +340,11 @@ def test_worker_crash_cleans_up_fleet(monkeypatch):
         return original(self, deadline)
 
     monkeypatch.setattr(coord.ShardCoordinator, "run_until", sabotage)
-    before = _shm_segments()
-    spec = (parse_scenario("line:2")
-            .with_shard(PER_SWITCH.with_transport("shm:64")))
+    spec = parse_scenario("line:2").with_shard(PER_SWITCH)
     workload = single_packet_flows(mbps(4.0), n_flows=6,
                                    rng=RandomStreams(3))
     with pytest.raises(RuntimeError, match="worker died|worker failed"):
         execute_sharded(buffer_256(), workload, seed=3, scenario=spec,
                         transport="fork")
-    assert _shm_segments() <= before
     for child in multiprocessing.active_children():
         assert not child.is_alive()
-
-
-# ---------------------------------------------------------------------------
-# Cache keying: transports share entries, ShardSpec changes split
-# ---------------------------------------------------------------------------
-
-_FACTORY_FLOWS = 10
-
-
-def _factory():
-    from repro.experiments import workload_a_factory
-    return workload_a_factory(n_flows=_FACTORY_FLOWS)
-
-
-def _job(scenario):
-    job = SweepJob(config=buffer_256(), factory=_factory(),
-                   rates_mbps=(20,), repetitions=1, base_seed=1,
-                   scenario=scenario)
-    register_jobs([job])
-    return job
-
-
-def _key_of(job):
-    return task_key(job, job.tasks()[0])
-
-
-def test_transports_share_cache_entries():
-    line = parse_scenario("line:2")
-    keys = {
-        _key_of(_job(line.with_shard(PER_SWITCH.with_transport(name))))
-        for name in ("pickle", "framed", "shm", "shm:256")
-    }
-    assert len(keys) == 1
-    tokens = {
-        PER_SWITCH.with_transport(name).cache_token()
-        for name in ("pickle", "framed", "shm", "shm:256")
-    }
-    assert len(tokens) == 1
-    # While a real sharding change still splits the key.
-    assert (_key_of(_job(line.with_shard(
-        PER_SWITCH.with_workers(2).with_transport("shm"))))
-        != _key_of(_job(line.with_shard(PER_SWITCH))))
