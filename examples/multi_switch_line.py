@@ -13,7 +13,7 @@ Run:  python examples/multi_switch_line.py
 from __future__ import annotations
 
 from repro import buffer_256, flow_buffer_256, no_buffer
-from repro.experiments.multiswitch import build_line_testbed
+from repro.scenarios import build_scenario, line_scenario
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import batched_multi_packet_flows
 
@@ -27,7 +27,7 @@ def run(config, n_switches):
         mbps(RATE_MBPS), n_flows=N_FLOWS,
         packets_per_flow=PACKETS_PER_FLOW, batch_size=5,
         rng=RandomStreams(1))
-    testbed = build_line_testbed(config, workload, n_switches=n_switches)
+    testbed = build_scenario(line_scenario(n_switches), config, workload)
     testbed.controller.start_handshake()
     testbed.pktgen.start(at=0.02)
     testbed.sim.run(until=3.0)

@@ -4,17 +4,18 @@ The paper's related work ([31] Xu et al.) studies minimizing the cost of
 flow-statistics collection; this module provides the collection substrate:
 a poller that periodically sends :class:`FlowStatsRequest` to every
 attached switch and keeps per-datapath time series of rule/packet/byte
-counts.  Written process-style on the simulation kernel — the poller is a
-generator that sleeps, polls, and waits for replies with a timeout.
+counts.  Written as a callback chain on the simulation kernel: each cycle
+sleeps one period, then polls the switches one at a time, each poll
+waiting for its reply under a cancellable timeout.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..metrics.series import TimeSeries
 from ..openflow import FlowStatsReply, Match
-from ..simkit import AnyOf, Event, Simulator
+from ..simkit import ScheduledCall, Simulator
 from .controller import Controller
 
 
@@ -45,8 +46,12 @@ class StatsPoller:
         #: Polls that got no reply within the timeout.
         self.timeouts = 0
         self.polls = 0
-        self._pending: Dict[int, Event] = {}
-        self._process = None
+        #: Datapaths still to poll this cycle, in attachment order.
+        self._queue: List[int] = []
+        #: The datapath whose reply the current poll waits for, if any.
+        self._awaiting: Optional[int] = None
+        self._reply_timer: Optional[ScheduledCall] = None
+        self._started = False
         self._stopped = False
         controller.events.on("flow_stats", self._on_reply)
         controller.events.on("port_stats", self._on_port_reply)
@@ -55,38 +60,53 @@ class StatsPoller:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin polling (process-style loop on the simulator)."""
-        if self._process is not None:
+        """Begin polling: the first cycle starts one period from now."""
+        if self._started:
             raise RuntimeError("poller already started")
-        self._process = self.sim.process(self._run())
+        self._started = True
+        self.sim.schedule(self.period, self._cycle)
 
     def stop(self) -> None:
         """Stop after the current cycle."""
         self._stopped = True
 
     # ------------------------------------------------------------------
-    # The polling process
+    # The polling cycle
     # ------------------------------------------------------------------
-    def _run(self):
-        while not self._stopped:
-            yield self.sim.timeout(self.period)
-            if self._stopped:
-                return
-            datapath_ids = [dpid for _chan, dpid
-                            in self.controller._channels]
-            for dpid in datapath_ids:
-                self.polls += 1
-                reply_event = self.sim.event()
-                self._pending[dpid] = reply_event
-                self.controller.request_flow_stats(datapath_id=dpid,
-                                                   match=self.match)
-                if self.poll_ports:
-                    self.controller.request_port_stats(datapath_id=dpid)
-                timeout = self.sim.timeout(self.reply_timeout)
-                outcome = yield AnyOf(self.sim, [reply_event, timeout])
-                if reply_event not in outcome:
-                    self.timeouts += 1
-                self._pending.pop(dpid, None)
+    def _cycle(self) -> None:
+        if self._stopped:
+            return
+        self._queue = [dpid for _chan, dpid in self.controller._channels]
+        self._poll_next()
+
+    def _poll_next(self) -> None:
+        if not self._queue:
+            if not self._stopped:
+                self.sim.schedule(self.period, self._cycle)
+            return
+        dpid = self._queue.pop(0)
+        self.polls += 1
+        self._awaiting = dpid
+        self.controller.request_flow_stats(datapath_id=dpid,
+                                           match=self.match)
+        if self.poll_ports:
+            self.controller.request_port_stats(datapath_id=dpid)
+        self._reply_timer = self.sim.schedule(self.reply_timeout,
+                                              self._on_timeout)
+
+    def _on_timeout(self) -> None:
+        self.timeouts += 1
+        self._finish_poll()
+
+    def _finish_poll(self) -> None:
+        """Close the current poll; the next one starts at this instant.
+
+        The continuation goes through a same-instant ``schedule`` so it
+        runs after the code that delivered the outcome (the controller's
+        reply dispatch, its other listeners) has returned.
+        """
+        self._awaiting = None
+        self.sim.schedule(0.0, self._poll_next)
 
     def _on_reply(self, time: float, reply: FlowStatsReply,
                   datapath_id: int) -> None:
@@ -99,9 +119,9 @@ class StatsPoller:
         self.byte_counts.setdefault(
             datapath_id, TimeSeries(f"bytes@{datapath_id}")).add(
             time, float(sum(e.byte_count for e in reply.entries)))
-        pending = self._pending.get(datapath_id)
-        if pending is not None and not pending.triggered:
-            pending.succeed(reply)
+        if datapath_id == self._awaiting:
+            self._reply_timer.cancel()
+            self._finish_poll()
 
     def _on_port_reply(self, time: float, reply, datapath_id: int) -> None:
         self.port_tx_bytes.setdefault(

@@ -45,9 +45,6 @@ _perf_counter = time.perf_counter
 #: get a sensible bucket without registering here.
 MODULE_COMPONENTS = {
     "repro.simkit.simulator": "kernel",
-    "repro.simkit.events": "kernel",
-    "repro.simkit.process": "kernel",
-    "repro.simkit.resources": "kernel",
     "repro.simkit.stations": "station",
     "repro.switchsim.datapath": "datapath",
     "repro.switchsim.agent": "agent",

@@ -7,13 +7,10 @@ simulated clock, with a name, a category (``switch`` / ``controller`` /
 
 A :class:`SpanRecorder` collects records.  The disabled path is a single
 attribute check per call site, so instrumented components cost nearly
-nothing when nobody is observing — the same contract the old
-:class:`~repro.simkit.tracing.TraceLog` honoured (and which now
-delegates here).
+nothing when nobody is observing.
 
 This module is deliberately dependency-free (stdlib only) so every
-layer of the package — including :mod:`repro.simkit` at the bottom of
-the stack — can import it without cycles.
+layer of the package can import it without cycles.
 """
 
 from __future__ import annotations

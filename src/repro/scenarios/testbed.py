@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..netsim import DuplexLink, Host, Topology
     from ..obs.registry import MetricsRegistry
     from ..openflow import ControlChannel
-    from ..simkit import RandomStreams, Simulator, TraceLog
+    from ..simkit import RandomStreams, Simulator
     from ..switchsim import Switch
     from ..trafficgen import PacketGenerator
     from .spec import ScenarioSpec
@@ -132,7 +132,7 @@ class Testbed:
                 + sum(c.bytes_total for c in self.control_captures_down))
 
     # ------------------------------------------------------------------
-    # Lifecycle / debugging
+    # Lifecycle
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
         """Stop samplers and periodic component work."""
@@ -140,39 +140,3 @@ class Testbed:
         for switch in self.switches:
             switch.shutdown()
         self.controller.shutdown()
-
-    def enable_tracing(self, max_records: Optional[int] = 10_000
-                       ) -> "TraceLog":
-        """Record every switch/controller observable into a TraceLog.
-
-        Returns the log; filter or ``dump()`` it after the run.  On a
-        single-switch testbed the source label stays ``"switch"``; on
-        multi-switch paths each switch logs under its own name.  Useful
-        for debugging a run or teaching (see
-        ``examples/trace_walkthrough.py`` for a hand-rolled variant).
-        """
-        from ..simkit import TraceLog
-        log = TraceLog(self.sim, enabled=True, max_records=max_records)
-
-        def subscribe(emitter, source: str, kinds) -> None:
-            for kind in kinds:
-                emitter.on(kind, lambda *args, _kind=kind:
-                           log.record(source, _kind,
-                                      args=args[1:] if len(args) > 1
-                                      else ()))
-
-        switch_kinds = (
-            "packet_ingress", "table_miss", "buffer_stored",
-            "packet_in_sent", "reply_arrived", "flow_installed",
-            "flow_evicted", "flow_expired", "buffer_released",
-            "packet_egress", "packet_drop", "buffer_aged_out",
-            "aggregate_forward",
-            "controller_disconnected", "controller_reconnected")
-        single = len(self.switches) == 1
-        for switch in self.switches:
-            subscribe(switch.events, "switch" if single else switch.name,
-                      switch_kinds)
-        subscribe(self.controller.events, "controller",
-                  ("packet_in_received", "replies_sent", "error_received",
-                   "flow_removed", "flow_stats"))
-        return log

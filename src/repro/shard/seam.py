@@ -40,8 +40,8 @@ from .partition import PartitionPlan
 #: the deterministic injection ordering key.
 ShardMessage = Tuple[float, int, int, Any]
 
-#: Event kinds recorded by the verify-mode stream recorder — the same
-#: lists Testbed.enable_tracing subscribes.
+#: Event kinds recorded by the verify-mode stream recorder: every
+#: protocol observable a switch or the controller emits.
 SWITCH_EVENT_KINDS = (
     "packet_ingress", "table_miss", "buffer_stored",
     "packet_in_sent", "reply_arrived", "flow_installed",

@@ -3,10 +3,11 @@
 ``verify_shard_equivalence`` runs the same repetition twice — once on
 the single serial event loop, once sharded — and compares:
 
-* **event ordering**: per-component ``(time, kind, uid)`` streams (the
-  same observables ``Testbed.enable_tracing`` records).  Components are
-  each owned by exactly one shard, so per-component streams are total
-  orders in both modes and must match exactly;
+* **event ordering**: per-component ``(time, kind, uid)`` streams of
+  every protocol observable the switches and the controller emit
+  (``seam.SWITCH_EVENT_KINDS`` / ``CONTROLLER_EVENT_KINDS``).
+  Components are each owned by exactly one shard, so per-component
+  streams are total orders in both modes and must match exactly;
 * **metrics**: the full :class:`~repro.metrics.RunMetrics` snapshot,
   field by field, sample series included;
 * **cache keying**: the sharded scenario's cache token must *differ*

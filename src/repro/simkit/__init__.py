@@ -1,32 +1,25 @@
 """Discrete-event simulation kernel used by every other subpackage.
 
-Public surface:
+Everything runs as callbacks on one clock.  Public surface:
 
-* :class:`Simulator` — the clock and event heap.
-* :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` —
-  process-style synchronization.
-* :class:`Process`, :class:`Interrupt` — generator-driven processes.
-* :class:`Resource`, :class:`Store`, :class:`TokenBucket` — shared
-  resources.
+* :class:`Simulator` — the clock and event heap; ``schedule`` returns a
+  cancellable :class:`ScheduledCall`.
 * :class:`ServiceStation`, :class:`Job` — FIFO queueing stations with
   busy-time (CPU-utilization) accounting.
+* :class:`AggregateEvent`, :class:`ArithmeticTimes` — one scheduled
+  completion standing for many packets (the hybrid engine's fast path).
+* :class:`EventEmitter` — synchronous named-event publish/subscribe.
 * :class:`RandomStreams` — deterministic named RNG substreams.
-* :class:`TraceLog`, :class:`TraceRecord` — structured tracing.
 * :mod:`units <repro.simkit.units>` helpers (``mbps``, ``msec``, ...).
 """
 
 from .aggregates import AggregateEvent, ArithmeticTimes
 from .callbacks import EventEmitter
-from .errors import (DeadlockError, ProcessError, ResourceError,
-                     SchedulingError, SimkitError, SimulationFinished)
-from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
-from .process import Interrupt, Process
-from .resources import Request, Resource, Store, StoreGet, StorePut, TokenBucket
+from .errors import SchedulingError, SimkitError
 from .rng import RandomStreams
 from .simulator import (PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT,
                         ScheduledCall, Simulator)
 from .stations import Job, ServiceStation
-from .tracing import TraceLog, TraceRecord
 from .units import (BITS_PER_BYTE, GBPS, KBPS, KBYTE, MBPS, MBYTE, MSEC,
                     USEC, bits, gbps, kbps, mbps, msec, to_mbps, to_msec,
                     transmission_delay, usec)
@@ -34,16 +27,11 @@ from .units import (BITS_PER_BYTE, GBPS, KBPS, KBYTE, MBPS, MBYTE, MSEC,
 __all__ = [
     "AggregateEvent", "ArithmeticTimes",
     "EventEmitter",
-    "AllOf", "AnyOf", "ConditionValue", "Event", "Timeout",
-    "Interrupt", "Process",
-    "Request", "Resource", "Store", "StoreGet", "StorePut", "TokenBucket",
     "RandomStreams",
     "ScheduledCall", "Simulator",
     "PRIORITY_LATE", "PRIORITY_NORMAL", "PRIORITY_URGENT",
     "Job", "ServiceStation",
-    "TraceLog", "TraceRecord",
-    "SimkitError", "SchedulingError", "SimulationFinished", "ProcessError",
-    "ResourceError", "DeadlockError",
+    "SimkitError", "SchedulingError",
     "BITS_PER_BYTE", "KBPS", "MBPS", "GBPS", "USEC", "MSEC", "KBYTE",
     "MBYTE", "bits", "kbps", "mbps", "gbps", "usec", "msec", "to_mbps",
     "to_msec", "transmission_delay",

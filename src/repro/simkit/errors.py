@@ -14,24 +14,3 @@ class SimkitError(Exception):
 
 class SchedulingError(SimkitError):
     """An event was scheduled at an invalid time (e.g. in the past)."""
-
-
-class SimulationFinished(SimkitError):
-    """Raised internally to stop a process when the simulation ends."""
-
-
-class ProcessError(SimkitError):
-    """A simulated process raised an exception; wraps the original."""
-
-    def __init__(self, process_name: str, original: BaseException):
-        super().__init__(f"process {process_name!r} failed: {original!r}")
-        self.process_name = process_name
-        self.original = original
-
-
-class ResourceError(SimkitError):
-    """Invalid operation on a simulated resource (e.g. double release)."""
-
-
-class DeadlockError(SimkitError):
-    """The event queue drained while processes were still waiting."""

@@ -1,16 +1,12 @@
 """Discrete-event simulation core.
 
 The :class:`Simulator` owns the virtual clock and the pending-event heap.
-Two programming styles are supported, and both are used by the higher
-layers of this package:
-
-* **Callback style** — ``sim.schedule(delay, fn, *args)`` runs ``fn`` at
-  ``sim.now + delay``.  The packet-level machinery (links, CPU stations,
-  switch datapath) is written this way because it is the hot path.
-* **Process style** — ``sim.process(generator)`` drives a generator that
-  ``yield``\\ s :class:`~repro.simkit.events.Event` objects (timeouts,
-  resource requests, store gets).  Traffic generators and protocol logic
-  with waiting/timeout behaviour are written this way.
+Every component is written in callback style: ``sim.schedule(delay, fn,
+*args)`` runs ``fn`` at ``sim.now + delay`` and returns a cancellable
+:class:`ScheduledCall`.  Waiting with a timeout is a scheduled call that
+the awaited outcome cancels (the buffer re-request timer, the stats
+poller's reply timeout); queueing is a
+:class:`~repro.simkit.stations.ServiceStation`.
 
 Determinism: events scheduled for the same instant fire in FIFO order of
 scheduling (stable sequence numbers break ties), so a simulation with a
@@ -41,7 +37,7 @@ import math
 import sys
 import time
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import SchedulingError
 
@@ -52,13 +48,6 @@ PRIORITY_LATE = 2
 
 #: Bound on pooled handles; beyond this, popped handles are simply dropped.
 _FREE_LIST_MAX = 4096
-
-#: Event/Timeout/Process classes, bound once at package import time by
-#: ``events.py`` / ``process.py`` (the package ``__init__`` always imports
-#: them, so the factories below never pay a per-call import lookup).
-_Event: Any = None
-_Timeout: Any = None
-_Process: Any = None
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -130,7 +119,6 @@ class Simulator:
         self._live = 0
         #: Pooled ScheduledCall handles available for reuse.
         self._free: list[ScheduledCall] = []
-        self._running = False
         self._stopped = False
         #: Count of events executed; useful for tests and budget guards.
         self.events_executed = 0
@@ -225,21 +213,6 @@ class Simulator:
         return call
 
     # ------------------------------------------------------------------
-    # Event / process factories (classes bound at package import time)
-    # ------------------------------------------------------------------
-    def event(self) -> "Any":
-        """Create a fresh, untriggered :class:`~repro.simkit.events.Event`."""
-        return _Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> "Any":
-        """Create an event that succeeds after ``delay`` seconds."""
-        return _Timeout(self, delay, value)
-
-    def process(self, generator: Generator) -> "Any":
-        """Start driving ``generator`` as a simulated process."""
-        return _Process(self, generator)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _recycle(self, call: ScheduledCall) -> None:
@@ -330,17 +303,23 @@ class Simulator:
 
         ``until`` advances the clock to exactly that time even if the queue
         drains earlier, mirroring SimPy semantics; this makes utilization
-        windows well defined.  ``max_events`` is a runaway guard for tests.
-        Returns the simulation time when the run stopped.
+        windows well defined.  ``max_events`` is a runaway guard for tests:
+        a run that spends it stops at its last executed event, and the
+        clock stays there (``max_events=0`` runs nothing).  Returns the
+        simulation time when the run stopped.
 
         ``events_executed`` and the live-entry counter are flushed in bulk
         when the loop exits (they are not read inside event callbacks
         anywhere in this package); every other piece of simulator state is
         exact at each callback.
         """
+        if max_events is not None and max_events <= 0:
+            if max_events < 0:
+                raise ValueError(
+                    f"max_events must be >= 0, got {max_events}")
+            return self._now
         if self._profiler is not None:
             return self._run_profiled(until, max_events)
-        self._running = True
         self._stopped = False
         executed = 0
         heap = self._heap
@@ -427,10 +406,12 @@ class Simulator:
                     if max_events is not None and executed >= max_events:
                         break
         finally:
-            self._running = False
             self.events_executed += executed
             self._live -= executed
-        if until is not None and self._now < until and not self._stopped:
+        # ``executed == max_events`` only when the budget cut the run
+        # short: earlier events may still be pending, so the clock stays.
+        if (until is not None and self._now < until and not self._stopped
+                and executed != max_events):
             self._now = until
         return self._now
 
@@ -452,7 +433,6 @@ class Simulator:
         stride = profiler.stride
         record = profiler.record
         countdown = stride
-        self._running = True
         self._stopped = False
         executed = 0
         heap = self._heap
@@ -555,11 +535,11 @@ class Simulator:
                     if max_events is not None and executed >= max_events:
                         break
         finally:
-            self._running = False
             self.events_executed += executed
             self._live -= executed
             profiler.end_run(self._now, executed)
-        if until is not None and self._now < until and not self._stopped:
+        if (until is not None and self._now < until and not self._stopped
+                and executed != max_events):
             self._now = until
         return self._now
 

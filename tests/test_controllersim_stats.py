@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.controllersim import StatsPoller
 from repro.core import buffer_256
 from repro.experiments import build_testbed
 from repro.openflow import Match
+from repro.scenarios import build_scenario, line_scenario
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import recurring_flows, single_packet_flows
 
@@ -106,3 +109,60 @@ def test_poller_optionally_polls_port_stats():
     assert series.last() >= 4 * 1000
     poller.stop()
     testbed.shutdown()
+
+
+def _recorded_poll(case, until, reply_timeout=0.5):
+    """Run one poller scenario; return its request/reply timeline."""
+    workload = single_packet_flows(mbps(20), n_flows=6,
+                                   rng=RandomStreams(30))
+    if case == "line3":
+        testbed = build_scenario(line_scenario(3), buffer_256(), workload,
+                                 seed=30)
+    else:
+        testbed = build_testbed(buffer_256(), workload, seed=30)
+    sim = testbed.sim
+    controller = testbed.controller
+    poller = StatsPoller(sim, controller, period=0.2,
+                         reply_timeout=reply_timeout)
+    timeline = []
+    request = controller.request_flow_stats
+
+    def recording_request(datapath_id=1, match=None):
+        timeline.append(("request", sim.now, datapath_id))
+        request(datapath_id=datapath_id, match=match)
+
+    controller.request_flow_stats = recording_request
+    controller.events.on("flow_stats", lambda time, _reply, dpid:
+                         timeline.append(("reply", time, dpid)))
+    if case == "dead":
+        testbed.channel.bind_switch(lambda message: None)
+    elif case == "delayed":
+        testbed.channel.install_fault_filters(
+            to_switch=lambda message, deliver: sim.schedule(
+                0.15, deliver, message))
+    controller.start_handshake()
+    testbed.pktgen.start(at=0.02)
+    poller.start()
+    sim.run(until=until)
+    poller.stop()
+    testbed.shutdown()
+    return timeline, poller
+
+
+@pytest.mark.parametrize(
+    "case,until,reply_timeout,entries,polls,timeouts,digest", [
+        ("healthy", 3.0, 0.5, 28, 14, 0, "115d5c2f480af93f"),
+        ("dead", 3.0, 0.5, 5, 5, 4, "f46b6ca5ae361a56"),
+        ("line3", 1.5, 0.05, 42, 21, 0, "7d9d008067ec4a77"),
+        # Every reply lands after its 0.1 s timeout; the late replies
+        # must not start a second polling chain.
+        ("delayed", 1.9, 0.1, 12, 6, 6, "7c0036735ad6c68a"),
+    ])
+def test_poller_request_reply_timeline_is_pinned(
+        case, until, reply_timeout, entries, polls, timeouts, digest):
+    """Digests of ``repr(timeline)`` as the generator-based poller made it."""
+    timeline, poller = _recorded_poll(case, until, reply_timeout)
+    assert len(timeline) == entries
+    assert (poller.polls, poller.timeouts) == (polls, timeouts)
+    assert hashlib.sha256(
+        repr(timeline).encode()).hexdigest()[:16] == digest

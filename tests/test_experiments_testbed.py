@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (FlowGranularityBuffer, NoBuffer,
@@ -9,6 +11,7 @@ from repro.core import (FlowGranularityBuffer, NoBuffer,
                         no_buffer)
 from repro.experiments import (PORT_HOST1, PORT_HOST2, build_testbed,
                                default_calibration, run_once)
+from repro.shard.seam import EventRecorder
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import single_packet_flows
 
@@ -105,21 +108,26 @@ def test_shutdown_stops_periodic_work(small_workload_a):
     assert remaining == 0
 
 
-def test_enable_tracing_records_protocol_events(small_workload_a):
+def test_event_recorder_sees_every_protocol_event(small_workload_a):
     testbed = build_testbed(buffer_256(), small_workload_a, seed=9)
-    log = testbed.enable_tracing()
+    recorder = EventRecorder()
+    recorder.attach(testbed)
     testbed.controller.start_handshake()
     testbed.pktgen.start(at=0.02)
     testbed.sim.run(until=1.0)
-    assert log.count(source="switch", kind="table_miss") == 40
-    assert log.count(source="switch", kind="packet_in_sent") == 40
-    assert log.count(source="controller", kind="packet_in_received") == 40
-    assert log.count(source="switch", kind="flow_installed") == 40
-    assert log.count(source="switch", kind="packet_egress") == 40
-    # Records are time-ordered and renderable.
-    times = [r.time for r in log.records]
-    assert times == sorted(times)
-    assert "table_miss" in log.dump(limit=200)
+    switch = Counter(kind for _time, kind, _uid
+                     in recorder.streams[testbed.switch.name])
+    controller = Counter(kind for _time, kind, _uid
+                         in recorder.streams["controller"])
+    assert switch["table_miss"] == 40
+    assert switch["packet_in_sent"] == 40
+    assert controller["packet_in_received"] == 40
+    assert switch["flow_installed"] == 40
+    assert switch["packet_egress"] == 40
+    # Each component's stream is time-ordered.
+    for stream in recorder.streams.values():
+        times = [time for time, _kind, _uid in stream]
+        assert times == sorted(times)
     testbed.shutdown()
 
 

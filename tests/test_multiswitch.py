@@ -5,18 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core import buffer_256, flow_buffer_256, no_buffer
-from repro.experiments.multiswitch import (MultiSwitchTestbed,
-                                           build_line_testbed)
+from repro.scenarios import Testbed, build_scenario, line_scenario
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import batched_multi_packet_flows, single_packet_flows
 
 
 def _run(config, n_switches=2, n_flows=20, rate=30, seed=8,
-         until=2.0) -> MultiSwitchTestbed:
+         until=2.0) -> Testbed:
     workload = single_packet_flows(mbps(rate), n_flows=n_flows,
                                    rng=RandomStreams(seed))
-    testbed = build_line_testbed(config, workload, n_switches=n_switches,
-                                 seed=seed)
+    testbed = build_scenario(line_scenario(n_switches), config, workload,
+                             seed=seed)
     testbed.controller.start_handshake()
     testbed.pktgen.start(at=0.02)
     testbed.sim.run(until=until)
@@ -24,10 +23,8 @@ def _run(config, n_switches=2, n_flows=20, rate=30, seed=8,
 
 
 def test_build_validation():
-    workload = single_packet_flows(mbps(10), n_flows=1,
-                                   rng=RandomStreams(0))
     with pytest.raises(ValueError):
-        build_line_testbed(buffer_256(), workload, n_switches=0)
+        line_scenario(0)
 
 
 def test_packets_traverse_the_whole_line():
@@ -84,8 +81,8 @@ def test_flow_granularity_on_a_line():
     workload = batched_multi_packet_flows(mbps(60), n_flows=10,
                                           packets_per_flow=8, batch_size=5,
                                           rng=RandomStreams(9))
-    testbed = build_line_testbed(flow_buffer_256(), workload,
-                                 n_switches=2, seed=9)
+    testbed = build_scenario(line_scenario(2), flow_buffer_256(), workload,
+                             seed=9)
     testbed.controller.start_handshake()
     testbed.pktgen.start(at=0.02)
     testbed.sim.run(until=3.0)

@@ -7,8 +7,6 @@ import pytest
 from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
                        MetricsSnapshot, SpanRecorder, validate_nesting)
 from repro.obs.spans import KIND_INSTANT, KIND_SPAN
-from repro.simkit import Simulator
-from repro.simkit.tracing import TraceLog
 
 
 # ---------------------------------------------------------------------------
@@ -270,56 +268,3 @@ def test_with_labels_rescopes_every_metric():
     # original untouched
     assert ("c_total", ()) in snapshot.counters
     assert not scoped.empty and MetricsSnapshot().empty
-
-
-# ---------------------------------------------------------------------------
-# TraceLog compatibility shim (satellite: dump truncation indicators)
-# ---------------------------------------------------------------------------
-
-def _tracelog(**kwargs):
-    return TraceLog(Simulator(), enabled=True, **kwargs)
-
-
-def test_tracelog_records_route_through_span_recorder():
-    log = _tracelog()
-    log.record("switch", "packet_in", xid=7)
-    assert log.count("switch") == 1
-    (record,) = log.records
-    assert (record.source, record.kind, record.detail) \
-        == ("switch", "packet_in", {"xid": 7})
-    # the same event is visible as a span-layer instant record
-    assert log.recorder.records[0].kind == KIND_INSTANT
-
-
-def test_tracelog_dump_limit_appends_truncation_trailer():
-    log = _tracelog()
-    for n in range(5):
-        log.record("switch", f"event{n}")
-    dump = log.dump(limit=2)
-    assert "event1" in dump and "event2" not in dump
-    assert "... 3 more record(s) truncated by limit=2" in dump
-
-
-def test_tracelog_dump_reports_capture_drops():
-    log = _tracelog(max_records=2)
-    for n in range(6):
-        log.record("switch", f"event{n}")
-    assert log.dropped == 4
-    assert ("... 4 record(s) dropped at capture (max_records=2)"
-            in log.dump())
-
-
-def test_tracelog_dump_without_truncation_has_no_trailer():
-    log = _tracelog()
-    log.record("switch", "only")
-    assert "truncated" not in log.dump()
-    assert "dropped" not in log.dump()
-
-
-def test_tracelog_subscriber_fires_per_accepted_record():
-    log = _tracelog(max_records=1)
-    seen = []
-    log.subscriber = seen.append
-    log.record("switch", "kept")
-    log.record("switch", "over_cap")
-    assert [r.kind for r in seen] == ["kept"]

@@ -1,13 +1,12 @@
-"""Tests for RNG streams, tracing, the event emitter, and unit helpers."""
+"""Tests for RNG streams, the event emitter, and unit helpers."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simkit import (BITS_PER_BYTE, EventEmitter, RandomStreams,
-                          Simulator, TraceLog, mbps, msec, to_mbps, to_msec,
-                          transmission_delay, usec)
+from repro.simkit import (BITS_PER_BYTE, EventEmitter, RandomStreams, mbps,
+                          msec, to_mbps, to_msec, transmission_delay, usec)
 
 
 # ---------------------------------------------------------------------------
@@ -61,64 +60,6 @@ def test_helper_draws_in_range():
         assert 2 <= streams.uniform("u", 2, 3) <= 3
         assert 1 <= streams.randint("i", 1, 6) <= 6
         assert streams.expovariate("e", 10.0) >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# TraceLog
-# ---------------------------------------------------------------------------
-
-def test_trace_disabled_records_nothing():
-    sim = Simulator()
-    log = TraceLog(sim, enabled=False)
-    log.record("src", "kind", a=1)
-    assert log.records == []
-
-
-def test_trace_records_time_and_detail():
-    sim = Simulator()
-    log = TraceLog(sim, enabled=True)
-    sim.schedule(1.0, lambda: log.record("switch", "miss", port=2))
-    sim.run()
-    (record,) = log.records
-    assert record.time == 1.0
-    assert record.source == "switch"
-    assert record.detail == {"port": 2}
-
-
-def test_trace_filter_and_count():
-    sim = Simulator()
-    log = TraceLog(sim, enabled=True)
-    log.record("a", "x")
-    log.record("a", "y")
-    log.record("b", "x")
-    assert log.count(source="a") == 2
-    assert log.count(kind="x") == 2
-    assert log.count(source="b", kind="x") == 1
-
-
-def test_trace_max_records_drops_overflow():
-    sim = Simulator()
-    log = TraceLog(sim, enabled=True, max_records=2)
-    for i in range(5):
-        log.record("s", "k", i=i)
-    assert len(log.records) == 2
-    assert log.dropped == 3
-
-
-def test_trace_subscriber_sees_records_live():
-    sim = Simulator()
-    log = TraceLog(sim, enabled=True)
-    seen = []
-    log.subscriber = seen.append
-    log.record("s", "k")
-    assert len(seen) == 1
-
-
-def test_trace_dump_renders_lines():
-    sim = Simulator()
-    log = TraceLog(sim, enabled=True)
-    log.record("s", "k", key="value")
-    assert "key=value" in log.dump()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simkit import (PRIORITY_LATE, PRIORITY_URGENT, SchedulingError,
                           Simulator)
@@ -218,3 +220,120 @@ def test_drain_cancels_batch():
     sim.drain(handles)
     sim.run()
     assert seen == []
+
+
+class _IndexProfiler:
+    """Profiler stub: ``runs`` holds (sampled indices, executed) per run."""
+
+    def __init__(self, stride):
+        self.stride = stride
+        self.runs = []
+
+    def begin_run(self, sim_now):
+        self._indices = []
+
+    def record(self, fn, elapsed, index, sim_now):
+        self._indices.append(index)
+
+    def end_run(self, sim_now, executed):
+        self.runs.append((self._indices, executed))
+
+
+@pytest.mark.parametrize("stride", [None, 1, 2])
+def test_max_events_cut_leaves_clock_at_last_executed_event(stride):
+    sim = Simulator()
+    if stride is not None:
+        sim.attach_profiler(_IndexProfiler(stride))
+    seen = []
+    for at in (1.0, 2.0, 3.0):
+        sim.schedule_at(at, seen.append, at)
+    assert sim.run(until=10.0, max_events=1) == 1.0
+    assert sim.pending_count() == 2
+    sim.schedule(0.5, seen.append, 1.5)
+    sim.run()
+    assert seen == [1.0, 1.5, 2.0, 3.0]
+    assert sim.now == 3.0
+
+
+@pytest.mark.parametrize("stride", [None, 1])
+def test_max_events_zero_runs_nothing(stride):
+    sim = Simulator()
+    if stride is not None:
+        sim.attach_profiler(_IndexProfiler(stride))
+    seen = []
+    sim.schedule(0.0, seen.append, "now")
+    sim.schedule(1.0, seen.append, "later")
+    assert sim.run(until=5.0, max_events=0) == 0.0
+    assert sim.run(max_events=0) == 0.0
+    assert seen == [] and sim.events_executed == 0
+    assert sim.pending_count() == 2
+    with pytest.raises(ValueError):
+        sim.run(max_events=-1)
+    sim.run(until=5.0)
+    assert seen == ["now", "later"] and sim.now == 5.0
+
+
+# Each script step: (delay, priority, children, cancel pick, stop).
+_STEP = st.tuples(st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0)),
+                  st.integers(0, 2), st.integers(0, 2),
+                  st.one_of(st.none(), st.integers(0, 63)),
+                  st.integers(0, 9).map(lambda roll: roll == 0))
+_RUN = st.tuples(st.one_of(st.none(), st.sampled_from((0.0, 0.25, 1.0, 3.0))),
+                 st.one_of(st.none(), st.integers(0, 6)))
+
+
+def _drive(roots, script, runs, profiler):
+    """Replay one random schedule; snapshot the kernel after each run."""
+    sim = Simulator()
+    if profiler is not None:
+        sim.attach_profiler(profiler)
+    order, handles, steps = [], [], iter(script)
+
+    def spawn(step):
+        delay, priority = step[0], step[1]
+        handles.append(sim.schedule(delay, fire, len(handles),
+                                    priority=priority))
+
+    def fire(ident):
+        order.append((ident, sim.now))
+        step = next(steps, None)
+        if step is None:
+            return
+        for _ in range(step[2]):
+            child = next(steps, None)
+            if child is not None:
+                spawn(child)
+        if step[3] is not None:
+            handles[step[3] % len(handles)].cancel()
+        if step[4]:
+            sim.stop()
+
+    for step in roots:
+        spawn(step)
+    snapshots = []
+    for offset, max_events in runs:
+        until = None if offset is None else sim.now + offset
+        sim.run(until=until, max_events=max_events)
+        snapshots.append((list(order), sim.now, sim.events_executed,
+                          sim.pending_count()))
+    return snapshots
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=st.lists(_STEP, min_size=1, max_size=8),
+       script=st.lists(_STEP, max_size=40),
+       runs=st.lists(_RUN, min_size=1, max_size=6))
+def test_plain_and_profiled_runs_agree_on_random_schedules(roots, script,
+                                                           runs):
+    plain = _drive(roots, script, runs, None)
+    # The clock never runs back, within a run or from one run to the next.
+    last_now, seen = 0.0, 0
+    for order, now, _executed, _pending in plain:
+        times = [last_now] + [at for _ident, at in order[seen:]] + [now]
+        assert times == sorted(times)
+        last_now, seen = now, len(order)
+    for stride in (1, 2, 3, 16):
+        profiler = _IndexProfiler(stride)
+        assert _drive(roots, script, runs, profiler) == plain
+        for indices, executed in profiler.runs:
+            assert indices == list(range(stride, executed + 1, stride))
