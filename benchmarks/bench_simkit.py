@@ -28,39 +28,53 @@ from repro.trafficgen import batched_multi_packet_flows, single_packet_flows
 from repro.simkit import RandomStreams
 
 
-def _event_loop_chain():
-    """20k-event timer chain: the bare heap scheduling path."""
+def _timer_chain(delay, until=None, profiler=None):
+    """20k self-rescheduling events, ``delay`` simulated seconds apart."""
     sim = Simulator()
+    if profiler is not None:
+        sim.attach_profiler(profiler)
     counter = {"n": 0}
 
     def tick():
         counter["n"] += 1
         if counter["n"] < 20_000:
-            sim.schedule(0.001, tick)
+            sim.schedule(delay, tick)
 
     sim.schedule(0.0, tick)
-    sim.run()
+    sim.run(until=until)
     return counter["n"]
+
+
+def _event_loop_chain():
+    """20k-event timer chain: the bare heap scheduling path."""
+    return _timer_chain(0.001)
+
+
+def _event_loop_until_chain():
+    """The timer chain driven by ``run(until=…)``, as every testbed run is.
+
+    The horizon lies past the last tick (t ~ 20 s), so all 20k events run
+    and the clock then jumps to it.
+    """
+    return _timer_chain(0.001, until=60.0)
 
 
 def _zero_delay_chain():
     """20k-event same-instant chain: the dispatch micro-queue path."""
-    sim = Simulator()
-    counter = {"n": 0}
-
-    def tick():
-        counter["n"] += 1
-        if counter["n"] < 20_000:
-            sim.schedule(0.0, tick)
-
-    sim.schedule(0.0, tick)
-    sim.run()
-    return counter["n"]
+    return _timer_chain(0.0)
 
 
 def test_event_loop_throughput(benchmark):
     """Bare scheduling throughput: chains of self-rescheduling events."""
     executed = benchmark.pedantic(_event_loop_chain, rounds=3, iterations=1)
+    assert executed == 20_000
+
+
+def test_event_loop_until_throughput(benchmark):
+    """The timer chain under a bounded ``run(until=…)``: the loop shape
+    every figure, benchmark workload and shard advance drives."""
+    executed = benchmark.pedantic(_event_loop_until_chain, rounds=3,
+                                  iterations=1)
     assert executed == 20_000
 
 
@@ -176,18 +190,7 @@ def _event_loop_profiled_chain():
     ``BENCH_kernel.json`` and asserted by ``perf_gate.py``).
     """
     from repro.obs import ComponentProfiler
-    sim = Simulator()
-    sim.attach_profiler(ComponentProfiler())
-    counter = {"n": 0}
-
-    def tick():
-        counter["n"] += 1
-        if counter["n"] < 20_000:
-            sim.schedule(0.001, tick)
-
-    sim.schedule(0.0, tick)
-    sim.run()
-    return counter["n"]
+    return _timer_chain(0.001, profiler=ComponentProfiler())
 
 
 def _observed_testbed_run(trace=False, profile=False):
@@ -268,6 +271,7 @@ def main(argv=None):
 
     after = {
         "event_loop": kernelrecord.best_of(_event_loop_chain),
+        "event_loop_until": kernelrecord.best_of(_event_loop_until_chain),
         "zero_delay_dispatch": kernelrecord.best_of(_zero_delay_chain),
         "station": kernelrecord.best_of(_station_run),
         "pktbuf_private": kernelrecord.best_of(_pktbuf_private_run),

@@ -50,8 +50,15 @@ OUTPUT_PATH = pathlib.Path(__file__).resolve().parent / "_output" / "BENCH_kerne
 #: building each header stack once per flow: *before* is the commit
 #: that built and validated every packet's headers from scratch, and
 #: both sides were measured interleaved the same way (best-of-7 probe).
+#: ``event_loop_until`` (the timer chain under ``run(until=…)``) joined
+#: when ``Simulator.run`` became the only event loop: *before* is the
+#: commit that still kept a drain-only loop and a profiled twin, and
+#: each side is the best of 15 interleaved runs of the best-of-5 probe
+#: with both commits' ``simulator.py`` loaded in one interpreter
+#: (``kernel_pair.load_simulator``), 2 vCPUs, Python 3.11.7.
 BEFORE_SECONDS = {
     "event_loop": 0.025808,
+    "event_loop_until": 0.011750,
     "zero_delay_dispatch": 0.038466,
     "station": 0.029756,
     "pktbuf_private": 0.013748,
@@ -66,6 +73,7 @@ BEFORE_SECONDS = {
 #: seconds per wall second).
 PROBE_UNITS = {
     "event_loop": 20_000,
+    "event_loop_until": 20_000,
     "zero_delay_dispatch": 20_000,
     "station": 10_000,
     "pktbuf_private": 20_000,

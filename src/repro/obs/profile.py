@@ -8,18 +8,20 @@ item needs to prove its scaling curve.
 
 Design constraints (DESIGN.md §15):
 
-* **Zero-cost disabled path.**  A simulator with no profiler attached
-  pays exactly one attribute check per :meth:`~repro.simkit.simulator.
-  Simulator.run` call — never per event.  The fused PR 5 run loop is
-  byte-for-byte untouched; profiling runs in a separate loop.
+* **One run loop.**  :meth:`~repro.simkit.simulator.Simulator.run`
+  executes profiled and plain runs alike.  Its one per-event test,
+  ``executed != checkpoint``, covers both the next sampled event and
+  the ``max_events`` budget, so a detached profiler costs the loop
+  nothing beyond that integer compare.
 * **Stride sampling.**  Timing every event would cost two
   ``perf_counter`` calls (~220 ns) against a ~600 ns event — a 30+%
   tax.  Instead every ``stride``-th executed event is individually
   timed and attributed, and counts/self-times are scaled by ``stride``.
-  The per-event cost between samples is one integer countdown and a
-  branch.  Sampling is keyed to the event *index*, so two runs with
-  identical event sequences sample identical events — which is what
-  makes serial and parallel sweep profiles comparable field-for-field.
+  Events between samples pay nothing extra: the sampled index is the
+  loop's checkpoint.  Sampling is keyed to the event *index*, so two
+  runs with identical event sequences sample identical events — which
+  is what makes serial and parallel sweep profiles comparable
+  field-for-field.
 * **Attribution via bound callbacks.**  The hot callbacks are
   preresolved bound methods (``station._finish_cb``, datapath/agent/
   channel handlers), so ``fn.__self__`` identifies the component.  A
@@ -269,7 +271,7 @@ class ComponentProfiler:
 
     Attach to a simulator with
     :meth:`~repro.simkit.simulator.Simulator.attach_profiler`; the
-    simulator's profiled loop calls :meth:`record` for every sampled
+    simulator's run loop calls :meth:`record` for every sampled
     event and :meth:`begin_run`/:meth:`end_run` around each ``run()``.
     One profiler may span several ``run()`` calls (the runner's deadline
     extends); :meth:`report` folds everything measured so far.
@@ -306,7 +308,7 @@ class ComponentProfiler:
         self._run_t0 = 0.0
         self._run_sim0 = 0.0
 
-    # -- run lifecycle (called by Simulator._run_profiled) --------------
+    # -- run lifecycle (called by Simulator.run) -----------------------
     def begin_run(self, sim_now: float) -> None:
         """Mark the start of one ``run()`` invocation."""
         self.runs += 1

@@ -28,6 +28,10 @@ Hot-path layout (DESIGN.md §13 documents the invariants):
   reference (checked via ``sys.getrefcount``), so user-retained handles
   (periodic sweeps, pktgen trains, timeouts) are never reused while a
   stale ``cancel()`` could still reach them.
+* :meth:`Simulator.run` is the only code that pops and executes events.
+  Its one per-event bookkeeping test is ``executed != checkpoint``: the
+  checkpoint is the next event an attached profiler times or the event
+  that spends ``max_events``.
 """
 
 from __future__ import annotations
@@ -92,11 +96,7 @@ class ScheduledCall:
         self.cancelled = True
         sim = self._sim
         if sim is not None:
-            sim._live -= 1
-
-    def __lt__(self, other: "ScheduledCall") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
+            sim._dead += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -115,16 +115,16 @@ class Simulator:
         #: Same-instant micro-queues, one FIFO per priority level.
         self._ready: tuple = (deque(), deque(), deque())
         self._seq = 0
-        #: Live-entry counter: scheduled, not yet cancelled or executed.
-        self._live = 0
+        #: Cancelled entries still queued (cancellation is lazy).
+        self._dead = 0
         #: Pooled ScheduledCall handles available for reuse.
         self._free: list[ScheduledCall] = []
         self._stopped = False
         #: Count of events executed; useful for tests and budget guards.
         self.events_executed = 0
         #: Wall-clock component profiler (``repro.obs.profile``), or
-        #: ``None``.  The disabled path costs one attribute check per
-        #: ``run()`` call — never per event (see DESIGN.md §15).
+        #: ``None``.  Detached, it costs :meth:`run` nothing beyond the
+        #: loop's one per-event checkpoint compare (see DESIGN.md §15).
         self._profiler = None
 
     # ------------------------------------------------------------------
@@ -160,7 +160,6 @@ class Simulator:
             call.cancelled = False
         else:
             call = ScheduledCall(time, priority, seq, fn, args, self)
-        self._live += 1
         # ``delay >= 0`` means ``time >= now`` for every finite delay, so
         # three float compares replace a math.isfinite() call: +inf fails
         # the != _inf arm, nan fails both orderings and falls through.
@@ -177,7 +176,6 @@ class Simulator:
             else:
                 _heappush(self._heap, (time, priority, seq, call))
             return call
-        self._live -= 1
         self._seq = seq - 1
         call.fn = call.args = None
         free.append(call)
@@ -205,7 +203,6 @@ class Simulator:
             call.cancelled = False
         else:
             call = ScheduledCall(time, priority, seq, fn, args, self)
-        self._live += 1
         if time == now and 0 <= priority <= 2:
             self._ready[priority].append(call)
         else:
@@ -216,25 +213,26 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def _recycle(self, call: ScheduledCall) -> None:
-        """Pool a consumed handle if nothing else still references it.
+        """Retire a cancelled entry just popped off a queue.
 
+        Its handle is pooled only if nothing else still references it.
         Must be called in expression form (``self._recycle(dq.popleft())``)
         so the only references are our parameter and ``getrefcount``'s
         argument (baseline 2).  Anything higher means some component
         retained the handle — a stale ``cancel()`` could still arrive —
         and it must not be reused.
         """
+        self._dead -= 1
         call.fn = call.args = None
         if len(self._free) < _FREE_LIST_MAX and _getrefcount(call) == 2:
             self._free.append(call)
 
-    def _pop_next(self, until: Optional[float] = None
-                  ) -> Optional[ScheduledCall]:
+    def _pop_next(self, limit: float) -> Optional[ScheduledCall]:
         """Pop the next live entry in (time, priority, seq) order.
 
         Cancelled entries encountered on the way out free their pooled
-        slot.  Returns ``None`` when nothing (eligible) remains; an entry
-        beyond ``until`` is left queued.
+        slot.  Returns ``None`` when nothing at or before ``limit``
+        remains; an entry beyond ``limit`` is left queued.
         """
         heap = self._heap
         while heap and heap[0][3].cancelled:
@@ -252,12 +250,10 @@ class Simulator:
                     best_dq = dq
         if heap and (best is None
                      or heap[0] < (best.time, best.priority, best.seq)):
-            if until is not None and heap[0][0] > until:
+            if heap[0][0] > limit:
                 return None
             return _heappop(heap)[3]
-        if best is None:
-            return None
-        if until is not None and best.time > until:
+        if best is None or best.time > limit:
             return None
         best_dq.popleft()
         return best
@@ -275,139 +271,105 @@ class Simulator:
                 time = dq[0].time
         return time
 
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue is empty.
-        """
-        call = self._pop_next()
-        if call is None:
-            return False
-        self._now = call.time
-        self.events_executed += 1
-        self._live -= 1
-        call.cancelled = True           # consumed: stale cancel() is a no-op
-        fn = call.fn
-        args = call.args
-        call.fn = call.args = None
-        # 2 = this binding + getrefcount's argument: nothing else holds it.
-        if len(self._free) < _FREE_LIST_MAX and _getrefcount(call) == 2:
-            self._free.append(call)
-        call = None
-        fn(*args)
-        return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or stopped.
 
         ``until`` advances the clock to exactly that time even if the queue
         drains earlier, mirroring SimPy semantics; this makes utilization
-        windows well defined.  ``max_events`` is a runaway guard for tests:
-        a run that spends it stops at its last executed event, and the
-        clock stays there (``max_events=0`` runs nothing).  Returns the
-        simulation time when the run stopped.
+        windows well defined.  A non-finite ``until`` raises
+        ``ValueError`` before anything runs.  ``max_events`` is a runaway
+        guard for tests: a run that spends it stops at its last executed
+        event, and the clock stays there (``max_events=0`` runs nothing).
+        Returns the simulation time when the run stopped.
 
-        ``events_executed`` and the live-entry counter are flushed in bulk
-        when the loop exits (they are not read inside event callbacks
-        anywhere in this package); every other piece of simulator state is
+        With a profiler attached (:meth:`attach_profiler`), every
+        ``stride``-th event of the run is timed and attributed.  This is
+        the only code that executes events, so profiled and plain runs
+        cannot disagree on order.
+
+        ``events_executed`` is flushed in bulk when the loop exits; every
+        other piece of simulator state, ``pending_count()`` included, is
         exact at each callback.
         """
+        if until is None:
+            limit = _inf
+        elif _isfinite(until):
+            limit = until
+        else:
+            raise ValueError(f"until must be finite, got {until!r}")
         if max_events is not None and max_events <= 0:
             if max_events < 0:
                 raise ValueError(
                     f"max_events must be >= 0, got {max_events}")
             return self._now
-        if self._profiler is not None:
-            return self._run_profiled(until, max_events)
+        profiler = self._profiler
+        budget = max_events or 0
+        stride = sample = 0 if profiler is None else profiler.stride
+        # The loop's one per-event bookkeeping test is ``executed !=
+        # checkpoint``.  The checkpoint is the next event the profiler
+        # times or the event that spends the budget, whichever is first;
+        # 0 (``executed`` counts from 1) when there is neither.
+        checkpoint = (min(sample, budget) if sample and budget
+                      else sample or budget)
         self._stopped = False
         executed = 0
         heap = self._heap
         ready_urgent, ready_normal, ready_late = self._ready
         free = self._free
+        if profiler is not None:
+            profiler.begin_run(self._now)
         try:
-            if until is None and max_events is None:
-                # Tight loop for the common drain-everything call: one heap
-                # pop per event (peek+step fused), no deadline checks.
-                while True:
-                    if ready_urgent or ready_normal or ready_late:
-                        call = self._pop_next(None)
-                        if call is None:
-                            break
-                    else:
-                        if not heap:
-                            break
-                        call = _heappop(heap)[3]
-                        if call.cancelled:
-                            # Cancelled entry: free its pooled slot (2 =
-                            # this binding + getrefcount's argument).
-                            call.fn = call.args = None
-                            if (len(free) < _FREE_LIST_MAX
-                                    and _getrefcount(call) == 2):
-                                free.append(call)
-                            continue
-                    self._now = call.time
-                    executed += 1
-                    call.cancelled = True   # consumed: stale cancel no-ops
-                    fn = call.fn
-                    args = call.args
-                    call.fn = call.args = None
-                    if (len(free) < _FREE_LIST_MAX
-                            and _getrefcount(call) == 2):
-                        free.append(call)
-                    call = None
+            while True:
+                if ready_urgent or ready_normal or ready_late:
+                    call = self._pop_next(limit)
+                    if call is None:
+                        break
+                else:
+                    if not heap or heap[0][0] > limit:
+                        break
+                    call = _heappop(heap)[3]
+                    if call.cancelled:
+                        # Inline _recycle (2 = this binding + getrefcount's
+                        # argument).
+                        self._dead -= 1
+                        call.fn = call.args = None
+                        if (len(free) < _FREE_LIST_MAX
+                                and _getrefcount(call) == 2):
+                            free.append(call)
+                        continue
+                self._now = call.time
+                executed += 1
+                call.cancelled = True       # consumed: stale cancel no-ops
+                fn = call.fn
+                args = call.args
+                call.fn = call.args = None
+                if len(free) < _FREE_LIST_MAX and _getrefcount(call) == 2:
+                    free.append(call)
+                call = None
+                if executed != checkpoint:
                     if args:
                         fn(*args)
                     else:
                         fn()
-                    if self._stopped:
-                        break
-            else:
-                while not self._stopped:
-                    if ready_urgent or ready_normal or ready_late:
-                        call = self._pop_next(until)
-                        if call is None:
-                            break
-                    else:
-                        while True:
-                            if not heap:
-                                call = None
-                                break
-                            entry = _heappop(heap)
-                            call = entry[3]
-                            if call.cancelled:
-                                # 3 = entry tuple + binding + getrefcount.
-                                call.fn = call.args = None
-                                if (len(free) < _FREE_LIST_MAX
-                                        and _getrefcount(call) == 3):
-                                    free.append(call)
-                                continue
-                            break
-                        if call is None:
-                            break
-                        if until is not None and entry[0] > until:
-                            _heappush(heap, entry)  # same key: order kept
-                            break
-                        entry = None
-                    self._now = call.time
-                    executed += 1
-                    call.cancelled = True   # consumed: stale cancel no-ops
-                    fn = call.fn
-                    args = call.args
-                    call.fn = call.args = None
-                    if (len(free) < _FREE_LIST_MAX
-                            and _getrefcount(call) == 2):
-                        free.append(call)
-                    call = None
-                    if args:
+                else:
+                    if executed == sample:
+                        t0 = _perf_counter()
                         fn(*args)
+                        profiler.record(fn, _perf_counter() - t0, executed,
+                                        self._now)
+                        sample += stride
                     else:
-                        fn()
-                    if max_events is not None and executed >= max_events:
+                        fn(*args)
+                    if executed == budget:
                         break
+                    checkpoint = min(sample, budget) if budget else sample
+                if self._stopped:
+                    break
         finally:
             self.events_executed += executed
-            self._live -= executed
+            if profiler is not None:
+                profiler.end_run(self._now, executed)
         # ``executed == max_events`` only when the budget cut the run
         # short: earlier events may still be pending, so the clock stays.
         if (until is not None and self._now < until and not self._stopped
@@ -415,136 +377,8 @@ class Simulator:
             self._now = until
         return self._now
 
-    def _run_profiled(self, until: Optional[float] = None,
-                      max_events: Optional[int] = None) -> float:
-        """:meth:`run` with stride-sampled wall-clock profiling.
-
-        Mirrors :meth:`run`'s two loops (fused drain-everything and
-        general) with one addition: every ``stride``-th executed event is
-        individually timed with a ``perf_counter`` pair and attributed
-        to its callback's component; every other event pays only an
-        integer countdown.  Sampling is keyed to the event index, so
-        identical event sequences sample identical events regardless of
-        wall-clock behaviour.  Run totals (events, wall and simulated
-        seconds) are booked on the profiler around the loop.
-        """
-        profiler = self._profiler
-        perf_counter = _perf_counter
-        stride = profiler.stride
-        record = profiler.record
-        countdown = stride
-        self._stopped = False
-        executed = 0
-        heap = self._heap
-        ready_urgent, ready_normal, ready_late = self._ready
-        free = self._free
-        profiler.begin_run(self._now)
-        try:
-            if until is None and max_events is None:
-                while True:
-                    if ready_urgent or ready_normal or ready_late:
-                        call = self._pop_next(None)
-                        if call is None:
-                            break
-                    else:
-                        if not heap:
-                            break
-                        call = _heappop(heap)[3]
-                        if call.cancelled:
-                            call.fn = call.args = None
-                            if (len(free) < _FREE_LIST_MAX
-                                    and _getrefcount(call) == 2):
-                                free.append(call)
-                            continue
-                    self._now = call.time
-                    executed += 1
-                    call.cancelled = True
-                    fn = call.fn
-                    args = call.args
-                    call.fn = call.args = None
-                    if (len(free) < _FREE_LIST_MAX
-                            and _getrefcount(call) == 2):
-                        free.append(call)
-                    call = None
-                    countdown -= 1
-                    if countdown:
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    else:
-                        countdown = stride
-                        t0 = perf_counter()
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                        record(fn, perf_counter() - t0, executed, self._now)
-                    if self._stopped:
-                        break
-            else:
-                while not self._stopped:
-                    if ready_urgent or ready_normal or ready_late:
-                        call = self._pop_next(until)
-                        if call is None:
-                            break
-                    else:
-                        while True:
-                            if not heap:
-                                call = None
-                                break
-                            entry = _heappop(heap)
-                            call = entry[3]
-                            if call.cancelled:
-                                call.fn = call.args = None
-                                if (len(free) < _FREE_LIST_MAX
-                                        and _getrefcount(call) == 3):
-                                    free.append(call)
-                                continue
-                            break
-                        if call is None:
-                            break
-                        if until is not None and entry[0] > until:
-                            _heappush(heap, entry)
-                            break
-                        entry = None
-                    self._now = call.time
-                    executed += 1
-                    call.cancelled = True
-                    fn = call.fn
-                    args = call.args
-                    call.fn = call.args = None
-                    if (len(free) < _FREE_LIST_MAX
-                            and _getrefcount(call) == 2):
-                        free.append(call)
-                    call = None
-                    countdown -= 1
-                    if countdown:
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    else:
-                        countdown = stride
-                        t0 = perf_counter()
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                        record(fn, perf_counter() - t0, executed, self._now)
-                    if max_events is not None and executed >= max_events:
-                        break
-        finally:
-            self.events_executed += executed
-            self._live -= executed
-            profiler.end_run(self._now, executed)
-        if (until is not None and self._now < until and not self._stopped
-                and executed != max_events):
-            self._now = until
-        return self._now
-
     def attach_profiler(self, profiler) -> None:
-        """Route subsequent :meth:`run` calls through the profiled loop.
+        """Time every ``stride``-th event of subsequent :meth:`run` calls.
 
         ``profiler`` is duck-typed (``stride``/``record``/``begin_run``/
         ``end_run``) — in practice a
@@ -558,7 +392,7 @@ class Simulator:
         self._profiler = profiler
 
     def detach_profiler(self):
-        """Restore the unprofiled fast loop; returns the old profiler."""
+        """Stop profiling :meth:`run`; returns the old profiler."""
         profiler, self._profiler = self._profiler, None
         return profiler
 
@@ -585,11 +419,13 @@ class Simulator:
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued.
 
-        O(1): maintained as a live counter (incremented on schedule,
-        decremented on first cancel and on execution) instead of walking
-        the heap.
+        O(1) and exact inside event callbacks: the queue lengths minus the
+        cancelled entries still in them (counted on first cancel,
+        uncounted when popped), instead of a walk over the heap.
         """
-        return self._live
+        ready_urgent, ready_normal, ready_late = self._ready
+        return (len(self._heap) + len(ready_urgent) + len(ready_normal)
+                + len(ready_late) - self._dead)
 
     def drain(self, calls: Iterable[ScheduledCall]) -> None:
         """Cancel a batch of scheduled calls (e.g. on component shutdown)."""

@@ -59,6 +59,28 @@ def test_full_testbed_probe_is_gated_in_flows():
     assert bench["python"].count(".") == 2
 
 
+def test_event_loop_until_probe_is_gated_in_events():
+    # The timer chain under ``run(until=…)``, the loop shape every
+    # testbed run drives: 20k events per run, recorded against the
+    # kernel's earlier bounded loop and stamped with the measuring machine.
+    import bench_simkit
+    import perf_gate
+    assert perf_gate.GATED_PROBES["test_event_loop_until_throughput"] \
+        == "event_loop_until"
+    assert kernelrecord.PROBE_UNITS["event_loop_until"] == 20_000
+    assert bench_simkit._event_loop_until_chain() == 20_000
+    bench = kernelrecord.load_baseline()["benchmarks"]["event_loop_until"]
+    assert bench["units"] == 20_000
+    assert bench["before"]["seconds"] \
+        == kernelrecord.BEFORE_SECONDS["event_loop_until"]
+    assert bench["after"]["events_per_sec"] == pytest.approx(
+        20_000 / bench["after"]["seconds"], rel=1e-4)
+    assert bench["speedup"] == round(
+        bench["before"]["seconds"] / bench["after"]["seconds"], 2)
+    assert bench["cpu_count"] >= 1
+    assert bench["python"].count(".") == 2
+
+
 def test_workload_generation_probe_is_gated_in_packets():
     # The quick ``all`` grid's 98 generator calls, 36,800 packets per
     # run, recorded against the per-packet header construction it

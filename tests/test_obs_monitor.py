@@ -149,5 +149,31 @@ def test_health_monitor_detach_cancels_pending_beat():
     assert len(monitor.heartbeats) == beats_at_detach
 
 
+def test_heartbeat_heap_depth_is_the_live_queue():
+    """REGRESSION: a beat reads ``pending_count()`` mid-run, which used
+    to count every event already run in that ``run`` call, so
+    ``heap_depth`` tracked ``events_scheduled`` instead of the queue."""
+    from repro.simkit import Simulator
+
+    class FakeTestbed:
+        sim = Simulator()
+        mechanisms = ()
+        pool = None
+        metrics = None
+
+    testbed = FakeTestbed()
+    times = [0.0005 + 0.001 * k for k in range(100)]
+    for at in times:
+        testbed.sim.schedule_at(at, lambda: None)
+    monitor = HealthMonitor(interval=0.010)
+    monitor.attach(testbed)
+    testbed.sim.run(until=0.2)
+    beats = monitor.heartbeats
+    assert len(beats) >= 10
+    # The beat's own event has run and its successor is not yet queued.
+    assert [beat.heap_depth for beat in beats] == [
+        sum(at > beat.time for at in times) for beat in beats]
+
+
 def test_conservation_monitor_name_is_stable():
     assert ConservationMonitor().name == "conservation"

@@ -331,7 +331,7 @@ def test_path_experiment_rejects_empty_lengths():
 #: buffer_256(), workload_a_factory(n_flows=20), (20.0, 60.0), 1,
 #: base_seed=11) over {single, line:2} x {no faults, 1% loss}.  The
 #: optimized kernel (pooled ScheduledCalls, same-instant micro-queue,
-#: fused run loop, interned flow keys) must reproduce every float
+#: single run loop, interned flow keys) must reproduce every float
 #: exactly, with and without faults, serial and parallel.
 _KERNEL_FAULTS = FaultSpec(loss_up=0.01, loss_down=0.01)
 

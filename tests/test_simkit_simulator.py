@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkit import (PRIORITY_LATE, PRIORITY_URGENT, SchedulingError,
-                          Simulator)
+from repro.simkit import (PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT,
+                          SchedulingError, Simulator)
 
 
 def test_clock_starts_at_zero():
@@ -208,9 +208,50 @@ def test_max_events_guard():
     assert sim.events_executed == 5
 
 
-def test_step_returns_false_when_empty():
+def test_pending_count_is_exact_inside_callbacks():
+    """REGRESSION: ``run`` used to lower the live counter only when it
+    returned, so a callback asking ``pending_count()`` (the heartbeat's
+    ``heap_depth``) counted every event already run as still queued."""
     sim = Simulator()
-    assert sim.step() is False
+    queued = set()
+    readings = []
+
+    def schedule(delay, name):
+        queued.add(name)
+        return sim.schedule(delay, fire, name)
+
+    def fire(name):
+        queued.discard(name)
+        readings.append((sim.pending_count(), len(queued)))
+        kind, index = name
+        if kind == "tick" and index < 50:
+            schedule(0.001, ("tick", index + 1))
+            schedule(0.0, ("probe", index))
+            spare = schedule(0.0105, ("spare", index))
+            if index % 3 == 0:
+                spare.cancel()
+                queued.discard(("spare", index))
+
+    schedule(0.0, ("tick", 0))
+    sim.run(until=1.0)
+    assert len(readings) == 51 + 50 + 33    # ticks, probes, kept spares
+    assert [got for got, _ in readings] == [want for _, want in readings]
+    assert sim.pending_count() == 0
+
+
+@pytest.mark.parametrize("until", [math.nan, math.inf, -math.inf])
+def test_run_rejects_non_finite_until(until):
+    """REGRESSION: ``until=nan`` ran every queued event (each comparison
+    with NaN is false) and ``until=inf`` left the clock at infinity."""
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, seen.append, "x")
+    with pytest.raises(ValueError):
+        sim.run(until=until)
+    assert seen == [] and sim.now == 0.0 and sim.pending_count() == 1
+    sim.schedule(1.0, seen.append, "y")
+    sim.run()
+    assert seen == ["x", "y"] and sim.now == 1.0
 
 
 def test_drain_cancels_batch():
@@ -282,11 +323,76 @@ _RUN = st.tuples(st.one_of(st.none(), st.sampled_from((0.0, 0.25, 1.0, 3.0))),
                  st.one_of(st.none(), st.integers(0, 6)))
 
 
-def _drive(roots, script, runs, profiler):
-    """Replay one random schedule; snapshot the kernel after each run."""
-    sim = Simulator()
-    if profiler is not None:
-        sim.attach_profiler(profiler)
+class _ReferenceHandle:
+    def __init__(self):
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceScheduler:
+    """Ordering oracle: the documented scheduling rules over a plain list.
+
+    Entries are ``(time, priority, seq, handle, fn, args)``.  The next
+    event is the entry with the smallest ``(time, priority, seq)``, found
+    by a linear scan; cancel is lazy (a cancelled entry is dropped when it
+    comes up), and ``until``, ``max_events`` and ``stop()`` follow the
+    rules in :meth:`Simulator.run`'s docstring.  No heap, micro-queue or
+    pooling, so it shares no code path with the kernel it checks.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_executed = 0
+        self._entries = []
+        self._seq = 0
+        self._stopped = False
+
+    def schedule(self, delay, fn, *args, priority=PRIORITY_NORMAL):
+        self._seq += 1
+        handle = _ReferenceHandle()
+        self._entries.append((self.now + delay, priority, self._seq, handle,
+                              fn, args))
+        return handle
+
+    def stop(self):
+        self._stopped = True
+
+    def pending_count(self):
+        return sum(not entry[3].cancelled for entry in self._entries)
+
+    def run(self, until=None, max_events=None):
+        if max_events == 0:
+            return self.now
+        self._stopped = False
+        executed = 0
+        while self._entries:
+            entry = min(self._entries, key=lambda entry: entry[:3])
+            if entry[3].cancelled:
+                self._entries.remove(entry)
+                continue
+            if until is not None and entry[0] > until:
+                break
+            self._entries.remove(entry)
+            entry[3].cancelled = True       # run: a later cancel() no-ops
+            self.now = entry[0]
+            executed += 1
+            self.events_executed += 1
+            entry[4](*entry[5])
+            if self._stopped or executed == max_events:
+                break
+        if (until is not None and self.now < until and not self._stopped
+                and executed != max_events):
+            self.now = until
+        return self.now
+
+
+def _drive(sim, roots, script, runs):
+    """Replay one random schedule on ``sim``; snapshot it after each run.
+
+    Every callback also records the clock and ``pending_count()`` it saw.
+    """
     order, handles, steps = [], [], iter(script)
 
     def spawn(step):
@@ -295,7 +401,7 @@ def _drive(roots, script, runs, profiler):
                                     priority=priority))
 
     def fire(ident):
-        order.append((ident, sim.now))
+        order.append((ident, sim.now, sim.pending_count()))
         step = next(steps, None)
         if step is None:
             return
@@ -325,15 +431,20 @@ def _drive(roots, script, runs, profiler):
        runs=st.lists(_RUN, min_size=1, max_size=6))
 def test_plain_and_profiled_runs_agree_on_random_schedules(roots, script,
                                                            runs):
-    plain = _drive(roots, script, runs, None)
+    """Plain and profiled runs (strides 1, 2, 3, 16) match the reference
+    scheduler inside every callback and after every run."""
+    reference = _drive(_ReferenceScheduler(), roots, script, runs)
+    assert _drive(Simulator(), roots, script, runs) == reference
     # The clock never runs back, within a run or from one run to the next.
     last_now, seen = 0.0, 0
-    for order, now, _executed, _pending in plain:
-        times = [last_now] + [at for _ident, at in order[seen:]] + [now]
+    for order, now, _executed, _pending in reference:
+        times = [last_now] + [at for _ident, at, _ in order[seen:]] + [now]
         assert times == sorted(times)
         last_now, seen = now, len(order)
     for stride in (1, 2, 3, 16):
+        sim = Simulator()
         profiler = _IndexProfiler(stride)
-        assert _drive(roots, script, runs, profiler) == plain
+        sim.attach_profiler(profiler)
+        assert _drive(sim, roots, script, runs) == reference
         for indices, executed in profiler.runs:
             assert indices == list(range(stride, executed + 1, stride))
