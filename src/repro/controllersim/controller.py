@@ -23,14 +23,11 @@ from .config import ControllerConfig
 class Controller:
     """A reactive SDN controller managing one or more control channels.
 
-    Single-switch use (the paper's testbed) passes ``channel`` at
-    construction; multi-switch deployments call :meth:`attach_channel`
-    once per switch, giving each a datapath id the forwarding app uses to
-    scope its location lookups.
+    Every switch joins through :meth:`attach_channel`, which gives it a
+    datapath id the forwarding app uses to scope its location lookups.
     """
 
     def __init__(self, sim: Simulator, config: ControllerConfig,
-                 channel: Optional[ControlChannel] = None,
                  app: Optional[ReactiveForwardingApp] = None,
                  name: str = "floodlight",
                  registry: Optional[MetricsRegistry] = None):
@@ -62,8 +59,6 @@ class Controller:
         self.flow_stats: dict = {}
         self.port_stats: dict = {}
         self._echo_handle = None
-        if channel is not None:
-            self.attach_channel(channel, datapath_id=1)
         if config.echo_interval > 0:
             self._echo_handle = sim.schedule(config.echo_interval,
                                              self._send_echo)
@@ -99,13 +94,6 @@ class Controller:
         channel.bind_controller(
             lambda message: self.handle_message(message, channel,
                                                 datapath_id))
-
-    @property
-    def channel(self) -> ControlChannel:
-        """The first attached channel (single-switch convenience)."""
-        if not self._channels:
-            raise RuntimeError("controller has no attached channel")
-        return self._channels[0][0]
 
     def start_handshake(self) -> None:
         """Begin the OpenFlow session(s) (hello + features request)."""
@@ -154,12 +142,9 @@ class Controller:
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def handle_message(self, message: OFMessage,
-                       channel: Optional[ControlChannel] = None,
-                       datapath_id: int = 1) -> None:
+    def handle_message(self, message: OFMessage, channel: ControlChannel,
+                       datapath_id: int) -> None:
         """Channel delivery callback — fires at wire-arrival time."""
-        if channel is None:
-            channel = self.channel
         if isinstance(message, PacketIn):
             self.events.emit("packet_in_received", self.sim.now, message)
             service = self.config.service_time(message.data_len,

@@ -29,10 +29,13 @@ def percent_reduction(baseline: Sequence[float],
             f"series length mismatch: {len(baseline)} vs {len(treatment)}")
     if not baseline:
         raise ValueError("cannot compare empty series")
+    # Function-local: repro.metrics imports the switch model, which
+    # imports this package.
+    from ..metrics.series import ordered_sum
     ratios = [(b - t) / b for b, t in zip(baseline, treatment) if b != 0]
     if not ratios:
         raise ValueError("baseline is zero everywhere")
-    return 100.0 * sum(ratios) / len(ratios)
+    return 100.0 * ordered_sum(ratios) / len(ratios)
 
 
 def percent_increase(baseline: Sequence[float],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -129,6 +130,22 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _size_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why a count or rate option can size no run (``None`` if all can)."""
+    for option, value in (("--flows", args.flows), ("--reps", args.reps),
+                          ("--workers", args.workers),
+                          ("--trace-sample", args.trace_sample)):
+        if value is not None and value < 1:
+            return f"{option} must be >= 1, got {value}"
+    for count in args.scale_flows or ():
+        if count < 1:
+            return f"--scale-flows values must be >= 1, got {count}"
+    for rate in args.rates or ():
+        if not (math.isfinite(rate) and rate > 0):
+            return f"--rates values must be finite and > 0, got {rate:g}"
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI body; returns a process exit code."""
     argv = list(argv) if argv is not None else sys.argv[1:]
@@ -144,6 +161,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .shardcmd import shard_verify_main
         return shard_verify_main(argv[1:])
     args = _parse_args(argv)
+    problem = _size_problem(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
     targets = list(args.targets)
     unknown = [t for t in targets if t not in FIGURES and t not in _SPECIAL]
     if unknown:
@@ -245,10 +266,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     obs = None
     if args.trace_out is not None or args.metrics_out is not None:
         from ..obs import ObsCollector, ObsConfig
-        if args.trace_sample < 1:
-            print(f"--trace-sample must be >= 1, got {args.trace_sample}",
-                  file=sys.stderr)
-            return 2
         obs = ObsCollector(ObsConfig(trace=args.trace_out is not None,
                                      trace_sample=args.trace_sample))
 

@@ -21,6 +21,7 @@ from ..bufferpool import (SCOPE_PORT, PoolSpec, delay_pool, dt_pool,
                           static_pool)
 from ..core import (MECHANISM_FLOW, MECHANISM_PACKET, BufferConfig,
                     buffer_16, buffer_256, flow_buffer_256, no_buffer)
+from ..metrics import summarize
 from ..scenarios import fanin_scenario, line_scenario
 from ..simkit import RandomStreams
 from ..trafficgen import (Workload, batched_multi_packet_flows,
@@ -651,13 +652,11 @@ def run_figscale_experiment(
         metrics = run_once(config, workload, calibration=calibration,
                            seed=seed, scenario=scenario)
         seconds = _time.perf_counter() - started
-        setup = metrics.setup_delays
-        fwd = metrics.forwarding_delays
         point = ScalePoint(
             n_flows=n_flows, engine=engine_name, seconds=seconds,
             completed=metrics.completed_flows, total=metrics.total_flows,
-            setup_delay_mean=sum(setup) / len(setup) if setup else 0.0,
-            forwarding_delay_mean=sum(fwd) / len(fwd) if fwd else 0.0,
+            setup_delay_mean=summarize(metrics.setup_delays).mean,
+            forwarding_delay_mean=summarize(metrics.forwarding_delays).mean,
             logical_packets=logical)
         data.points[(n_flows, engine_name)] = point
         if progress is not None:

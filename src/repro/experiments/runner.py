@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 from ..core import BufferConfig
 from ..faults import FaultSpec, install_faults
 from ..metrics import RunMetrics, Summary, percentile, summarize
+from ..metrics.series import ordered_sum
 from ..scenarios import SINGLE, ScenarioSpec, build_scenario
 from ..simkit import RandomStreams, mbps
 from ..trafficgen import Workload
@@ -105,7 +106,7 @@ def run_once(buffer_config: BufferConfig, workload: Workload,
     if obs is not None:
         obs.attach(testbed, calibration=calibration)
     testbed.controller.start_handshake()
-    engine = (scenario if scenario is not None else SINGLE).engine
+    engine = spec.engine
     if engine.is_hybrid:
         # The engine seam: hybrid scenarios hand traffic to per-pktgen
         # drivers that keep miss-path packets discrete and advance
@@ -225,8 +226,9 @@ def aggregate(rate_mbps: float, label: str,
         rate_mbps=rate_mbps,
         label=label,
         repetitions=n,
-        load_up_mbps=sum(r.control_load_up_mbps for r in runs) / n,
-        load_down_mbps=sum(r.control_load_down_mbps for r in runs) / n,
+        load_up_mbps=ordered_sum(r.control_load_up_mbps for r in runs) / n,
+        load_down_mbps=ordered_sum(
+            r.control_load_down_mbps for r in runs) / n,
         controller_usage=summarize(
             r.controller_usage_percent for r in runs),
         switch_usage=summarize(r.switch_usage_percent for r in runs),
@@ -234,23 +236,20 @@ def aggregate(rate_mbps: float, label: str,
         controller_delay=summarize(pooled_ctrl),
         switch_delay=summarize(pooled_switch),
         forwarding_delay=summarize(pooled_fwd),
-        buffer_avg_units=sum(r.buffer_avg_units for r in runs) / n,
+        buffer_avg_units=ordered_sum(r.buffer_avg_units for r in runs) / n,
         buffer_max_units=max(r.buffer_max_units for r in runs),
         packet_ins_per_run=sum(r.packet_in_count for r in runs) / n,
-        packet_ins_per_flow=sum(
+        packet_ins_per_flow=ordered_sum(
             r.redundant_packet_in_ratio for r in runs) / n,
         retries_per_run=sum(r.packet_in_retry_count for r in runs) / n,
         completed_flows=sum(r.completed_flows for r in runs) / n,
         total_flows=runs[0].total_flows,
         packets_dropped=sum(r.packets_dropped for r in runs) / n,
-        flows_abandoned=sum(
-            getattr(r, "flows_abandoned", 0) for r in runs) / n,
+        flows_abandoned=sum(r.flows_abandoned for r in runs) / n,
         setup_delay_p99=(percentile(pooled_setup, 99)
                          if pooled_setup else 0.0),
-        full_rejections=sum(
-            getattr(r, "buffer_full_rejections", 0) for r in runs) / n,
-        pool_peak_units=float(max(
-            getattr(r, "pool_peak_units", 0) for r in runs)),
+        full_rejections=sum(r.buffer_full_rejections for r in runs) / n,
+        pool_peak_units=float(max(r.pool_peak_units for r in runs)),
     )
 
 

@@ -106,11 +106,10 @@ class LinkCapture:
 class AggregateCapture:
     """Read-only sum view over several :class:`LinkCapture` taps.
 
-    Multi-switch paths have one control capture per switch; the run
-    snapshot wants path-wide totals.  This facade answers the capture
-    query API by summing over its members (and min/max for the time
-    boundaries), so :class:`~repro.metrics.collector.MetricsSuite`-style
-    consumers work unchanged against a whole path.
+    :class:`~repro.metrics.collector.MetricsSuite` keeps one control
+    capture per switch; the run snapshot wants path-wide totals.  This
+    facade answers the capture query API by summing over its members
+    (and min/max for the time boundaries).
     """
 
     def __init__(self, captures: List[LinkCapture], name: str = ""):

@@ -1,9 +1,9 @@
 """One-stop metric collection for a testbed run.
 
-:class:`MetricsSuite` wires captures, samplers and the delay tracker to a
-switch + controller + control cable, and condenses everything into a
-:class:`RunMetrics` snapshot — the row format every figure harness
-consumes.
+:class:`MetricsSuite` wires captures, samplers and the delay tracker to
+a testbed's switches, controller and control cables, and condenses
+everything into a :class:`RunMetrics` snapshot — the row format every
+figure harness consumes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from ..trafficgen import FlowSpec
 from .capture import AggregateCapture, LinkCapture
 from .delays import DelayTracker
 from .samplers import GaugeSampler, UtilizationSampler
-from .series import Summary, TimeSeries, summarize
+from .series import Summary, TimeSeries, ordered_sum, summarize
 
 
 @dataclass
@@ -104,140 +104,40 @@ class RunMetrics:
         return sum(self.packet_ins_per_flow) / len(self.packet_ins_per_flow)
 
 
-class MetricsSuite:
-    """Attach every probe the paper's figures need to one testbed."""
-
-    def __init__(self, sim: Simulator, switch: Switch,
-                 controller: Controller, control_cable: DuplexLink,
-                 flows: Dict[int, FlowSpec],
-                 sampling_interval: float = 0.020):
-        self.sim = sim
-        self.switch = switch
-        self.controller = controller
-        self.capture_up = LinkCapture(control_cable.forward,
-                                      name="ctrl-up")
-        self.capture_down = LinkCapture(control_cable.reverse,
-                                        name="ctrl-down")
-        self.delay_tracker = DelayTracker(flows)
-        self.delay_tracker.attach(switch.events)
-        self.switch_sampler = UtilizationSampler(
-            sim, switch.cpu_stations, sampling_interval,
-            baseline_percent=switch.config.baseline_usage_percent,
-            name="switch-usage")
-        self.controller_sampler = UtilizationSampler(
-            sim, controller.station, sampling_interval,
-            baseline_percent=controller.config.baseline_usage_percent,
-            name="controller-usage")
-        self.buffer_sampler = GaugeSampler(
-            sim, switch.buffer_occupancy, sampling_interval,
-            name="buffer-occupancy")
-        self._retry_count = 0
-        switch.events.on("packet_in_sent", self._count_retry)
-
-    def _count_retry(self, time: float, message) -> None:
-        if getattr(message, "is_retry", False):
-            self._retry_count += 1
-
-    def stop(self) -> None:
-        """Stop all periodic samplers."""
-        self.switch_sampler.stop()
-        self.controller_sampler.stop()
-        self.buffer_sampler.stop()
-
-    def snapshot(self, start: float, end: float,
-                 load_end: Optional[float] = None) -> RunMetrics:
-        """Condense everything collected over the active window.
-
-        ``start``/``end`` bound the traffic-active period: CPU usage is
-        the mean of the sampled per-window readings inside it, which is
-        how ``top`` readings during the paper's tests behave (idle drain
-        time is excluded).  Control-path loads are normalized over
-        ``[start, load_end]`` — the send window — so a slow post-send
-        drain inflates delays (as it should) without *diluting* the load
-        figure.  ``load_end`` defaults to ``end``.
-        """
-        if end <= start:
-            raise ValueError(f"empty window [{start}, {end}]")
-        if load_end is None:
-            load_end = end
-        load_end = min(max(load_end, start + 1e-9), end)
-        load_window = load_end - start
-        window = end - start
-        peak = 0
-        mechanism = self.switch.mechanism
-        buffer_obj = getattr(mechanism, "buffer", None)
-        if buffer_obj is not None:
-            peak = buffer_obj.peak_units
-        ctrl_series = self.controller_sampler.series.window(start, end)
-        switch_series = self.switch_sampler.series.window(start, end)
-        ctrl_usage = (ctrl_series.mean() if len(ctrl_series)
-                      else self.controller.usage_percent())
-        switch_usage = (switch_series.mean() if len(switch_series)
-                        else self.switch.usage_percent())
-        return RunMetrics(
-            window=window,
-            control_load_up_mbps=to_mbps(
-                self.capture_up.bytes_within(start, load_end) * 8
-                / load_window),
-            control_load_down_mbps=to_mbps(
-                self.capture_down.bytes_within(start, load_end) * 8
-                / load_window),
-            packet_in_count=self.capture_up.count("packetin"),
-            packet_in_retry_count=self._retry_count,
-            flow_mod_count=self.capture_down.count("flowmod"),
-            packet_out_count=self.capture_down.count("packetout"),
-            error_count=self.capture_up.count("errormsg"),
-            controller_usage_percent=ctrl_usage,
-            switch_usage_percent=switch_usage,
-            controller_usage_series=ctrl_series,
-            switch_usage_series=switch_series,
-            setup_delays=self.delay_tracker.setup_delays(),
-            controller_delays=self.delay_tracker.controller_delays(),
-            switch_delays=self.delay_tracker.switch_delays(),
-            forwarding_delays=self.delay_tracker.forwarding_delays(),
-            buffer_occupancy_series=self.buffer_sampler.series.window(
-                start, end),
-            buffer_peak_units=peak,
-            packet_ins_per_flow=self.delay_tracker.packet_ins_per_flow(),
-            completed_flows=self.delay_tracker.completed_flows,
-            total_flows=self.delay_tracker.total_flows,
-            packets_dropped=self.switch.datapath.packets_dropped,
-            flows_abandoned=getattr(mechanism, "flows_abandoned", 0),
-            incomplete=(self.delay_tracker.completed_flows
-                        < self.delay_tracker.total_flows),
-            buffer_full_rejections=(
-                getattr(buffer_obj, "full_rejections", 0)
-                if buffer_obj is not None else 0),
-        )
-
-
 def _merge_series(windows: List[TimeSeries], name: str,
                   combine) -> TimeSeries:
     """Fold per-switch sample series into one, sample by sample.
 
     All suite samplers tick on the same schedule, so samples align by
     index; the merge is truncated to the shortest series defensively.
+    ``combine`` receives one tuple of values per sample, in switch order.
     """
     merged = TimeSeries(name)
     if not windows:
         return merged
-    length = min(len(w) for w in windows)
-    for i in range(length):
-        merged.add(windows[0].times[i],
-                   combine([w.values[i] for w in windows]))
+    for time, values in zip(windows[0].times,
+                            zip(*(w.values for w in windows))):
+        merged.add(time, combine(values))
     return merged
 
 
-class PathMetricsSuite:
-    """Probes for a multi-switch path, condensed like a single run.
+def _mean(values) -> float:
+    return ordered_sum(values) / len(values)
 
-    The same :class:`RunMetrics` row shape comes out, with path-wide
-    semantics: control loads/counts sum over every switch's channel,
-    switch usage is the mean across switches (each a ``top``-style
-    reading), buffer occupancy and drops sum along the path, and the
-    §III.B delays become end-to-end path quantities (ingress measured at
-    the first hop, egress at the last, control everywhere — see
-    :meth:`DelayTracker.attach`).
+
+class MetricsSuite:
+    """Attach every probe the paper's figures need to a testbed's switches.
+
+    One suite serves every topology: captures and samplers are per-switch
+    lists (in path order), and :meth:`snapshot` folds them into the
+    :class:`RunMetrics` row with path-wide semantics: control loads/counts
+    sum over every switch's channel, switch usage is the mean across
+    switches (each a ``top``-style reading), buffer occupancy and drops
+    sum along the path, and the §III.B delays become end-to-end path
+    quantities (ingress measured at the first hop, egress at the last,
+    control everywhere — see :meth:`DelayTracker.attach`).  With one
+    switch every fold is ``0 + v`` or ``v / 1``, so the row is exactly
+    the single-switch reading.
     """
 
     def __init__(self, sim: Simulator, switches: List[Switch],
@@ -253,6 +153,8 @@ class PathMetricsSuite:
         self.sim = sim
         self.switches = list(switches)
         self.controller = controller
+        # Probe construction order fixes the sequence numbers of the
+        # samplers' periodic events; keep it.
         self.captures_up = [
             LinkCapture(cable.forward, name=f"{switch.name}-ctrl-up")
             for switch, cable in zip(switches, control_cables)]
@@ -299,21 +201,18 @@ class PathMetricsSuite:
         for sampler in self.buffer_samplers:
             sampler.stop()
 
-    def _buffer_peak(self) -> int:
-        peak = 0
-        for switch in self.switches:
-            buffer_obj = getattr(switch.mechanism, "buffer", None)
-            if buffer_obj is not None:
-                peak += buffer_obj.peak_units
-        return peak
-
     def snapshot(self, start: float, end: float,
                  load_end: Optional[float] = None) -> RunMetrics:
-        """Condense the path-wide collection over the active window.
+        """Condense everything collected over the active window.
 
-        Same window semantics as :meth:`MetricsSuite.snapshot`; every
-        per-switch probe is folded along the path as documented on the
-        class.
+        ``start``/``end`` bound the traffic-active period: CPU usage is
+        the mean of the sampled per-window readings inside it, which is
+        how ``top`` readings during the paper's tests behave (idle drain
+        time is excluded).  Control-path loads are normalized over
+        ``[start, load_end]`` — the send window — so a slow post-send
+        drain inflates delays (as it should) without *diluting* the load
+        figure.  ``load_end`` defaults to ``end``.  Per-switch probes
+        fold along the path as documented on the class.
         """
         if end <= start:
             raise ValueError(f"empty window [{start}, {end}]")
@@ -323,19 +222,23 @@ class PathMetricsSuite:
         load_window = load_end - start
         window = end - start
         ctrl_series = self.controller_sampler.series.window(start, end)
-        switch_windows = [s.series.window(start, end)
-                          for s in self.switch_samplers]
         switch_series = _merge_series(
-            switch_windows, "switch-usage",
-            lambda values: sum(values) / len(values))
+            [s.series.window(start, end) for s in self.switch_samplers],
+            "switch-usage", _mean)
         ctrl_usage = (ctrl_series.mean() if len(ctrl_series)
                       else self.controller.usage_percent())
         switch_usage = (switch_series.mean() if len(switch_series)
-                        else sum(s.usage_percent() for s in self.switches)
-                        / len(self.switches))
+                        else _mean([s.usage_percent()
+                                    for s in self.switches]))
         buffer_series = _merge_series(
             [s.series.window(start, end) for s in self.buffer_samplers],
-            "buffer-occupancy", sum)
+            "buffer-occupancy", ordered_sum)
+        peak = rejections = 0
+        for switch in self.switches:
+            buffer_obj = getattr(switch.mechanism, "buffer", None)
+            if buffer_obj is not None:
+                peak += buffer_obj.peak_units
+                rejections += buffer_obj.full_rejections
         return RunMetrics(
             window=window,
             control_load_up_mbps=to_mbps(
@@ -358,19 +261,19 @@ class PathMetricsSuite:
             switch_delays=self.delay_tracker.switch_delays(),
             forwarding_delays=self.delay_tracker.forwarding_delays(),
             buffer_occupancy_series=buffer_series,
-            buffer_peak_units=self._buffer_peak(),
+            buffer_peak_units=peak,
             packet_ins_per_flow=self.delay_tracker.packet_ins_per_flow(),
             completed_flows=self.delay_tracker.completed_flows,
             total_flows=self.delay_tracker.total_flows,
             packets_dropped=sum(s.datapath.packets_dropped
                                 for s in self.switches),
-            flows_abandoned=sum(
-                getattr(s.mechanism, "flows_abandoned", 0)
-                for s in self.switches),
+            flows_abandoned=sum(s.mechanism.flows_abandoned
+                                for s in self.switches),
             incomplete=(self.delay_tracker.completed_flows
                         < self.delay_tracker.total_flows),
-            buffer_full_rejections=sum(
-                getattr(getattr(s.mechanism, "buffer", None),
-                        "full_rejections", 0) or 0
-                for s in self.switches),
+            buffer_full_rejections=rejections,
         )
+
+
+#: The suite's former path-only name; ``perfbench/tracer.py`` imports it.
+PathMetricsSuite = MetricsSuite

@@ -32,14 +32,28 @@ class Summary:
                 f"min={self.minimum:.6g} max={self.maximum:.6g}")
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """``sum(values)``, added strictly left to right.
+
+    From Python 3.12 the builtin ``sum()`` compensates float rounding, so
+    the same samples sum to a different last bit than on 3.10/3.11.  This
+    loop makes the additions ``sum()`` made before 3.12, so every row is
+    bit-identical on every supported Python.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def summarize(values: Iterable[float]) -> Summary:
     """Population summary of ``values`` (std is the population std)."""
     data = list(values)
     if not data:
         return Summary.empty()
     n = len(data)
-    mean = sum(data) / n
-    variance = sum((v - mean) ** 2 for v in data) / n
+    mean = ordered_sum(data) / n
+    variance = ordered_sum((v - mean) ** 2 for v in data) / n
     return Summary(count=n, mean=mean, std=math.sqrt(variance),
                    minimum=min(data), maximum=max(data))
 

@@ -150,8 +150,7 @@ class RunObserver:
         envelope check).
         """
         if self.config.trace:
-            switches = list(getattr(testbed, "switches", None)
-                            or [testbed.switch])
+            switches = testbed.switches
             multi = len(switches) > 1
             mechanism = self.label or testbed.mechanism.name
             self.tracers = []

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..bufferpool import SCOPE_PORT, build_pool
 from ..controllersim import Controller, HostLocator, ReactiveForwardingApp
 from ..core import BufferConfig, create_mechanism
-from ..metrics import MetricsSuite, PathMetricsSuite
+from ..metrics import MetricsSuite
 from ..netsim import Host, Topology
 from ..obs.registry import MetricsRegistry
 from ..openflow import ControlChannel
@@ -177,11 +177,12 @@ def build_single(spec: ScenarioSpec, buffer_config: BufferConfig,
         locator=locator,
         idle_timeout=cal.controller.flow_idle_timeout,
         hard_timeout=cal.controller.flow_hard_timeout)
-    controller = Controller(sim, cal.controller, channel, app=app,
+    controller = Controller(sim, cal.controller, app=app,
                             registry=registry)
+    controller.attach_channel(channel, datapath_id=1)
 
     pktgen = PacketGenerator(sim, host1, workload)
-    metrics = MetricsSuite(sim, switch, controller, cable_ctrl,
+    metrics = MetricsSuite(sim, [switch], controller, [cable_ctrl],
                            workload.flows,
                            sampling_interval=sampling_interval)
 
@@ -279,9 +280,9 @@ def build_line(spec: ScenarioSpec, buffer_config: BufferConfig,
     topo.replace_node("controller", controller)
 
     pktgen = PacketGenerator(sim, host1, workload)
-    metrics = PathMetricsSuite(sim, switches, controller, control_cables,
-                               workload.flows,
-                               sampling_interval=sampling_interval)
+    metrics = MetricsSuite(sim, switches, controller, control_cables,
+                           workload.flows,
+                           sampling_interval=sampling_interval)
 
     return Testbed(sim=sim, topology=topo, hosts=[host1, host2],
                    switches=switches, controller=controller,
@@ -378,15 +379,16 @@ def build_fanin(spec: ScenarioSpec, buffer_config: BufferConfig,
         locator=locator,
         idle_timeout=cal.controller.flow_idle_timeout,
         hard_timeout=cal.controller.flow_hard_timeout)
-    controller = Controller(sim, cal.controller, channel, app=app,
+    controller = Controller(sim, cal.controller, app=app,
                             registry=registry)
+    controller.attach_channel(channel, datapath_id=1)
 
     pktgens = [PacketGenerator(sim, source, shard,
                                name=f"pktgen-{source.name}")
                for source, shard in zip(sources,
                                         shard_workload(workload,
                                                        n_sources))]
-    metrics = MetricsSuite(sim, switch, controller, cable_ctrl,
+    metrics = MetricsSuite(sim, [switch], controller, [cable_ctrl],
                            workload.flows,
                            sampling_interval=sampling_interval)
 

@@ -5,7 +5,7 @@ multiply (switches, hosts, control channels, packet generators) are
 lists, and the historical single-switch attribute surface (``switch``,
 ``host1``, ``pktgen``, ...) is preserved as properties so existing
 harness code, tests and examples keep working unchanged.  The runner
-(:func:`repro.experiments.runner.run_once`), the metrics suites and the
+(:func:`repro.experiments.runner.run_once`), the metrics suite and the
 observers (:mod:`repro.obs`) all consume this protocol and nothing else
 — which is what makes a new topology a one-builder plugin.
 """
@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, List, Optional
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..controllersim import Controller
     from ..core import BufferMechanism
+    from ..metrics import MetricsSuite
     from ..netsim import DuplexLink, Host, Topology
     from ..obs.registry import MetricsRegistry
     from ..openflow import ControlChannel
@@ -47,7 +48,7 @@ class Testbed:
     control_cables: List["DuplexLink"]
     mechanisms: List["BufferMechanism"]
     pktgens: List["PacketGenerator"]
-    metrics: Any
+    metrics: "MetricsSuite"
     rng: "RandomStreams"
     #: Shared registry holding every component's counters/gauges;
     #: ``repro.obs`` snapshots it at the end of a run.
@@ -100,24 +101,6 @@ class Testbed:
     # ------------------------------------------------------------------
     # Path-wide accounting
     # ------------------------------------------------------------------
-    @property
-    def n_switches(self) -> int:
-        """Switches on the data path."""
-        return len(self.switches)
-
-    @property
-    def control_captures_up(self) -> List[Any]:
-        """Per-switch switch→controller captures (from the metrics suite)."""
-        captures = getattr(self.metrics, "captures_up", None)
-        return captures if captures is not None else [self.metrics.capture_up]
-
-    @property
-    def control_captures_down(self) -> List[Any]:
-        """Per-switch controller→switch captures."""
-        captures = getattr(self.metrics, "captures_down", None)
-        return (captures if captures is not None
-                else [self.metrics.capture_down])
-
     def packet_ins_per_switch(self) -> List[int]:
         """Requests each switch generated, in path order."""
         return [switch.agent.packet_ins_sent for switch in self.switches]
@@ -128,8 +111,8 @@ class Testbed:
 
     def total_control_bytes(self) -> int:
         """Control-path bytes across every channel, both directions."""
-        return (sum(c.bytes_total for c in self.control_captures_up)
-                + sum(c.bytes_total for c in self.control_captures_down))
+        return (self.metrics.capture_up.bytes_total
+                + self.metrics.capture_down.bytes_total)
 
     # ------------------------------------------------------------------
     # Lifecycle

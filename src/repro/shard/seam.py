@@ -205,17 +205,12 @@ class ShardContext:
     def _mute_samplers(self) -> None:
         metrics = self.testbed.metrics
         controller_owner = self.plan.controller_shard == self.shard_index
-        if hasattr(metrics, "switch_samplers"):      # PathMetricsSuite
-            for switch, cpu, gauge in zip(metrics.switches,
-                                          metrics.switch_samplers,
-                                          metrics.buffer_samplers):
-                if not self._owned(switch.name):
-                    cpu.stop()
-                    gauge.stop()
-        else:                                        # MetricsSuite
-            if not self._owned(metrics.switch.name):
-                metrics.switch_sampler.stop()
-                metrics.buffer_sampler.stop()
+        for switch, cpu, gauge in zip(metrics.switches,
+                                      metrics.switch_samplers,
+                                      metrics.buffer_samplers):
+            if not self._owned(switch.name):
+                cpu.stop()
+                gauge.stop()
         if not controller_owner:
             metrics.controller_sampler.stop()
 

@@ -31,43 +31,30 @@ _RECORD_FIELDS = ("first_ingress", "first_packet_uid",
 
 def _suite_captures(metrics) -> Dict[Tuple[str, int], Any]:
     """Capture objects keyed by (direction, switch index)."""
-    if hasattr(metrics, "captures_up"):          # PathMetricsSuite
-        table: Dict[Tuple[str, int], Any] = {}
-        for i, capture in enumerate(metrics.captures_up):
-            table[("up", i)] = capture
-        for i, capture in enumerate(metrics.captures_down):
-            table[("down", i)] = capture
-        return table
-    return {("up", 0): metrics.capture_up,       # MetricsSuite
-            ("down", 0): metrics.capture_down}
+    table: Dict[Tuple[str, int], Any] = {}
+    for i, capture in enumerate(metrics.captures_up):
+        table[("up", i)] = capture
+    for i, capture in enumerate(metrics.captures_down):
+        table[("down", i)] = capture
+    return table
 
 
 def _suite_samplers(metrics) -> Dict[Tuple[str, int], Any]:
     """Sampler objects keyed by (kind, switch index)."""
-    if hasattr(metrics, "switch_samplers"):      # PathMetricsSuite
-        table: Dict[Tuple[str, int], Any] = {}
-        for i, sampler in enumerate(metrics.switch_samplers):
-            table[("switch", i)] = sampler
-        for i, sampler in enumerate(metrics.buffer_samplers):
-            table[("buffer", i)] = sampler
-        table[("controller", 0)] = metrics.controller_sampler
-        return table
-    return {("switch", 0): metrics.switch_sampler,
-            ("buffer", 0): metrics.buffer_sampler,
-            ("controller", 0): metrics.controller_sampler}
-
-
-def _suite_switches(metrics) -> List[Any]:
-    if hasattr(metrics, "switches"):
-        return list(metrics.switches)
-    return [metrics.switch]
+    table: Dict[Tuple[str, int], Any] = {}
+    for i, sampler in enumerate(metrics.switch_samplers):
+        table[("switch", i)] = sampler
+    for i, sampler in enumerate(metrics.buffer_samplers):
+        table[("buffer", i)] = sampler
+    table[("controller", 0)] = metrics.controller_sampler
+    return table
 
 
 def extract_state(context) -> Dict[str, Any]:
     """This shard's owned measurement state, as plain picklable data."""
     testbed, plan, me = context.testbed, context.plan, context.shard_index
     metrics = testbed.metrics
-    switches = _suite_switches(metrics)
+    switches = metrics.switches
 
     def owner_of(key: Tuple[str, int]) -> int:
         kind, index = key
@@ -95,9 +82,9 @@ def extract_state(context) -> Dict[str, Any]:
         buffer_obj = getattr(switch.mechanism, "buffer", None)
         counters[switch.name] = {
             "dropped": switch.datapath.packets_dropped,
-            "abandoned": getattr(switch.mechanism, "flows_abandoned", 0),
+            "abandoned": switch.mechanism.flows_abandoned,
             "peak": buffer_obj.peak_units if buffer_obj is not None else 0,
-            "rejections": (getattr(buffer_obj, "full_rejections", 0)
+            "rejections": (buffer_obj.full_rejections
                            if buffer_obj is not None else 0),
         }
 
@@ -156,15 +143,6 @@ def merge_records(parent_records: Dict[int, Any],
         record.packet_ins_sent = sum(by_field["packet_ins_sent"])
 
 
-def _set_metric_value(obj, attribute: str, value) -> None:
-    """Assign a counter that may be a plain int or a registry metric."""
-    current = getattr(obj, attribute)
-    if hasattr(current, "value"):
-        current.value = value
-    else:
-        setattr(obj, attribute, value)
-
-
 def graft_states(parent_testbed, plan: PartitionPlan,
                  states: List[Dict[str, Any]]) -> None:
     """Copy every shard's owned state onto the parent's idle replicas."""
@@ -177,7 +155,7 @@ def graft_states(parent_testbed, plan: PartitionPlan,
 
     capture_table = _suite_captures(metrics)
     sampler_table = _suite_samplers(metrics)
-    switches = {s.name: s for s in _suite_switches(metrics)}
+    switches = {s.name: s for s in metrics.switches}
     for state in states:
         for key, payload in state["captures"].items():
             records, bytes_total, by_kind, bytes_by_kind = payload
@@ -197,8 +175,7 @@ def graft_states(parent_testbed, plan: PartitionPlan,
         for name, counts in state["counters"].items():
             switch = switches[name]
             switch.datapath._dropped.value = counts["dropped"]
-            if hasattr(switch.mechanism, "flows_abandoned"):
-                switch.mechanism.flows_abandoned = counts["abandoned"]
+            switch.mechanism.flows_abandoned = counts["abandoned"]
             buffer_obj = getattr(switch.mechanism, "buffer", None)
             if buffer_obj is not None:
                 if hasattr(buffer_obj, "_peak"):

@@ -34,7 +34,8 @@ def _controller(sim, config=None, locator=None):
     to_switch = []
     channel.bind_switch(to_switch.append)
     app = ReactiveForwardingApp(locator=locator or _provisioned_locator())
-    controller = Controller(sim, config, channel, app=app)
+    controller = Controller(sim, config, app=app)
+    controller.attach_channel(channel, datapath_id=1)
     return controller, channel, to_switch
 
 

@@ -89,6 +89,8 @@ def test_ops_addition_and_total():
 def test_percent_reduction_basic():
     assert percent_reduction([10, 10], [5, 5]) == pytest.approx(50.0)
     assert percent_reduction([10], [12]) == pytest.approx(-20.0)
+    # Left-to-right on every Python (3.12's builtin sum() gives 10.0).
+    assert percent_reduction([10.0] * 10, [9.0] * 10) == 9.999999999999998
 
 
 def test_percent_increase_is_negated_reduction():

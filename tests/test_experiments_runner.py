@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import buffer_256, flow_buffer_256
@@ -9,9 +11,10 @@ from repro.experiments import (FIGURES, ExperimentData, aggregate,
                                figure_series, format_figure,
                                format_headlines, format_table_1,
                                headline_claims, run_benefits_experiment,
-                               run_mechanism_experiment, sweep,
+                               run_mechanism_experiment, run_once, sweep,
                                workload_a_factory, workload_b_factory)
 from repro.experiments.cli import main as cli_main
+from repro.simkit import mbps
 
 _TINY_RATES = (20, 80)
 
@@ -59,6 +62,14 @@ def test_row_at_and_series():
 def test_aggregate_requires_runs():
     with pytest.raises(ValueError):
         aggregate(10.0, "x", [])
+
+
+def test_aggregate_means_add_left_to_right_on_every_python():
+    run = run_once(buffer_256(), workload_a_factory(n_flows=5)(mbps(20), None),
+                   seed=1)
+    runs = [dataclasses.replace(run, control_load_up_mbps=0.1)] * 10
+    # Python 3.12's builtin sum() rounds this mean to exactly 0.1.
+    assert aggregate(20.0, "x", runs).load_up_mbps == 0.09999999999999999
 
 
 def test_sweep_validation():
@@ -157,6 +168,29 @@ def test_cli_table1(capsys):
 
 def test_cli_rejects_unknown_target(capsys):
     assert cli_main(["fig99"]) == 2
+
+
+@pytest.mark.parametrize("argv", (
+    ["fig2a", "--flows", "0"],
+    ["fig2a", "--rates", "0"],
+    ["fig2a", "--rates", "20", "-5"],
+    ["fig2a", "--rates", "nan"],
+    ["fig2a", "--reps", "0"],
+    ["fig2a", "--workers", "0"],
+    ["fig2a", "--trace-sample", "0"],
+    ["figscale", "--scale-flows", "1000", "0"],
+), ids=lambda argv: " ".join(argv[1:]))
+def test_cli_rejects_unusable_sizes_before_any_task(argv, capsys,
+                                                     monkeypatch):
+    from repro.experiments import cli as cli_module
+    ran = []
+    for runner_name in ("run_benefits_experiment", "run_figscale_experiment"):
+        monkeypatch.setattr(cli_module, runner_name,
+                            lambda **kwargs: ran.append(kwargs))
+    code = cli_module.main([*argv, "--no-cache"])
+    assert code == 2
+    assert ran == []
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_cli_runs_tiny_figure(capsys):

@@ -94,9 +94,9 @@ def test_flow_granularity_on_a_line():
 
 def test_per_switch_captures_see_their_own_channel_only():
     testbed = _run(buffer_256(), n_switches=2, n_flows=10)
-    for capture in testbed.control_captures_up:
+    for capture in testbed.metrics.captures_up:
         assert capture.count("packetin") == 10
-    for capture in testbed.control_captures_down:
+    for capture in testbed.metrics.captures_down:
         assert capture.count("flowmod") == 10
         assert capture.count("packetout") == 10
     testbed.shutdown()
