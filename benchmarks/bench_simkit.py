@@ -21,7 +21,8 @@ from repro.core import buffer_256, flow_buffer_256
 from repro.engine import HYBRID
 from repro.experiments import run_once, scale_workload
 from repro.scenarios import SINGLE
-from repro.openflow import PacketBuffer
+from repro.openflow import (FlowEntry, FlowTable, Match, OutputAction,
+                            PacketBuffer)
 from repro.packets import udp_packet
 from repro.simkit import ServiceStation, Simulator, mbps
 from repro.trafficgen import batched_multi_packet_flows, single_packet_flows
@@ -114,6 +115,77 @@ def _pktbuf_private_run():
         buffer.release(buffer_id, now)
         now += 0.001
     return buffer.total_released
+
+
+class ScanExpiryTable(FlowTable):
+    """A flow table whose sweep checks every live rule, as every sweep
+    did before the deadline index (DESIGN.md §22).
+
+    The reference that the ``expiry_sweep`` probe and
+    ``tests/test_flowtable_stateful.py`` hold the index to: same
+    removals, same report order, same listener calls.
+    """
+
+    def expire(self, now):
+        expired = []
+        for key, entry in list(self._exact.items()):
+            if entry.is_expired(now):
+                del self._exact[key]
+                expired.append(entry)
+        keep = []
+        for entry in self._wildcards:
+            if entry.is_expired(now):
+                expired.append(entry)
+            else:
+                keep.append(entry)
+        self._wildcards = keep
+        if expired:
+            self._expired(expired, now)
+        return expired
+
+
+#: The expiry_sweep probe: EXPIRY_PER_SWEEP exact rules with a 5 s idle
+#: timeout arrive between consecutive 100 ms sweeps, so once the table
+#: has filled ~3000 rules are live and ~2% fall due at each sweep —
+#: scale_hybrid's shape (587 live rules, ~12 due per sweep).
+EXPIRY_SWEEPS = 150
+EXPIRY_PER_SWEEP = 60
+#: Rules the probe's sweeps expire, index and reference scan alike.
+EXPIRY_EXPIRED = 6001
+
+
+def _expiry_rules():
+    """The probe's rules, built once and reinstalled by every run
+    (``insert`` resets their timestamps), so runs time only inserts
+    and sweeps."""
+    rules = []
+    for i in range(EXPIRY_SWEEPS * EXPIRY_PER_SWEEP):
+        packet = udp_packet("00:00:00:00:00:01", "00:00:00:00:00:02",
+                            f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}",
+                            "10.255.0.1", 1024, 9)
+        rules.append(FlowEntry(
+            match=Match.exact_from_packet(packet, in_port=1),
+            actions=(OutputAction(2),), idle_timeout=5.0))
+    return rules
+
+
+def _expiry_sweep_run(rules, table_cls=FlowTable):
+    """15 s of 100 ms sweeps over a table that fills to ~3000 rules."""
+    table = table_cls(capacity=len(rules))
+    expired = 0
+    for sweep in range(EXPIRY_SWEEPS):
+        for i in range(sweep * EXPIRY_PER_SWEEP,
+                       (sweep + 1) * EXPIRY_PER_SWEEP):
+            table.insert(rules[i], i / (10 * EXPIRY_PER_SWEEP))
+        expired += len(table.expire((sweep + 1) / 10))
+    return expired
+
+
+def expiry_sweep_pair():
+    """The probe's two sides, full-scan reference first, sharing rules."""
+    rules = _expiry_rules()
+    return (lambda: _expiry_sweep_run(rules, ScanExpiryTable),
+            lambda: _expiry_sweep_run(rules))
 
 
 #: Best-of rounds for the full-testbed probe, recorded and gated alike.
@@ -226,6 +298,14 @@ def test_station_throughput(benchmark):
     assert completed == 10_000
 
 
+def test_expiry_sweep(benchmark):
+    """The deadline-indexed sweep; gated by ``perf_gate.py`` as a paired
+    ratio against the full-scan reference, which must agree with it."""
+    scan, indexed = expiry_sweep_pair()
+    expired = benchmark.pedantic(indexed, rounds=3, iterations=1)
+    assert expired == scan() == EXPIRY_EXPIRED
+
+
 def test_full_testbed_event_cost(benchmark):
     """Flows/sec through the discrete miss path: every flow a table miss.
 
@@ -286,6 +366,9 @@ def main(argv=None):
     workload = _hybrid_flow_workload()
     after["hybrid_flows"] = kernelrecord.best_of(
         lambda: _hybrid_flow_run(workload), rounds=1)
+    # The expiry sweep against its full-scan reference, interleaved in
+    # this process: the reference is the *before*.
+    expiry = kernelrecord.paired_best(*expiry_sweep_pair())
     window = _testbed_run().window
     # Observability overhead, self-relative on this machine: profiled /
     # plain event loop and traced / plain testbed wall times, measured
@@ -300,6 +383,8 @@ def main(argv=None):
     record = kernelrecord.build_record(
         after, testbed_window_s=window,
         components=_testbed_components(), obs_overhead=obs_overhead)
+    record["benchmarks"]["expiry_sweep"] = kernelrecord.paired_entry(
+        "expiry_sweep", *expiry)
     path = (kernelrecord.BASELINE_PATH if args.update_baseline
             else kernelrecord.OUTPUT_PATH)
     # The shard scaling curve is measured by bench_shard.py, not here;

@@ -24,7 +24,7 @@ import os
 import pathlib
 import platform
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_kernel.json"
@@ -69,8 +69,8 @@ BEFORE_SECONDS = {
 
 #: Work units executed per probe run (events for the chains, jobs for
 #: the station, flows for the testbed and hybrid scale probes, packets
-#: for workload generation; the testbed probe also reports simulated
-#: seconds per wall second).
+#: for workload generation, sweeps for the expiry probe; the testbed
+#: probe also reports simulated seconds per wall second).
 PROBE_UNITS = {
     "event_loop": 20_000,
     "event_loop_until": 20_000,
@@ -80,6 +80,7 @@ PROBE_UNITS = {
     "full_testbed": 500,
     "workload_generation": 36_800,
     "hybrid_flows": 100_000,
+    "expiry_sweep": 150,
 }
 
 
@@ -95,6 +96,21 @@ def best_of(fn: Callable[[], object], rounds: int = 5) -> float:
     return best
 
 
+def paired_best(base_fn: Callable[[], object],
+                probe_fn: Callable[[], object],
+                rounds: int = 5) -> Tuple[float, float]:
+    """Best-of-N wall times ``(base, probe)``, measured interleaved."""
+    base = probe = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        base_fn()
+        base = min(base, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        probe_fn()
+        probe = min(probe, time.perf_counter() - t0)
+    return base, probe
+
+
 def paired_ratio(base_fn: Callable[[], object],
                  probe_fn: Callable[[], object],
                  rounds: int = 5) -> float:
@@ -104,16 +120,10 @@ def paired_ratio(base_fn: Callable[[], object],
     CPU-frequency/thermal state, which makes the ratio far more stable
     on noisy machines than two independent :func:`best_of` calls — the
     right tool for self-relative overhead probes (profiler on/off,
-    tracer on/off).
+    tracer on/off) and for a code path against its in-process reference
+    (the indexed expiry sweep against the full scan).
     """
-    base = probe = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        base_fn()
-        base = min(base, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        probe_fn()
-        probe = min(probe, time.perf_counter() - t0)
+    base, probe = paired_best(base_fn, probe_fn, rounds)
     return probe / base
 
 
@@ -199,6 +209,25 @@ def build_record(after_seconds: Dict[str, float],
         record["obs_overhead"] = {name: round(ratio, 3)
                                   for name, ratio in obs_overhead.items()}
     return record
+
+
+def paired_entry(name: str, before_s: float,
+                 after_s: float) -> Dict[str, object]:
+    """Record a probe whose *before* is a reference measured alongside it.
+
+    ``before_s`` and ``after_s`` are the two sides of one
+    :func:`paired_best` session on this machine, so the stored
+    ``paired_ratio`` (after / before) is the number a paired gate checks.
+    """
+    return {
+        "units": PROBE_UNITS.get(name, None),
+        "before": _rates(name, before_s),
+        "after": _rates(name, after_s),
+        "speedup": round(before_s / after_s, 2),
+        "paired_ratio": round(after_s / before_s, 3),
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+    }
 
 
 def write_record(record: Dict[str, object], path: pathlib.Path) -> None:

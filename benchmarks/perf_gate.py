@@ -27,6 +27,13 @@ pathological regressions).  The paired ratios are machine-independent;
 only the disabled-path check compares against the committed record, so
 CI passes a wider disabled tolerance for runner noise.
 
+The **expiry-sweep probe** times 15 s of 100 ms flow-table sweeps
+(~3000 live rules, ~2% due per sweep) against the full-scan reference
+the deadline index replaced, paired in-process, and fails when the
+index costs more than ``EXPIRY_SWEEP_BUDGET`` of the scan.  Like the
+enabled-profiler check it needs no committed baseline, so it does not
+depend on the host's speed or phase.
+
 Finally, the **shard-scaling probe** (skippable with
 ``--no-shard-probe``) re-measures the 2-worker sharded speedup on
 line:4 live and enforces the committed
@@ -71,6 +78,30 @@ GATED_PROBES = {
 }
 
 
+#: The indexed sweep's allowed cost relative to the full scan on the
+#: ``expiry_sweep`` probe.  It measures ~0.2–0.3 on 2 vCPUs; a sweep
+#: that fell back to checking every rule would read ~1.
+EXPIRY_SWEEP_BUDGET = 0.5
+
+
+def _import_bench_simkit():
+    sys.path.insert(0, str(kernelrecord.REPO_ROOT / "src"))
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+    import bench_simkit
+    return bench_simkit
+
+
+def expiry_sweep_probe() -> bool:
+    """Gate the indexed expiry sweep against its full-scan reference."""
+    ratio = kernelrecord.paired_ratio(
+        *_import_bench_simkit().expiry_sweep_pair())
+    passed = ratio <= EXPIRY_SWEEP_BUDGET
+    print(f"perf-gate: expiry sweep          {ratio:6.3f}x full scan "
+          f"(budget {EXPIRY_SWEEP_BUDGET:.2f}x)  "
+          f"{'ok' if passed else 'REGRESSED'}")
+    return passed
+
+
 def obs_overhead_probe(report, baseline, disabled_tol: float,
                        enabled_tol: float, trace_tol: float) -> bool:
     """Gate the observability layer's cost; returns True when it passes.
@@ -81,9 +112,7 @@ def obs_overhead_probe(report, baseline, disabled_tol: float,
     (profiled/plain event loop, traced/plain testbed) that need no
     committed baseline at all.
     """
-    sys.path.insert(0, str(kernelrecord.REPO_ROOT / "src"))
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-    import bench_simkit
+    bench_simkit = _import_bench_simkit()
 
     ok = True
     committed = baseline["benchmarks"]["event_loop"]["after"][
@@ -213,6 +242,7 @@ def main(argv=None) -> int:
         failed = (not obs_overhead_probe(
             report, baseline, args.obs_disabled_tolerance,
             args.obs_enabled_tolerance, args.obs_trace_tolerance)) or failed
+    failed = (not expiry_sweep_probe()) or failed
     if not args.no_shard_probe:
         failed = (not shard_scaling_probe(baseline)) or failed
     if failed:

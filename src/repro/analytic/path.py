@@ -52,11 +52,29 @@ def hit_path_latency(calibration, n_switches: int, wire_len: int) -> float:
     """
     if n_switches < 1:
         raise ValueError(f"need at least one switch, got {n_switches}")
+    return n_switches * _hop_time(calibration, wire_len)
+
+
+def hit_path_lookup_leads(calibration, n_switches: int,
+                          wire_len: int) -> list:
+    """How long before its last-switch egress each switch looks a packet up.
+
+    The unloaded path of :func:`hit_path_latency`: the last switch's
+    lookup precedes the egress stamp by its egress handling, and each
+    switch before it looks the packet up one hop earlier still.
+    """
+    hop = _hop_time(calibration, wire_len)
+    egress = calibration.switch.egress_cost_per_packet
+    return [egress + (n_switches - 1 - index) * hop
+            for index in range(n_switches)]
+
+
+def _hop_time(calibration, wire_len: int) -> float:
+    """One data link into a switch plus one datapath traversal of it."""
     switch = calibration.switch
     tx = transmission_time(wire_len, calibration.data_link_rate_bps)
-    per_hop = (tx + calibration.link_propagation_delay
-               + switch.dp_cost_per_packet + switch.egress_cost_per_packet)
-    return n_switches * per_hop
+    return (tx + calibration.link_propagation_delay
+            + switch.dp_cost_per_packet + switch.egress_cost_per_packet)
 
 
 def hit_path_spacing(calibration, wire_len: int) -> float:

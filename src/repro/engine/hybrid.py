@@ -22,7 +22,11 @@ wall-clock.  The :class:`HybridFlowDriver` exploits exactly that split:
   packets are pure hit-path traffic, and the driver advances them
   **analytically** — latency and finite-rate occupancy from
   :mod:`repro.analytic.path` — as one
-  :class:`~repro.simkit.AggregateEvent` per burst segment.  Completion
+  :class:`~repro.simkit.AggregateEvent` per burst segment.  When a
+  segment starts, the flow's rule on every path switch is credited
+  with its packets and bytes and its ``last_used`` moves to the
+  segment's last lookup there, so the rule idles out when the packet
+  engine's would, not while the segment still runs.  Completion
   credits the datapath counters, the delay tracker and the pktgen in
   bulk.
 * An inter-packet gap of at least ``burst_gap`` (default: the
@@ -40,10 +44,12 @@ cross-engine tolerances.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..analytic.path import (arithmetic_last_egress, hit_path_latency,
-                             hit_path_spacing, train_last_egress)
+                             hit_path_lookup_leads, hit_path_spacing,
+                             train_last_egress)
 from ..simkit import AggregateEvent, ArithmeticTimes
 
 # NOTE: nothing from repro.scenarios may be imported at module level —
@@ -106,6 +112,9 @@ class HybridFlowDriver:
         self._calibration = calibration
         self._n_switches = len(testbed.switches)
         self._path_cache: Dict[int, tuple] = {}
+        #: Each path switch's ingress port for this source's flows,
+        #: learned from their table misses (the rules they ride match it).
+        self._in_ports: List[Optional[int]] = [None] * self._n_switches
         # Observability: engine counters on the testbed registry (shared
         # across drivers through get-or-create).
         registry = testbed.registry
@@ -173,6 +182,13 @@ class HybridFlowDriver:
         # are installed path-wide.
         self.testbed.switches[-1].events.on("packet_egress",
                                             self._on_egress)
+        for index, switch in enumerate(self.testbed.switches):
+            switch.events.on("table_miss", partial(self._on_miss, index))
+
+    def _on_miss(self, index: int, time: float, packet,
+                 in_port: int) -> None:
+        if packet.flow_id in self._states:
+            self._in_ports[index] = in_port
 
     # ------------------------------------------------------------------
     # Discrete path (first packets and pre-open tails)
@@ -224,7 +240,7 @@ class HybridFlowDriver:
         if state.next_index >= len(state.times):
             state.done = True
             return
-        self._aggregate_from(state, time)
+        self._aggregate_from(state, time, packet)
 
     def _seq_at(self, state: _FlowState, index: int) -> int:
         if state.packets is not None:
@@ -242,14 +258,21 @@ class HybridFlowDriver:
     def _path_model(self, wire_len: int) -> tuple:
         model = self._path_cache.get(wire_len)
         if model is None:
-            model = (hit_path_latency(self._calibration, self._n_switches,
-                                      wire_len),
-                     hit_path_spacing(self._calibration, wire_len))
+            calibration, n_switches = self._calibration, self._n_switches
+            model = (hit_path_latency(calibration, n_switches, wire_len),
+                     hit_path_spacing(calibration, wire_len),
+                     hit_path_lookup_leads(calibration, n_switches,
+                                           wire_len))
             self._path_cache[wire_len] = model
         return model
 
-    def _aggregate_from(self, state: _FlowState, opened_at: float) -> None:
-        """Advance one burst segment analytically from ``next_index``."""
+    def _aggregate_from(self, state: _FlowState, opened_at: float,
+                        opener) -> None:
+        """Advance one burst segment analytically from ``next_index``.
+
+        ``opener`` is the flow packet whose egress opened the segment;
+        its rule on each switch is the one the segment's packets hit.
+        """
         times = state.times
         total = len(times)
         start = state.next_index
@@ -263,7 +286,7 @@ class HybridFlowDriver:
                    and times[end] - times[end - 1] < self.burst_gap):
                 end += 1
         count = end - start
-        latency, spacing = self._path_model(
+        latency, spacing, leads = self._path_model(
             self._wire_len_at(state, start))
         first = max(self._base + times[start], opened_at)
         if isinstance(times, ArithmeticTimes):
@@ -278,6 +301,11 @@ class HybridFlowDriver:
                          for k in range(start, end)) \
             if state.packets is not None \
             else count * self._wire_len_at(state, start)
+        for datapath, in_port, lead in zip(self._datapaths, self._in_ports,
+                                           leads):
+            if in_port is not None:
+                datapath.credit_hits(opener, in_port, count, wire_bytes,
+                                     last_egress - lead)
         if state.packets is not None:
             for k in range(start, end):
                 state.packets[k] = None  # accounted analytically

@@ -15,17 +15,26 @@ full table costs O(log n) amortized instead of a scan of the table.  The
 heap is built at a table's first eviction and dropped once most of it is
 stale, so tables that never fill hold no index at all (DESIGN.md §19).
 
-Every expiry — the periodic :meth:`FlowTable.expire` sweep, the lazy
-removal of an expired rule that a lookup finds, and the sweep a DELETE
-makes first — is counted in ``expirations`` and reported to the table's
-``on_expire`` listener, which the switch datapath turns into
-``flow_expired`` events (and so into FlowRemoved messages).
+The periodic :meth:`FlowTable.expire` sweep finds expired exact
+entries through a second lazily validated heap, keyed by each entry's
+earliest possible expiry, so a sweep examines only the entries that are
+due instead of every live rule.  It removes exactly the entries a full
+scan would, reports them in the scan's order, and is built at the first
+sweep at which any rule could be due (DESIGN.md §22).  Wildcard entries
+are still scanned.
+
+Every expiry — the periodic sweep, the lazy removal of an expired rule
+that a lookup finds, and the sweep a DELETE makes first — is counted in
+``expirations`` and reported to the table's ``on_expire`` listener,
+which the switch datapath turns into ``flow_expired`` events (and so
+into FlowRemoved messages).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from operator import attrgetter
 from typing import Callable, Optional, Tuple
@@ -51,6 +60,15 @@ def _exact_key_from_match(match: Match) -> Optional[tuple]:
     return values
 
 
+#: A sweep at ``now`` examines every deadline item keyed at or below
+#: ``now + |now| * _DUE_MARGIN``.  ``is_expired`` compares a rounded
+#: difference (``now - last_used >= idle``) while the key is a rounded
+#: sum (``last_used + idle``); for non-negative times the two roundings
+#: put an expired entry's key at most ``now * (1 + 2**-53)**2`` above
+#: ``now``, well inside this margin (DESIGN.md §22).
+_DUE_MARGIN = 2.0 ** -50
+
+
 @dataclass
 class FlowEntry:
     """One installed rule."""
@@ -68,12 +86,33 @@ class FlowEntry:
     packet_count: int = 0
     byte_count: int = 0
     entry_id: int = field(default_factory=lambda: next(_entry_ids))
+    #: Rank of this rule's key in its table's exact-index order, which
+    #: is the order a full sweep reports expiries in.  Set by the table
+    #: while its deadline index exists; a same-key replacement inherits
+    #: the replaced rule's rank, as it inherits its dict position.
+    key_rank: int = field(default=0, init=False, repr=False,
+                          compare=False)
 
     def touch(self, now: float, wire_len: int) -> None:
-        """Record a packet hit."""
-        self.last_used = now
+        """Record a packet hit (see :meth:`credit` on ``last_used``)."""
+        if now > self.last_used:
+            self.last_used = now
         self.packet_count += 1
         self.byte_count += wire_len
+
+    def credit(self, packets: int, byte_count: int,
+               last_used: float) -> None:
+        """Record ``packets`` hits, the last of them at ``last_used``.
+
+        ``last_used`` never moves backwards: the hybrid engine credits a
+        whole segment ahead of time (its last lookup lies in the
+        future), and a packet still queued from before can hit the rule
+        after that.  Both flow-table indexes rely on it only growing.
+        """
+        if last_used > self.last_used:
+            self.last_used = last_used
+        self.packet_count += packets
+        self.byte_count += byte_count
 
     def is_expired(self, now: float) -> bool:
         """Idle or hard timeout elapsed?"""
@@ -82,6 +121,25 @@ class FlowEntry:
         if self.idle_timeout > 0 and now - self.last_used >= self.idle_timeout:
             return True
         return False
+
+
+def _deadline(entry: FlowEntry) -> float:
+    """The earliest time ``entry`` can expire (``inf`` if it never does).
+
+    It only grows: hits move ``last_used`` forward and ``installed_at``
+    is fixed at insert.
+    """
+    deadline = math.inf
+    if entry.hard_timeout > 0:
+        deadline = entry.installed_at + entry.hard_timeout
+    if entry.idle_timeout > 0:
+        idle_deadline = entry.last_used + entry.idle_timeout
+        if idle_deadline < deadline:
+            deadline = idle_deadline
+    return deadline
+
+
+_key_rank = attrgetter("key_rank")
 
 
 class FlowTable:
@@ -93,8 +151,8 @@ class FlowTable:
     for every entry that leaves the table because it timed out.
 
     Every call must pass a ``now`` no earlier than the previous call's
-    (simulated time): the eviction heap relies on an entry's score only
-    ever growing.
+    (simulated time, never negative): the eviction heap and the deadline
+    index rely on an entry's score and deadline only ever growing.
     """
 
     def __init__(self, capacity: int = 2048, eviction: str = "lru",
@@ -118,6 +176,17 @@ class FlowTable:
         self._push_seq = itertools.count()
         self._score = attrgetter("last_used" if eviction == "lru"
                                  else "installed_at")
+        #: Expiry index over the timed exact entries: a heap of
+        #: ``(deadline, entry_id, key, entry)`` items, ``None`` until a
+        #: sweep could find a rule due (see :meth:`_expire_exact`).
+        #: Exact entries never share an ``entry_id``, so only items of
+        #: one entry can tie up to their entries, which then compare
+        #: equal as the same object.
+        self._deadlines: Optional[list] = None
+        #: While there is no deadline index: a lower bound on every live
+        #: exact entry's deadline.
+        self._due_floor = math.inf
+        self._key_ranks = itertools.count()
         #: Mutation counter: any structural change bumps this, letting
         #: exact-match caches above the table validate their entries.
         self.generation = 0
@@ -180,6 +249,21 @@ class FlowTable:
             self.hits += 1
         return best
 
+    def find(self, packet: Packet, in_port: int,
+             now: float) -> Optional[FlowEntry]:
+        """The live entry :meth:`lookup` would return, without its side
+        effects: nothing is counted, touched or removed."""
+        best = self._exact.get(packet.exact_key(in_port))
+        if best is not None and best.is_expired(now):
+            best = None
+        for entry in self._wildcards:
+            if best is not None and entry.priority <= best.priority:
+                break
+            if (not entry.is_expired(now)
+                    and entry.match.matches(packet, in_port)):
+                return entry
+        return best
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -194,7 +278,8 @@ class FlowTable:
         key = _exact_key_from_match(entry.match)
         replaced = False
         if key is not None:
-            replaced = key in self._exact
+            replaced_exact = self._exact.get(key)
+            replaced = replaced_exact is not None
         else:
             for i, existing in enumerate(self._wildcards):
                 if (existing.match == entry.match
@@ -214,6 +299,7 @@ class FlowTable:
 
         if key is not None:
             self._exact[key] = entry
+            self._index_deadline(key, entry, replaced_exact)
             heap = self._heap
             if heap is not None:
                 heapq.heappush(heap, (now, entry.entry_id,
@@ -227,6 +313,26 @@ class FlowTable:
         self.insertions += 1
         self.generation += 1
         return evicted
+
+    def _index_deadline(self, key: tuple, entry: FlowEntry,
+                        replaced: Optional[FlowEntry]) -> None:
+        """Track ``entry``, just installed at ``key`` over ``replaced``."""
+        deadline = _deadline(entry)
+        deadlines = self._deadlines
+        if deadlines is None:
+            if deadline < self._due_floor:
+                self._due_floor = deadline
+            return
+        # A replacement keeps its key's place in key order.
+        entry.key_rank = (replaced.key_rank if replaced is not None
+                          else next(self._key_ranks))
+        if deadline != math.inf:
+            heapq.heappush(deadlines, (deadline, entry.entry_id, key, entry))
+            if len(deadlines) > 2 * len(self._exact):
+                # Mostly stale items: rebuilt by the first sweep that
+                # reaches the least key, a bound on every live deadline.
+                self._due_floor = deadlines[0][0]
+                self._deadlines = None
 
     def _evict_one(self) -> FlowEntry:
         """Remove one entry according to the eviction policy."""
@@ -316,12 +422,13 @@ class FlowTable:
         return removed
 
     def expire(self, now: float) -> list[FlowEntry]:
-        """Sweep out every expired entry; returns what was removed."""
-        expired: list[FlowEntry] = []
-        for key, entry in list(self._exact.items()):
-            if entry.is_expired(now):
-                del self._exact[key]
-                expired.append(entry)
+        """Sweep out every expired entry; returns what was removed.
+
+        Exact entries come first, in the table's key order, then
+        wildcards in priority order — the order a scan of the table
+        meets them in.
+        """
+        expired = self._expire_exact(now)
         keep = []
         for entry in self._wildcards:
             if entry.is_expired(now):
@@ -332,6 +439,57 @@ class FlowTable:
         if expired:
             self._expired(expired, now)
         return expired
+
+    def _expire_exact(self, now: float) -> list[FlowEntry]:
+        """Remove and return the expired exact entries, in key order.
+
+        Between sweeps, every live timed exact entry has an item whose
+        key does not exceed its current deadline: items are pushed at
+        insert (or when the index is built) with the entry's deadline,
+        and deadlines only grow.  A sweep pops every item keyed within
+        :data:`_DUE_MARGIN` of ``now``, which covers every expired
+        entry, and ``is_expired`` decides each one as the scan did.
+        Items whose entry has left the table are dropped; entries that
+        live on are re-pushed at their current deadline once the pops
+        are done (a rounding can key a live entry at or below ``now``).
+        """
+        limit = now + abs(now) * _DUE_MARGIN
+        deadlines = self._deadlines
+        if deadlines is None:
+            if self._due_floor > limit:
+                return []
+            deadlines = self._build_deadlines()
+        exact = self._exact
+        due: list[FlowEntry] = []
+        later = []
+        while deadlines and deadlines[0][0] <= limit:
+            _due, entry_id, key, entry = heapq.heappop(deadlines)
+            if exact.get(key) is not entry:
+                continue
+            if entry.is_expired(now):
+                del exact[key]
+                due.append(entry)
+            else:
+                later.append((_deadline(entry), entry_id, key, entry))
+        for item in later:
+            heapq.heappush(deadlines, item)
+        if len(due) > 1:
+            due.sort(key=_key_rank)
+        return due
+
+    def _build_deadlines(self) -> list:
+        """Index every live timed exact entry; ranks follow key order."""
+        ranks = self._key_ranks = itertools.count()
+        deadlines = []
+        for key, entry in self._exact.items():
+            entry.key_rank = next(ranks)
+            deadline = _deadline(entry)
+            if deadline != math.inf:
+                deadlines.append((deadline, entry.entry_id, key, entry))
+        heapq.heapify(deadlines)
+        self._deadlines = deadlines
+        self._due_floor = math.inf
+        return deadlines
 
     def _expired(self, entries: list[FlowEntry], now: float) -> None:
         """Count and report ``entries``, just removed as timed out."""
@@ -349,6 +507,8 @@ class FlowTable:
         """Drop every entry (counters retained)."""
         self._exact.clear()
         self._wildcards.clear()
+        self._deadlines = None
+        self._due_floor = math.inf
         self.generation += 1
 
     @property

@@ -199,6 +199,27 @@ class Datapath:
             self.cache.credit_aggregate(count)
         self._emit("aggregate_forward", self.sim._now, count, wire_bytes)
 
+    def credit_hits(self, packet: Packet, in_port: int, count: int,
+                    wire_bytes: int, last_lookup: float) -> None:
+        """Credit ``count`` analytically-advanced hits to their rule.
+
+        The hybrid engine's per-rule counterpart of
+        :meth:`forward_aggregate`, called when a segment starts: the
+        rule ``packet`` hits on ``in_port`` gains the segment's packets
+        and bytes, and its ``last_used`` moves to ``last_lookup`` (the
+        segment's last lookup here), so it cannot idle out while the
+        segment runs.  The table's lookup and hit counters grow too,
+        unless the microflow cache would have answered those lookups.
+        """
+        table = self.table
+        entry = table.find(packet, in_port, self.sim._now)
+        if entry is None:
+            return
+        entry.credit(count, wire_bytes, last_lookup)
+        if not self.cache.enabled:
+            table.lookups += count
+            table.hits += count
+
     def flood(self, packet: Packet, in_port: int) -> None:
         """Transmit out every port except ``in_port``."""
         for port_no in self.ports:

@@ -8,19 +8,33 @@ optimized table (its exact-match hash index, lazy expiry, or eviction
 heap).  One machine runs without eviction pressure; two more run a
 four-rule table under LRU and FIFO, where the model picks every victim
 with the full scan the table's heap replaced.
+
+Two more machines hold the sweep's deadline index to the full scan it
+replaced (``ScanExpiryTable``): the same operations go to both tables,
+and after every step their expiry reports, listener calls, counters and
+sizes must be equal, order included.
 """
 
 from __future__ import annotations
 
+import math
+import pathlib
+import sys
 from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (Bundle, RuleBasedStateMachine,
-                                 initialize, invariant, multiple, rule)
+                                 initialize, invariant, multiple,
+                                 precondition, rule)
 
 from repro.openflow import FlowEntry, FlowTable, Match, OutputAction
 from repro.packets import udp_packet
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "benchmarks"))
+
+from bench_simkit import ScanExpiryTable  # noqa: E402
 
 #: A tiny universe of addresses so operations collide often.
 _IPS = [f"10.0.0.{i}" for i in range(1, 5)]
@@ -282,11 +296,187 @@ class FifoEvictionMachine(LruEvictionMachine):
     eviction = "fifo"
 
 
+#: Install times at which ``t + 5.0`` rounds past (first) or onto
+#: (second) the sweep time where ``is_expired`` flips.
+_AWKWARD_STARTS = [1.7230766406148734, 4.494910647887381]
+
+
+class IndexedSweepMachine(RuleBasedStateMachine):
+    """The deadline-indexed sweep against the full scan, in lockstep.
+
+    Every rule is installed as two twins with one ``entry_id`` (one per
+    table), so eviction tie-breaks agree and reports compare by id.
+    Times start on an awkward float and advance by awkward steps, and
+    some sweeps land a few ulps from a rule's deadline, so keys and
+    ``is_expired`` disagree by a rounding now and then.
+    """
+
+    capacity = 10_000
+
+    def __init__(self):
+        super().__init__()
+        self.reports = ([], [])
+        self.tables = tuple(
+            cls(capacity=self.capacity,
+                on_expire=lambda now, entry, log=log: log.append(
+                    (now, entry.entry_id)))
+            for cls, log in ((FlowTable, self.reports[0]),
+                             (ScanExpiryTable, self.reports[1])))
+        self.now = 0.0
+
+    flows = Bundle("flows")
+
+    @initialize(start=st.sampled_from(_AWKWARD_STARTS), build=st.booleans())
+    def prime(self, start, build):
+        """Start the clock on a time whose sums round awkwardly, most
+        runs with the index already built (a short-lived rule and the
+        sweep that expires it), the rest building it lazily later."""
+        if build:
+            self.now = start - 0.1
+            self._install(Match(ip_dst="10.9.9.9"), 1, 0.1, 0.0)
+            self._install(Match.exact_from_packet(
+                _packet("10.9.9.9", "10.9.9.9", 1, 1), in_port=3),
+                1, 0.1, 0.0)
+        self.now = start
+        self.sweep()
+
+    def _install(self, match, priority, idle, hard):
+        first = None
+        evicted = []
+        for table in self.tables:
+            entry = FlowEntry(match=match, actions=(OutputAction(2),),
+                              priority=priority, idle_timeout=idle,
+                              hard_timeout=hard)
+            if first is None:
+                first = entry
+            else:
+                entry.entry_id = first.entry_id
+            victim = table.insert(entry, now=self.now)
+            evicted.append(victim and victim.entry_id)
+        assert evicted[0] == evicted[1]
+
+    @rule(target=flows, flow=_FLOWS, priority=st.integers(1, 3),
+          idle=st.sampled_from([0.0, 0.3, 1.0, 5.0]),
+          hard=st.sampled_from([0.0, 0.7, 5.0]))
+    def insert_exact(self, flow, priority, idle, hard):
+        src, dst, sport, dport, in_port = flow
+        self._install(Match.exact_from_packet(
+            _packet(src, dst, sport, dport), in_port=in_port),
+            priority, idle, hard)
+        return flow
+
+    @rule(flow=flows, priority=st.integers(1, 3),
+          idle=st.sampled_from([0.0, 0.3, 1.0, 5.0]),
+          hard=st.sampled_from([0.0, 0.7, 5.0]))
+    def replace_exact(self, flow, priority, idle, hard):
+        self.insert_exact(flow, priority, idle, hard)
+
+    @rule(src=st.sampled_from(_IPS) | st.none(),
+          dport=st.sampled_from(_PORTS) | st.none(),
+          priority=st.integers(1, 3),
+          idle=st.sampled_from([0.0, 1.0]),
+          hard=st.sampled_from([0.0, 0.7]))
+    def insert_wildcard(self, src, dport, priority, idle, hard):
+        self._install(Match(ip_src=src, tp_dst=dport), priority, idle,
+                      hard)
+
+    @rule(flow=flows)
+    def lookup(self, flow):
+        src, dst, sport, dport, in_port = flow
+        packet = _packet(src, dst, sport, dport)
+        hits = [table.lookup(packet, in_port, now=self.now)
+                for table in self.tables]
+        assert [h and h.entry_id for h in hits] \
+            == [hits[1] and hits[1].entry_id] * 2
+
+    @rule(flow=flows, packets=st.integers(1, 50),
+          ahead=st.sampled_from([0.0, 0.05, 0.9, 3.3]))
+    def refresh_ahead(self, flow, packets, ahead):
+        """The hybrid engine's segment credit: ``last_used`` moves to a
+        lookup that still lies ahead."""
+        src, dst, sport, dport, in_port = flow
+        packet = _packet(src, dst, sport, dport)
+        found = [table.find(packet, in_port, now=self.now)
+                 for table in self.tables]
+        assert [f and f.entry_id for f in found] \
+            == [found[1] and found[1].entry_id] * 2
+        for entry in found:
+            if entry is not None:
+                entry.credit(packets, packets * 1000, self.now + ahead)
+
+    @rule(flow=flows, strict=st.integers(1, 3) | st.none(),
+          exact=st.booleans())
+    def delete(self, flow, strict, exact):
+        """DELETE (``strict`` None) or DELETE_STRICT, each with the
+        pre-sweep a switch makes first."""
+        src, dst, sport, dport, in_port = flow
+        match = (Match.exact_from_packet(_packet(src, dst, sport, dport),
+                                         in_port=in_port)
+                 if exact else Match(ip_src=src))
+        removed = [table.remove(match, strict_priority=strict,
+                                now=self.now) for table in self.tables]
+        assert removed[0] == removed[1]
+
+    @precondition(lambda self: len(self.tables[0]) > 8)
+    @rule()
+    def clear(self):
+        for table in self.tables:
+            table.clear()
+
+    @rule(delta=st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0, 2.5, 5.0,
+                                 0.123456789]))
+    def advance_time(self, delta):
+        self.now += delta
+
+    @rule(flow=flows, ulps=st.integers(-2, 2))
+    def sweep_at_deadline(self, flow, ulps):
+        """Sweep within a few ulps of a live rule's idle deadline, where
+        the rounded key and ``is_expired`` can disagree."""
+        src, dst, sport, dport, in_port = flow
+        entry = self.tables[0].find(_packet(src, dst, sport, dport),
+                                    in_port, now=self.now)
+        if entry is None or entry.idle_timeout <= 0:
+            return
+        target = entry.last_used + entry.idle_timeout
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, math.copysign(math.inf, ulps))
+        self.now = max(self.now, target)
+        self.sweep()
+
+    @rule()
+    def sweep(self):
+        swept = [[entry.entry_id for entry in table.expire(self.now)]
+                 for table in self.tables]
+        assert swept[0] == swept[1]
+
+    @invariant()
+    def tables_agree(self):
+        indexed, scanned = self.tables
+        assert self.reports[0] == self.reports[1]
+        assert indexed.expirations == scanned.expirations
+        assert indexed.generation == scanned.generation
+        assert len(indexed) == len(scanned)
+        assert ([e.entry_id for e in indexed.entries()]
+                == [e.entry_id for e in scanned.entries()])
+
+
+class IndexedSweepEvictionMachine(IndexedSweepMachine):
+    """A six-rule table: inserts evict, and stale index items pile up."""
+
+    capacity = 6
+
+
 _SETTINGS = settings(max_examples=40, stateful_step_count=30,
                      deadline=None)
 FlowTableMachine.TestCase.settings = _SETTINGS
 LruEvictionMachine.TestCase.settings = _SETTINGS
 FifoEvictionMachine.TestCase.settings = _SETTINGS
+_SWEEP_SETTINGS = settings(max_examples=60, stateful_step_count=50,
+                           deadline=None)
+IndexedSweepMachine.TestCase.settings = _SWEEP_SETTINGS
+IndexedSweepEvictionMachine.TestCase.settings = _SWEEP_SETTINGS
 TestFlowTableAgainstModel = FlowTableMachine.TestCase
 TestLruEvictionAgainstScan = LruEvictionMachine.TestCase
 TestFifoEvictionAgainstScan = FifoEvictionMachine.TestCase
+TestIndexedSweepAgainstScan = IndexedSweepMachine.TestCase
+TestIndexedSweepUnderEviction = IndexedSweepEvictionMachine.TestCase

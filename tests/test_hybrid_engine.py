@@ -170,6 +170,58 @@ def test_hybrid_tcp_eviction_re_misses_after_idle_gap():
     assert counts["hybrid"] == counts["packet"]
 
 
+def _paused_train():
+    """One flow of 71 packets, 0.1 s apart, with a 1.1 s pause after the
+    60th: long for a segment, short of the 5 s idle timeout."""
+    workload = flow_train_flows(80_000.0, n_flows=1, packets_per_flow=71,
+                                flow_rate=1.0).materialize()
+    entries = sorted(workload.entries, key=lambda entry: entry[0])
+    workload.entries = entries[:61] + [(t + 1.0, packet)
+                                       for t, packet in entries[61:]]
+    return workload
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_hybrid_segments_refresh_the_rules_they_ride(line):
+    """Aggregated packets keep their rule alive, as discrete hits do.
+
+    The packet engine's rule idles out 5 s after the last packet's
+    lookup (t ~ 8.02 s) with every tail packet counted.  The hybrid
+    rule must expire at the same sweep with the same counters, not
+    5 s after install while the flow still sends, and a segment split
+    at the pause must not re-miss.
+    """
+    scenario = SINGLE if line == 1 else line_scenario(line)
+    runs = {}
+    for engine in ("packet", "hybrid", "hybrid:0.5"):
+        expired = []
+
+        def watch(testbed, expired=expired):
+            for switch in testbed.switches:
+                switch.events.on("flow_expired",
+                                 lambda now, entry: expired.append(
+                                     (now, entry.packet_count,
+                                      entry.byte_count)))
+
+        metrics = run_once(flow_buffer_256(), _paused_train(), drain=6.0,
+                           scenario=scenario.with_engine(
+                               parse_engine(engine)),
+                           on_testbed=watch)
+        runs[engine] = (metrics.packet_in_count // line, expired)
+    packet_ins, reference = runs["packet"]
+    assert packet_ins == 1
+    assert len(reference) == line
+    assert reference[0][0] > 13.0 and reference[0][1:] == (70, 70_000)
+    for engine in ("hybrid", "hybrid:0.5"):
+        packet_ins, expired = runs[engine]
+        assert packet_ins == 1, engine
+        assert len(expired) == line
+        for (now, *counts), (ref_now, *ref_counts) in zip(expired,
+                                                           reference):
+            assert abs(now - ref_now) <= 0.1 + 1e-9, engine
+            assert counts == ref_counts, engine
+
+
 # ---------------------------------------------------------------------------
 # Conservation property (satellite: hypothesis)
 # ---------------------------------------------------------------------------

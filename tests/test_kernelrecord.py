@@ -130,3 +130,30 @@ def test_committed_record_has_shard_transport_section():
     assert inline > 0 and fork > 0
     assert section["overhead_ms_per_round"] == pytest.approx(
         (fork - inline) / section["rounds"] * 1e3, abs=1e-3)
+
+def test_expiry_sweep_probe_is_gated_against_the_scan():
+    # The indexed sweep against its full-scan reference, measured as
+    # one interleaved pair: 150 sweeps per run, both sides in the
+    # record, the ratio under the gate's budget, the machine stamped.
+    import bench_simkit
+    import perf_gate
+    assert kernelrecord.PROBE_UNITS["expiry_sweep"] \
+        == bench_simkit.EXPIRY_SWEEPS == 150
+    bench = kernelrecord.load_baseline()["benchmarks"]["expiry_sweep"]
+    assert bench["units"] == 150
+    before, after = bench["before"]["seconds"], bench["after"]["seconds"]
+    assert bench["paired_ratio"] == round(after / before, 3)
+    assert bench["speedup"] == round(before / after, 2)
+    assert bench["paired_ratio"] < perf_gate.EXPIRY_SWEEP_BUDGET < 1.0
+    assert bench["cpu_count"] >= 1
+    assert bench["python"].count(".") == 2
+    assert "expiry_sweep" not in kernelrecord.BEFORE_SECONDS
+    assert "expiry_sweep" not in perf_gate.GATED_PROBES.values()
+
+
+def test_paired_entry_records_both_sides():
+    entry = kernelrecord.paired_entry("expiry_sweep", 0.2, 0.05)
+    assert entry["before"]["seconds"] == 0.2
+    assert entry["after"]["seconds"] == 0.05
+    assert entry["after"]["events_per_sec"] == 3000.0
+    assert (entry["speedup"], entry["paired_ratio"]) == (4.0, 0.25)

@@ -297,3 +297,149 @@ def test_wildcard_replacement_keeps_tiebreak_rank():
     winner = table.lookup(packet, in_port=1, now=1.0)
     assert winner.match == first
     assert winner.actions == (OutputAction(3),)
+
+
+# ----------------------------------------------------------------------
+# The deadline index behind expire() (DESIGN.md §22)
+# ----------------------------------------------------------------------
+
+def test_sweep_expires_a_rule_whose_rounded_deadline_lies_past_now():
+    # now - last_used rounds to exactly 5.0, so the scan expires the
+    # rule, while last_used + 5.0 rounds to one ulp past now: an index
+    # that popped only keys <= now would keep it alive.
+    last_used, now = 1.7230766406148734, 6.723076640614873
+    assert now - last_used == 5.0 and last_used + 5.0 > now
+    table = FlowTable()
+    entry = _exact_entry(_packet(), idle_timeout=5.0)
+    table.insert(entry, now=last_used)
+    assert table.expire(now=now) == [entry]
+    assert len(table) == 0
+
+
+def test_sweep_keeps_a_rule_whose_rounded_deadline_is_now():
+    # The opposite rounding: last_used + 5.0 lands exactly on now, yet
+    # now - last_used < 5.0, so the rule is alive and is_expired must
+    # decide.  The sweep keeps it, terminates, and a later one expires it.
+    last_used = 4.494910647887381
+    now = last_used + 5.0
+    assert now - last_used < 5.0
+    table = FlowTable()
+    entry = _exact_entry(_packet(), idle_timeout=5.0)
+    table.insert(entry, now=last_used)
+    assert table.expire(now=now) == []
+    assert table.expire(now=now) == []
+    assert len(table) == 1
+    assert table.expire(now=now + 0.1) == [entry]
+
+
+def test_sweep_reports_in_key_order_after_a_replacement():
+    # b is due before a's replacement and has the lower entry_id, but
+    # the replacement keeps a's key position, so a full scan reports it
+    # first — and so must the index.
+    reported = []
+    table = FlowTable(on_expire=lambda now, entry: reported.append(entry))
+    primer = _exact_entry(_packet(0), idle_timeout=0.5)
+    a = _exact_entry(_packet(1), idle_timeout=5.0)
+    b = _exact_entry(_packet(2), idle_timeout=5.0)
+    table.insert(primer, now=0.0)
+    table.insert(a, now=0.0)
+    table.insert(b, now=1.0)
+    assert table.expire(now=1.0) == [primer]        # builds the index
+    replacement = _exact_entry(_packet(1), idle_timeout=5.0)
+    table.insert(replacement, now=2.0)
+    assert b.entry_id < replacement.entry_id
+    assert table.expire(now=7.0) == [replacement, b]
+    assert reported == [primer, replacement, b]
+
+
+def test_sweep_examines_only_due_and_stale_entries(monkeypatch):
+    # 1000 live rules: 10 due, 2 more whose items went stale when a hit
+    # refreshed them after the index was built.  The sweep must call
+    # is_expired on those 12 items only (a full scan calls it 1000
+    # times) and expire the 10 that are due.
+    calls = []
+    original = FlowEntry.is_expired
+
+    def counted(entry, now):
+        calls.append(entry)
+        return original(entry, now)
+
+    table = FlowTable(capacity=2000)
+    packets = [_packet(i) for i in range(1001)]
+    table.insert(_exact_entry(packets[1000], idle_timeout=0.5), now=0.0)
+    assert len(table.expire(now=0.5)) == 1          # builds the index
+    early = [_exact_entry(packets[i], idle_timeout=5.0) for i in range(12)]
+    for entry in early:
+        table.insert(entry, now=0.5)
+    for packet in packets[12:1000]:
+        table.insert(_exact_entry(packet, idle_timeout=5.0), now=1.0)
+    table.lookup(packets[0], in_port=1, now=2.0)
+    table.lookup(packets[1], in_port=1, now=2.0)
+    monkeypatch.setattr(FlowEntry, "is_expired", counted)
+    assert table.expire(now=5.5) == early[2:]
+    assert sorted(e.entry_id for e in calls) == sorted(
+        e.entry_id for e in early)
+    assert len(table) == 990
+
+
+def test_tables_hold_no_deadline_index_until_a_rule_could_be_due():
+    table = FlowTable()
+    table.insert(_exact_entry(_packet(1), idle_timeout=5.0), now=0.0)
+    table.insert(_exact_entry(_packet(2), hard_timeout=3.0), now=1.0)
+    table.insert(_exact_entry(_packet(3)), now=1.0)     # never expires
+    for tick in range(1, 40):
+        assert table.expire(now=tick / 10) == []
+    assert table._deadlines is None
+    assert table.expire(now=4.0)[0].hard_timeout == 3.0
+    assert len(table._deadlines) == 1
+
+
+def test_mostly_stale_deadline_index_is_dropped_and_rebuilt():
+    table = FlowTable()
+    packets = [_packet(i) for i in range(4)]
+    table.insert(_exact_entry(packets[0], idle_timeout=1.0), now=0.0)
+    assert len(table.expire(now=1.0)) == 1          # builds the index
+    for packet in packets[1:3]:
+        table.insert(_exact_entry(packet, idle_timeout=1.0), now=1.0)
+        table.remove(_exact_entry(packet).match)
+    assert len(table._deadlines) == 2               # both stale
+    last = _exact_entry(packets[3], idle_timeout=1.0)
+    table.insert(last, now=1.5)
+    # Three items for one live rule: the index is dropped, and its least
+    # key (2.0) bounds every live deadline until the rebuild.
+    assert table._deadlines is None
+    assert table.expire(now=1.9) == []
+    assert table._deadlines is None
+    assert table.expire(now=2.5) == [last]
+    assert table._deadlines == []
+
+
+def test_credit_never_moves_last_used_backwards():
+    table = FlowTable()
+    packet = _packet()
+    entry = _exact_entry(packet, idle_timeout=5.0)
+    table.insert(entry, now=0.0)
+    entry.credit(10, 10_000, last_used=3.0)
+    assert table.lookup(packet, in_port=1, now=1.0) is entry
+    assert entry.last_used == 3.0
+    assert (entry.packet_count, entry.byte_count) == (
+        11, 10_000 + packet.wire_len)
+    assert table.expire(now=7.9) == []
+    assert table.expire(now=8.0) == [entry]
+
+
+def test_find_has_no_side_effects():
+    table = FlowTable()
+    packet = _packet()
+    exact = _exact_entry(packet, idle_timeout=1.0, priority=5)
+    wildcard = FlowEntry(match=Match(ip_dst="10.0.0.2"),
+                         actions=(OutputAction(2),), priority=9)
+    table.insert(exact, now=0.0)
+    table.insert(wildcard, now=0.0)
+    assert table.find(packet, in_port=1, now=0.5) is wildcard
+    table.remove(wildcard.match, strict_priority=9)
+    assert table.find(packet, in_port=1, now=0.5) is exact
+    assert table.find(packet, in_port=1, now=2.0) is None  # dead, unswept
+    assert (table.lookups, table.hits, table.expirations, len(table)) \
+        == (0, 0, 0, 1)
+    assert exact.last_used == 0.0
