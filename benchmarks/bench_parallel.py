@@ -1,11 +1,12 @@
-"""Serial vs parallel wall-clock for a multi-rate sweep (repro.parallel).
+"""1-worker vs N-worker wall-clock for a multi-rate sweep (repro.parallel).
 
-Times the same (7 rates × 2 repetitions) buffer-256 sweep through the
-legacy serial runner and through the parallel engine, verifies the rows
-are bit-identical, and records the measured speedup under
-``benchmarks/_output/parallel_speedup.txt``.  The ≥2× speedup assertion
-only applies on hosts with ≥4 cores — a 1-core container can only
-measure the engine's overhead, which is recorded too.
+Times the same (7 rates × 2 repetitions) buffer-256 sweep at
+``workers=1`` (the engine's in-process executor) and on a fork pool of
+``N`` workers, verifies the rows are bit-identical, and records the
+measured speedup under ``benchmarks/_output/parallel_speedup.txt``.
+The ≥2× speedup assertion only applies on hosts with ≥4 cores — a
+1-core container can only measure the engine's overhead, which is
+recorded too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import time
 
 from repro.core import buffer_256
 from repro.experiments import sweep, workload_a_factory
-from repro.parallel import parallel_sweep
 
 from conftest import BENCH_RATES, BENCH_REPETITIONS, BENCH_WORKLOAD_A_FLOWS
 
@@ -27,31 +27,30 @@ def test_parallel_speedup_recorded(emit):
     workers = max(2, min(cores, 8))
 
     start = time.perf_counter()
-    serial = sweep(buffer_256(), factory, BENCH_RATES, BENCH_REPETITIONS,
-                   base_seed=0)
-    serial_s = time.perf_counter() - start
+    one = sweep(buffer_256(), factory, BENCH_RATES, BENCH_REPETITIONS,
+                base_seed=0, workers=1)
+    one_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = parallel_sweep(buffer_256(), factory, BENCH_RATES,
-                              BENCH_REPETITIONS, base_seed=0,
-                              workers=workers)
+    parallel = sweep(buffer_256(), factory, BENCH_RATES, BENCH_REPETITIONS,
+                     base_seed=0, workers=workers)
     parallel_s = time.perf_counter() - start
 
     # The headline guarantee: identical rows, not just similar ones.
-    assert len(serial.rows) == len(parallel.rows)
-    for row_a, row_b in zip(serial.rows, parallel.rows):
+    assert len(one.rows) == len(parallel.rows)
+    for row_a, row_b in zip(one.rows, parallel.rows):
         assert dataclasses.asdict(row_a) == dataclasses.asdict(row_b)
 
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+    speedup = one_s / parallel_s if parallel_s > 0 else float("inf")
     tasks = len(BENCH_RATES) * BENCH_REPETITIONS
     lines = [
-        "parallel engine speedup (serial runner vs repro.parallel)",
+        "parallel engine speedup (workers=1 vs a fork pool)",
         f"sweep            : {len(BENCH_RATES)} rates x "
         f"{BENCH_REPETITIONS} reps = {tasks} tasks "
         f"(workload A, {BENCH_WORKLOAD_A_FLOWS} flows, buffer-256)",
         f"cores available  : {cores}",
         f"workers          : {workers}",
-        f"serial wall      : {serial_s:.2f} s",
+        f"1-worker wall    : {one_s:.2f} s",
         f"parallel wall    : {parallel_s:.2f} s",
         f"speedup          : {speedup:.2f}x",
         "rows bit-identical: yes",

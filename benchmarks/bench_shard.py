@@ -128,14 +128,14 @@ def time_serial(rounds: int) -> float:
 
 def time_sharded(workers: int, rounds: int) -> float:
     from repro.core import BufferConfig
-    from repro.shard import ShardSpec, run_once_sharded
+    from repro.shard import ShardSpec, execute_sharded
     spec = _scenario().with_shard(ShardSpec(mode="per-switch",
                                             workers=workers))
 
     def once():
-        run_once_sharded(BufferConfig(), _workload(), seed=SEED,
-                         calibration=_calibration(), scenario=spec,
-                         transport="fork")
+        execute_sharded(BufferConfig(), _workload(), seed=SEED,
+                        calibration=_calibration(), scenario=spec,
+                        transport="fork")
     return kernelrecord.best_of(once, rounds=rounds)
 
 

@@ -26,8 +26,9 @@ The package layers, bottom-up:
   simulator is bounded against.
 * :mod:`repro.experiments` — the harness regenerating every table and
   figure.
-* :mod:`repro.parallel` — multi-core sweep execution with an on-disk
-  result cache and progress telemetry (bit-identical to serial runs).
+* :mod:`repro.parallel` — sweep execution, in-process or multi-core,
+  with an on-disk result cache and progress telemetry (bit-identical at
+  any worker count).
 
 Quickstart::
 
@@ -47,7 +48,7 @@ from .core import (BufferConfig, BufferMechanism, FlowGranularityBuffer,
 from .experiments import (FIGURES, build_testbed, run_benefits_experiment,
                           run_mechanism_experiment, run_once, sweep)
 from .metrics import RunMetrics
-from .parallel import ResultCache, derive_seed, parallel_sweep
+from .parallel import ResultCache, derive_seed
 from .scenarios import (ScenarioSpec, build_scenario, fanin_scenario,
                         line_scenario, parse_scenario, single_scenario)
 from .trafficgen import batched_multi_packet_flows, single_packet_flows
@@ -62,7 +63,7 @@ __all__ = [
     "build_testbed", "run_once", "sweep", "FIGURES",
     "run_benefits_experiment", "run_mechanism_experiment",
     "RunMetrics",
-    "parallel_sweep", "derive_seed", "ResultCache",
+    "derive_seed", "ResultCache",
     "ScenarioSpec", "build_scenario", "parse_scenario",
     "single_scenario", "line_scenario", "fanin_scenario",
     "single_packet_flows", "batched_multi_packet_flows",

@@ -33,7 +33,7 @@ from .calibration import (FULL_RATE_SWEEP_MBPS, FULL_REPETITIONS,
                           WORKLOAD_B_BATCH_SIZE, WORKLOAD_B_FLOWS,
                           WORKLOAD_B_PACKETS_PER_FLOW,
                           prototype_calibration)
-from .runner import RateAggregate, SweepResult, sweep
+from .runner import RateAggregate, SweepResult
 
 MetricGetter = Callable[[RateAggregate], float]
 
@@ -66,8 +66,7 @@ class ExperimentData:
 
     name: str
     sweeps: Dict[str, SweepResult] = field(default_factory=dict)
-    #: Engine telemetry when the run went through :mod:`repro.parallel`
-    #: (an :class:`~repro.parallel.EngineReport`); None for serial runs.
+    #: Engine telemetry (an :class:`~repro.parallel.EngineReport`).
     report: Optional[object] = None
 
     @property
@@ -81,39 +80,24 @@ class ExperimentData:
         return self.sweeps[label].series(getter)
 
 
-def _run_experiment_sweeps(name, configs, factory, rates_mbps, repetitions,
-                           calibration, base_seed, workers, cache,
-                           progress, obs=None, scenario=None,
-                           faults=None) -> ExperimentData:
-    """Run one experiment's sweeps, serially or on the parallel engine.
+def _run_jobs(data, jobs, workers, cache, progress, obs):
+    """Hand an experiment's sweep jobs to the :mod:`repro.parallel` engine.
 
-    The engine path shards *all* mechanisms' (rates × repetitions) tasks
-    into one worker pool, so e.g. the three §IV sweeps interleave instead
-    of running back-to-back; results are bit-identical either way.
-    ``obs`` (a :class:`repro.obs.ObsCollector`) captures traces and
-    metric snapshots on whichever path runs; ``scenario`` (a
-    :class:`repro.scenarios.ScenarioSpec`) selects the topology every
-    repetition runs on; ``faults`` (a :class:`repro.faults.FaultSpec`)
-    arms control-plane fault injection on each one.
+    Every ``run_*_experiment`` runner comes through here.  The engine
+    shards *all* jobs' (rates × repetitions) tasks together, so e.g. the
+    three §IV sweeps interleave instead of running back-to-back; without
+    ``workers`` they run in this process, with ``workers=N`` on a fork
+    pool, and the rows are bit-identical either way.  ``obs`` (a
+    :class:`repro.obs.ObsCollector`) captures traces and metric
+    snapshots.  Fills ``data.sweeps`` (keyed by job label) and
+    ``data.report`` and returns ``data``.
     """
-    data = ExperimentData(name=name)
-    if workers is None and cache is None and progress is None:
-        for config in configs:
-            data.sweeps[config.label] = sweep(
-                config, factory, rates_mbps, repetitions,
-                calibration=calibration, base_seed=base_seed, obs=obs,
-                scenario=scenario, faults=faults)
-        return data
-    from ..parallel import SweepJob, run_sweep_jobs
-    jobs = [SweepJob(config=config, factory=factory,
-                     rates_mbps=tuple(rates_mbps), repetitions=repetitions,
-                     calibration=calibration, base_seed=base_seed,
-                     scenario=scenario, faults=faults)
-            for config in configs]
-    sweeps, report = run_sweep_jobs(jobs, workers=workers, cache=cache,
-                                    progress=progress, obs=obs)
-    for config in configs:
-        data.sweeps[config.label] = sweeps[config.label]
+    from ..parallel import run_sweep_jobs
+    sweeps, report = run_sweep_jobs(
+        jobs, workers=1 if workers is None else workers, cache=cache,
+        progress=progress, obs=obs)
+    for job in jobs:
+        data.sweeps[job.label] = sweeps[job.label]
     data.report = report
     return data
 
@@ -127,16 +111,23 @@ def run_benefits_experiment(
         workers: Optional[int] = None, cache=None,
         progress=None, obs=None, scenario=None,
         faults=None) -> ExperimentData:
-    """§IV: the three buffer settings over the sending-rate sweep."""
+    """§IV: the three buffer settings over the sending-rate sweep.
+
+    Every repetition runs on ``scenario``'s topology under ``faults``.
+    """
     if rates_mbps is None:
         rates_mbps = QUICK_RATE_SWEEP_MBPS if quick else FULL_RATE_SWEEP_MBPS
     if repetitions is None:
         repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
     factory = workload_a_factory(n_flows=n_flows)
-    return _run_experiment_sweeps(
-        "benefits", (no_buffer(), buffer_16(), buffer_256()), factory,
-        rates_mbps, repetitions, calibration, base_seed, workers, cache,
-        progress, obs=obs, scenario=scenario, faults=faults)
+    from ..parallel import SweepJob
+    jobs = [SweepJob(config=config, factory=factory,
+                     rates_mbps=tuple(rates_mbps), repetitions=repetitions,
+                     calibration=calibration, base_seed=base_seed,
+                     scenario=scenario, faults=faults)
+            for config in (no_buffer(), buffer_16(), buffer_256())]
+    return _run_jobs(ExperimentData(name="benefits"), jobs, workers, cache,
+                     progress, obs)
 
 
 def run_mechanism_experiment(
@@ -163,10 +154,14 @@ def run_mechanism_experiment(
         calibration = prototype_calibration()
     factory = workload_b_factory(n_flows=n_flows,
                                  packets_per_flow=packets_per_flow)
-    return _run_experiment_sweeps(
-        "mechanism", (buffer_256(), flow_buffer_256()), factory,
-        rates_mbps, repetitions, calibration, base_seed, workers, cache,
-        progress, obs=obs, scenario=scenario, faults=faults)
+    from ..parallel import SweepJob
+    jobs = [SweepJob(config=config, factory=factory,
+                     rates_mbps=tuple(rates_mbps), repetitions=repetitions,
+                     calibration=calibration, base_seed=base_seed,
+                     scenario=scenario, faults=faults)
+            for config in (buffer_256(), flow_buffer_256())]
+    return _run_jobs(ExperimentData(name="mechanism"), jobs, workers,
+                     cache, progress, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +236,9 @@ def run_path_experiment(
     ``packet_in`` counts grow roughly linearly with ``n`` — and the
     flow-granularity mechanism's per-setup saving compounds with it.
 
-    Always executes on the :mod:`repro.parallel` engine (inline when
-    ``workers=1``): the composite per-length labels keep sweeps, cache
-    entries and observations distinct across topologies.
+    Runs in this process unless ``workers`` asks for a pool; the
+    composite per-length labels keep sweeps, cache entries and
+    observations distinct across topologies.
     """
     if not lengths:
         raise ValueError("lengths must name at least one line length")
@@ -259,19 +254,14 @@ def run_path_experiment(
     configs = (buffer_256(), flow_buffer_256())
     data = PathExperimentData(name="path", lengths=tuple(lengths),
                               labels=tuple(c.label for c in configs))
-    from ..parallel import SweepJob, run_sweep_jobs
+    from ..parallel import SweepJob
     jobs = [SweepJob(config=config, factory=factory,
                      rates_mbps=tuple(rates_mbps), repetitions=repetitions,
                      calibration=calibration, base_seed=base_seed,
                      scenario=line_scenario(length),
                      label_override=data.key(config.label, length))
             for length in lengths for config in configs]
-    sweeps, report = run_sweep_jobs(jobs, workers=workers, cache=cache,
-                                    progress=progress, obs=obs)
-    for job in jobs:
-        data.sweeps[job.label] = sweeps[job.label]
-    data.report = report
-    return data
+    return _run_jobs(data, jobs, workers, cache, progress, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +333,9 @@ def run_resilience_experiment(
     resilience benefit of §V's buffering design, which no figure of the
     paper measures directly.
 
-    Always executes on the :mod:`repro.parallel` engine (inline when
-    ``workers=1``): composite per-loss labels keep sweeps, cache entries
-    and observations distinct across fault specs.
+    Runs in this process unless ``workers`` asks for a pool; composite
+    per-loss labels keep sweeps, cache entries and observations
+    distinct across fault specs.
     """
     from ..faults import loss_fault
     if not loss_rates:
@@ -361,19 +351,14 @@ def run_resilience_experiment(
     data = ResilienceExperimentData(
         name="resilience", loss_rates=tuple(loss_rates),
         labels=tuple(c.label for c in configs), rate_mbps=rate_mbps)
-    from ..parallel import SweepJob, run_sweep_jobs
+    from ..parallel import SweepJob
     jobs = [SweepJob(config=config, factory=factory,
                      rates_mbps=(rate_mbps,), repetitions=repetitions,
                      calibration=calibration, base_seed=base_seed,
                      faults=(loss_fault(loss) if loss > 0 else None),
                      label_override=data.key(config.label, loss))
             for loss in data.loss_rates for config in configs]
-    sweeps, report = run_sweep_jobs(jobs, workers=workers, cache=cache,
-                                    progress=progress, obs=obs)
-    for job in jobs:
-        data.sweeps[job.label] = sweeps[job.label]
-    data.report = report
-    return data
+    return _run_jobs(data, jobs, workers, cache, progress, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +456,9 @@ def run_figsharing_experiment(
     ports' units: ``full_rejections`` falls as α grows while
     ``pool_peak_units`` approaches the budget ceiling.
 
-    Always executes on the :mod:`repro.parallel` engine (inline when
-    ``workers=1``): composite per-cell labels keep sweeps, cache entries
-    and observations distinct across pool specs and fault specs.
+    Runs in this process unless ``workers`` asks for a pool; composite
+    per-cell labels keep sweeps, cache entries and observations
+    distinct across pool specs and fault specs.
     """
     from ..faults import loss_fault
     if not loss_rates:
@@ -497,7 +482,7 @@ def run_figsharing_experiment(
         loss_rates=tuple(loss_rates),
         labels=tuple(c.label for c in configs), rate_mbps=rate_mbps)
     scenario = fanin_scenario(fanin)
-    from ..parallel import SweepJob, run_sweep_jobs
+    from ..parallel import SweepJob
     jobs = [SweepJob(config=config, factory=factory,
                      rates_mbps=(rate_mbps,), repetitions=repetitions,
                      calibration=calibration, base_seed=base_seed,
@@ -506,12 +491,7 @@ def run_figsharing_experiment(
                      label_override=data.key(config.label, pool.name, loss))
             for loss in data.loss_rates for pool in pools
             for config in configs]
-    sweeps, report = run_sweep_jobs(jobs, workers=workers, cache=cache,
-                                    progress=progress, obs=obs)
-    for job in jobs:
-        data.sweeps[job.label] = sweeps[job.label]
-    data.report = report
-    return data
+    return _run_jobs(data, jobs, workers, cache, progress, obs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ and leaves three artifacts in ``--out``:
 
 * ``profile.json`` — the merged :class:`~repro.obs.ProfileReport`;
 * ``heartbeats.jsonl`` — one line per monitor heartbeat (streamed live
-  while a serial run executes, rewritten atomically at the end);
+  while a one-worker run executes, rewritten atomically at the end);
 * ``trace.json`` — a Perfetto-loadable Chrome trace whose extra
   "wall-clock" processes carry per-component self-time and the
   sim-rate counter track.
@@ -60,8 +60,8 @@ def _parse_profile_args(argv: Sequence[str]) -> argparse.Namespace:
                         help="workload-A flow count (default: 200)")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes (default: 1; serial runs "
-                             "also stream heartbeats live)")
+                        help="worker processes (default: 1; one-worker "
+                             "runs also stream heartbeats live)")
     parser.add_argument("--stride", type=int,
                         default=ComponentProfiler.DEFAULT_STRIDE,
                         help="profile every Nth event (default: "
@@ -102,11 +102,12 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     heartbeat_path = out_dir / "heartbeats.jsonl"
 
-    # Serial runs stream each heartbeat to disk as it fires, so a hung
-    # run can still be diagnosed from the partial file; the collector
-    # rewrites the file atomically (with violations appended) at the
-    # end either way.  Fork workers cannot stream across the process
-    # boundary — their heartbeats only appear in the final rewrite.
+    # With one worker the sweep runs in this process, whose executor
+    # streams each heartbeat to disk as it fires, so a hung run can
+    # still be diagnosed from the partial file; the collector rewrites
+    # the file atomically (with violations appended) at the end either
+    # way.  Fork workers cannot stream across the process boundary —
+    # their heartbeats only appear in the final rewrite.
     stream = open(heartbeat_path, "w") if args.workers == 1 else None
 
     def live_sink(record: dict) -> None:
@@ -126,7 +127,7 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
         result = sweep(mechanism, workload_a_factory(n_flows=args.flows),
                        args.rates, args.reps, base_seed=args.seed,
                        workers=args.workers, obs=obs, scenario=scenario,
-                       progress=(True if args.workers > 1 else None))
+                       progress=args.workers > 1)
     finally:
         if stream is not None:
             stream.close()

@@ -2,8 +2,10 @@
 
 The paper's method is: for each sending rate, run the workload 20 times
 and report the per-rate statistics.  :func:`run_once` executes one
-repetition on a fresh testbed; :func:`sweep` maps a workload factory over
-(rates × repetitions) and aggregates into figure-ready rows.
+repetition on a fresh testbed and :func:`finish_run` ends it (serial
+and sharded runs alike); :func:`sweep` hands a workload factory's
+(rates × repetitions) grid to the :mod:`repro.parallel` engine and
+returns the figure-ready rows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from ..faults import FaultSpec, install_faults
 from ..metrics import RunMetrics, Summary, percentile, summarize
 from ..metrics.series import ordered_sum
 from ..scenarios import SINGLE, ScenarioSpec, build_scenario
-from ..simkit import RandomStreams, mbps
+from ..simkit import RandomStreams
 from ..trafficgen import Workload
 from .calibration import TestbedCalibration
 
@@ -34,8 +36,8 @@ def derive_seed(base_seed: int, rate_mbps: float, rep: int) -> int:
 
     The parallel engine (:mod:`repro.parallel`) leans on this: seeds may
     depend only on ``(base_seed, rate_mbps, rep)``, never on scheduling
-    or completion order, so any execution order reproduces the serial
-    sweep bit-for-bit.
+    or completion order, so any worker count and execution order
+    reproduces the in-process sweep bit-for-bit.
     """
     return base_seed * 100_003 + int(rate_mbps) * 1_009 + rep
 
@@ -45,11 +47,20 @@ _INCOMPLETE_WARNING = (
     "out; the snapshot's `incomplete` flag is set and delay statistics "
     "cover completed flows only (this warning is shown once)")
 
+#: ``run_once``'s run shape: seconds of handshake before traffic,
+#: seconds of drain after the last send, and how many 100 ms extensions
+#: a run may take while flows still complete.  Sweep tasks run at these
+#: defaults, and the result cache writes them into every task key.
+DEFAULT_SETTLE = 0.020
+DEFAULT_DRAIN = 0.250
+DEFAULT_MAX_EXTENDS = 20
+
 
 def run_once(buffer_config: BufferConfig, workload: Workload,
              calibration: Optional[TestbedCalibration] = None,
-             seed: int = 0, settle: float = 0.020, drain: float = 0.250,
-             max_extends: int = 20,
+             seed: int = 0, settle: float = DEFAULT_SETTLE,
+             drain: float = DEFAULT_DRAIN,
+             max_extends: int = DEFAULT_MAX_EXTENDS,
              obs: Optional["RunObserver"] = None,
              scenario: Optional[ScenarioSpec] = None,
              faults: Optional[FaultSpec] = None,
@@ -76,8 +87,9 @@ def run_once(buffer_config: BufferConfig, workload: Workload,
     the returned metrics are identical with or without it.
 
     A scenario with an active :class:`~repro.shard.ShardSpec` delegates
-    to :func:`repro.shard.run_once_sharded`: the same repetition on
-    partitioned event loops, returning bit-identical metrics.
+    to :func:`repro.shard.execute_sharded`: the same repetition on
+    partitioned event loops, ended by the same :func:`finish_run` and
+    returning bit-identical metrics.
     ``on_testbed`` (serial runs only) is called with the built testbed
     before the handshake — the hook the shard verify mode uses to record
     event streams without duplicating this function.
@@ -92,11 +104,11 @@ def run_once(buffer_config: BufferConfig, workload: Workload,
         if on_testbed is not None:
             raise ValueError("on_testbed is a serial-run hook; sharded "
                              "runs have no single testbed to hand out")
-        from ..shard import run_once_sharded
-        return run_once_sharded(
+        from ..shard import execute_sharded
+        return execute_sharded(
             buffer_config, workload, calibration=calibration, seed=seed,
             settle=settle, drain=drain, max_extends=max_extends,
-            scenario=spec, faults=faults)
+            scenario=spec, faults=faults).metrics
     testbed = build_scenario(spec, buffer_config, workload,
                              calibration=calibration, seed=seed)
     install_faults(testbed, faults)
@@ -118,32 +130,60 @@ def run_once(buffer_config: BufferConfig, workload: Workload,
     else:
         for pktgen in testbed.pktgens:
             pktgen.start(at=settle)
-
-    deadline = settle + workload.duration + drain
-    sim.run(until=deadline)
-
     tracker = testbed.metrics.delay_tracker
+
+    def advance(deadline: float) -> int:
+        sim.run(until=deadline)
+        return tracker.completed_flows
+
+    return finish_run(testbed, workload, advance, settle, drain,
+                      max_extends, obs=obs)
+
+
+def finish_run(testbed, workload: Workload, advance: Callable[[float], int],
+               settle: float, drain: float, max_extends: int,
+               obs: Optional["RunObserver"] = None,
+               land: Optional[Callable[[], None]] = None) -> RunMetrics:
+    """End a started run and snapshot it: the one tail every run takes.
+
+    ``advance(deadline)`` executes the run's events through ``deadline``
+    and returns how many flows have completed by then:
+    ``sim.run(until=deadline)`` for a serial run,
+    :meth:`repro.shard.ShardCoordinator.run_until` for a sharded one.
+    The run goes to the nominal deadline, then in 100 ms steps while
+    flows are still incomplete and completing, up to ``max_extends``
+    times.  ``land`` then brings the final state onto ``testbed`` (a
+    sharded run grafts its shards' probes onto its never-run parent
+    replica), and ``testbed.metrics`` snapshots the active window.
+    """
+    deadline = settle + workload.duration + drain
+    completed = advance(deadline)
+    total = testbed.metrics.delay_tracker.total_flows
     extends = 0
     previous_completed = -1
-    while (tracker.completed_flows < tracker.total_flows
-           and extends < max_extends
-           and tracker.completed_flows != previous_completed):
-        previous_completed = tracker.completed_flows
+    while (completed < total and extends < max_extends
+           and completed != previous_completed):
+        previous_completed = completed
         deadline += 0.100
-        sim.run(until=deadline)
+        completed = advance(deadline)
         extends += 1
+    if land is not None:
+        land()
 
+    metrics = testbed.metrics
     active_end = max(
         settle + workload.duration,
-        testbed.metrics.capture_up.last_time() or 0.0,
-        testbed.metrics.capture_down.last_time() or 0.0,
+        metrics.capture_up.last_time() or 0.0,
+        metrics.capture_down.last_time() or 0.0,
     ) + 0.005
     # Loads are normalized over the send window plus a small margin: a
     # congested post-send drain lengthens delays but must not dilute the
     # reported control-path rate.
     load_end = settle + workload.duration + 0.050
-    snapshot = testbed.metrics.snapshot(settle, min(active_end, sim.now),
-                                        load_end=load_end)
+    # ``deadline`` is where the run stopped: ``sim.run(until=...)``
+    # leaves the clock there, and a sharded parent's clock never moves.
+    snapshot = metrics.snapshot(settle, min(active_end, deadline),
+                                load_end=load_end)
     # The metrics suites see only switches; the pool is a testbed-level
     # component, so its peak lands on the snapshot here.
     if testbed.pool is not None:
@@ -157,7 +197,7 @@ def run_once(buffer_config: BufferConfig, workload: Workload,
         obs.finish(testbed, snapshot)
     testbed.shutdown()
     if snapshot.incomplete:
-        warnings.warn(_INCOMPLETE_WARNING, RuntimeWarning, stacklevel=2)
+        warnings.warn(_INCOMPLETE_WARNING, RuntimeWarning, stacklevel=3)
     return snapshot
 
 
@@ -288,48 +328,27 @@ def sweep(buffer_config: BufferConfig, workload_factory: WorkloadFactory,
           faults: Optional[FaultSpec] = None) -> SweepResult:
     """The paper's method: repetitions at every sending rate.
 
-    ``workers``/``cache``/``progress`` hand the sweep to the
-    :mod:`repro.parallel` engine (multi-core execution, on-disk result
-    cache, telemetry) — output is bit-identical either way.  The default
-    (all three None/1) runs serially in-process.
+    One :class:`~repro.parallel.SweepJob` on the :mod:`repro.parallel`
+    engine: without ``workers`` (or at ``workers=1``) it runs in this
+    process, with ``workers=N`` on a fork pool of ``N``; ``cache`` and
+    ``progress`` are the engine's result cache and telemetry.  Rows are
+    bit-identical either way.  A repetition that fails every attempt of
+    the engine's bounded retry raises
+    :class:`~repro.parallel.SweepExecutionError`, naming it.
 
     ``obs`` collects per-repetition traces and metric snapshots into a
-    :class:`repro.obs.ObsCollector` (serial and parallel paths alike);
-    ``scenario`` selects the topology every repetition runs on.
+    :class:`repro.obs.ObsCollector` (in-process runs also stream each
+    heartbeat to its ``heartbeat_sink`` as it fires); ``scenario``
+    selects the topology every repetition runs on.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if ((workers is not None and workers != 1) or cache is not None
-            or progress is not None):
-        from ..parallel import parallel_sweep
-        return parallel_sweep(buffer_config, workload_factory, rates_mbps,
-                              repetitions, calibration=calibration,
-                              base_seed=base_seed, workers=workers,
-                              cache=cache, progress=progress, obs=obs,
-                              scenario=scenario, faults=faults)
-    # The seed table is computed up front from grid coordinates alone;
-    # the in-loop assertion guards the determinism invariant the parallel
-    # engine's bit-identical guarantee rests on.
-    seed_table = {(rate, rep): derive_seed(base_seed, rate, rep)
-                  for rate in rates_mbps for rep in range(repetitions)}
-    result = SweepResult(label=buffer_config.label)
-    for rate in rates_mbps:
-        runs = []
-        for rep in range(repetitions):
-            seed = derive_seed(base_seed, rate, rep)
-            assert seed == seed_table[(rate, rep)], (
-                "repetition seed must be a pure function of "
-                "(base_seed, rate, rep), independent of execution order")
-            rng = RandomStreams(seed)
-            workload = workload_factory(mbps(rate), rng)
-            observer = (obs.observer_for(buffer_config.label, rate, rep,
-                                         seed)
-                        if obs is not None else None)
-            runs.append(run_once(buffer_config, workload,
-                                 calibration=calibration, seed=seed,
-                                 obs=observer, scenario=scenario,
-                                 faults=faults))
-            if obs is not None:
-                obs.add(observer.observation)
-        result.rows.append(aggregate(rate, buffer_config.label, runs))
-    return result
+    from ..parallel import SweepExecutionError, SweepJob, run_sweep_jobs
+    job = SweepJob(config=buffer_config, factory=workload_factory,
+                   rates_mbps=tuple(rates_mbps), repetitions=repetitions,
+                   calibration=calibration, base_seed=base_seed,
+                   scenario=scenario, faults=faults)
+    sweeps, report = run_sweep_jobs(
+        [job], workers=1 if workers is None else workers, cache=cache,
+        progress=progress, obs=obs)
+    if not report.ok:
+        raise SweepExecutionError(report)
+    return sweeps[job.label]

@@ -10,10 +10,11 @@ The pieces and who owns them:
   :class:`~repro.obs.flowtrace.FlowSetupTracer` to the emitters and, at
   the end of the run, snapshots the testbed's metrics registry into a
   picklable :class:`RunObservation`.
-* :class:`ObsCollector` — parent-side accumulator.  Serial sweeps feed
-  it directly; the parallel engine feeds it the observations workers
-  shipped back, merging per-task metrics on reassembly.  It writes the
-  final artifacts (JSONL / Chrome trace, Prometheus text).
+* :class:`ObsCollector` — parent-side accumulator.  The sweep engine
+  feeds it every task's observation, from its in-process executor or
+  shipped back by fork workers, merging per-task metrics on
+  reassembly.  It writes the final artifacts (JSONL / Chrome trace,
+  Prometheus text).
 
 Observation never perturbs the run: the tracer only listens to events
 the components already emit, and the registry counters tick whether or
@@ -131,8 +132,8 @@ class RunObserver:
         self.monitor: Optional[HealthMonitor] = None
         #: Streaming hook: receives each heartbeat's JSON-ready dict the
         #: instant the beat fires (``repro profile`` streams these to the
-        #: heartbeat JSONL file live; sweeps leave it None and let the
-        #: collector write everything at the end).
+        #: heartbeat JSONL file live; left None, the collector writes
+        #: everything at the end).
         self.heartbeat_sink = heartbeat_sink
         self.observation: Optional[RunObservation] = None
 
@@ -251,19 +252,13 @@ class ObsCollector:
                  heartbeat_sink: Optional[Callable[[dict], None]] = None):
         self.config = config if config is not None else ObsConfig()
         self.observations: List[RunObservation] = []
-        #: Forwarded to serial observers so beats stream live; parallel
-        #: workers cannot stream across the fork, so their heartbeats
+        #: The sweep engine's in-process executor hands this to each
+        #: run's observer, so beats stream live; fork workers cannot
+        #: stream across the process boundary, so their heartbeats
         #: arrive with the observation and only the final JSONL has them.
         self.heartbeat_sink = heartbeat_sink
 
     # -- feeding ---------------------------------------------------------
-    def observer_for(self, label: str, rate_mbps: float, rep: int,
-                     seed: int) -> RunObserver:
-        """A fresh observer for one repetition."""
-        return RunObserver(self.config, label=label, rate_mbps=rate_mbps,
-                           rep=rep, seed=seed,
-                           heartbeat_sink=self.heartbeat_sink)
-
     def add(self, observation: Optional[RunObservation]) -> None:
         """Record one repetition's payload (``None`` is ignored)."""
         if observation is not None:
@@ -298,7 +293,7 @@ class ObsCollector:
         """All runs' profiles folded together, in canonical grid order.
 
         Grid-order merging (never completion order) keeps float sums and
-        timeline concatenation deterministic, so a serial and a
+        timeline concatenation deterministic, so a one-worker and a
         ``--workers N`` sweep produce field-identical
         :meth:`~repro.obs.profile.ProfileReport.deterministic_summary`
         values.  ``None`` when no run was profiled.

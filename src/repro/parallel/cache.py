@@ -3,10 +3,10 @@
 Each completed repetition's :class:`~repro.metrics.RunMetrics` is stored
 under a content hash of everything that determines it: the buffer
 config, the calibration, the workload-factory identity, the task's
-(rate, rep, seed) coordinates, the runner knobs, and the repro version.
-Re-running ``repro-sdn-buffer all`` after editing one figure's settings
-then only recomputes the runs whose inputs actually changed; everything
-else is a hit.
+(rate, rep, seed) coordinates, ``run_once``'s run shape, and the repro
+version.  Re-running ``repro-sdn-buffer all`` after editing one
+figure's settings then only recomputes the runs whose inputs actually
+changed; everything else is a hit.
 
 Entries are written atomically (temp file + ``os.replace``) so parallel
 workers and concurrent CLI invocations can share one cache directory,
@@ -24,6 +24,8 @@ import warnings
 from pathlib import Path
 from typing import Optional, Union
 
+from ..experiments.runner import (DEFAULT_DRAIN, DEFAULT_MAX_EXTENDS,
+                                  DEFAULT_SETTLE)
 from ..metrics import RunMetrics
 from .tasks import SweepJob, SweepTask, factory_fingerprint
 
@@ -104,9 +106,11 @@ def task_key(job: SweepJob, task: SweepTask) -> str:
         f"rate={task.rate_mbps!r}",
         f"rep={task.rep}",
         f"seed={task.seed}",
-        f"settle={job.settle!r}",
-        f"drain={job.drain!r}",
-        f"max_extends={job.max_extends}",
+        # Tasks run ``run_once`` at its defaults; keying them makes a
+        # change to one of them miss every older entry.
+        f"settle={DEFAULT_SETTLE!r}",
+        f"drain={DEFAULT_DRAIN!r}",
+        f"max_extends={DEFAULT_MAX_EXTENDS}",
     ))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -1,10 +1,11 @@
-"""The parallel sweep-execution engine.
+"""The sweep-execution engine: the one path from a sweep grid to runs.
 
 Shards sweep jobs into per-(mechanism, rate, repetition) tasks, resolves
-cache hits, executes the rest on a ``fork``-based worker pool (inline
-when ``workers <= 1``), and reassembles results **in canonical grid
-order** before aggregation — which is what makes the output bit-identical
-to serial execution regardless of worker count or completion order.
+cache hits, executes the rest on a ``fork``-based worker pool (in this
+process when ``workers <= 1`` or one task is pending), and reassembles
+results **in canonical grid order** before aggregation — which is what
+makes the output bit-identical regardless of worker count or completion
+order.
 
 Fault model: a task that raises (or whose worker process dies, surfacing
 as ``BrokenProcessPool``) is retried up to ``max_task_retries`` times in
@@ -12,7 +13,7 @@ a fresh pool round; a task that exhausts its budget becomes a
 :class:`TaskFailure` in the :class:`EngineReport` and its repetition is
 excluded from aggregation.  The engine itself never raises for task
 failures — callers decide via :attr:`EngineReport.ok` (and
-:func:`parallel_sweep` raises :class:`SweepExecutionError` by default).
+:func:`repro.experiments.sweep` raises :class:`SweepExecutionError`).
 """
 
 from __future__ import annotations
@@ -25,17 +26,13 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union)
 
-from ..core import BufferConfig
-from ..experiments.calibration import TestbedCalibration
-from ..experiments.runner import (SweepResult, WorkloadFactory, aggregate)
-from ..faults import FaultSpec
+from ..experiments.runner import SweepResult, aggregate
 from ..metrics import RunMetrics
 from ..obs import ObsCollector, RunObservation
-from ..scenarios import ScenarioSpec
 from .cache import ResultCache, task_key
 from .progress import ProgressTracker, stderr_emit
 from .tasks import (SweepJob, SweepTask, execute_task_observed,
-                    execute_task_with_pid, register_jobs)
+                    execute_task_with_pid, register_jobs, release_jobs)
 
 #: Result map: sweep-grid coordinates -> run snapshot.
 ResultMap = Dict[Tuple[int, int, int], RunMetrics]
@@ -131,18 +128,21 @@ def run_sweep_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,
                    max_task_retries: int = 2,
                    obs: Optional[ObsCollector] = None
                    ) -> Tuple[Dict[str, SweepResult], EngineReport]:
-    """Execute a parameter study (one or more sweeps) in parallel.
+    """Execute a parameter study (one or more sweeps).
 
     Returns ``(sweeps, report)``: sweeps keyed by mechanism label, each
-    bit-identical to what the serial runner would produce, plus the
-    engine's telemetry/failure report.  Labels must be unique across
-    ``jobs``.
+    bit-identical at any worker count, plus the engine's
+    telemetry/failure report.  Labels must be unique across ``jobs``,
+    which stay registered for worker processes only until this call
+    returns.
 
     ``obs`` turns on per-task observation: workers ship spans and metric
     snapshots back alongside the run metrics and the collector merges
-    them on reassembly.  Cache *reads* are skipped while observing (a
-    hit carries no observation payload) but fresh results are still
-    written, so a later unobserved sweep gets its hits back.
+    them on reassembly; in-process runs also stream each heartbeat to
+    the collector's ``heartbeat_sink`` as it fires.  Cache *reads* are
+    skipped while observing (a hit carries no observation payload) but
+    fresh results are still written, so a later unobserved sweep gets
+    its hits back.
     """
     jobs = list(jobs)
     labels = [job.label for job in jobs]
@@ -152,6 +152,18 @@ def run_sweep_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,
         for job in jobs:
             job.obs_config = obs.config
     register_jobs(jobs)
+    try:
+        return _execute_study(jobs, workers, cache, progress,
+                              max_task_retries, obs)
+    finally:
+        release_jobs(jobs)
+
+
+def _execute_study(jobs: List[SweepJob], workers: Optional[int],
+                   cache: Optional[ResultCache], progress: ProgressLike,
+                   max_task_retries: int, obs: Optional[ObsCollector]
+                   ) -> Tuple[Dict[str, SweepResult], EngineReport]:
+    """The engine proper; runs while ``jobs`` are registered."""
     grid = [(job, task) for job in jobs for task in job.tasks()]
     worker_count = resolve_workers(workers)
     tracker = _make_tracker(progress, total=len(grid), workers=worker_count)
@@ -203,7 +215,8 @@ def run_sweep_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,
                           tracker, on_success, on_failure)
         else:
             _execute_inline(pending, max_task_retries, tracker,
-                            on_success, on_failure)
+                            on_success, on_failure,
+                            obs.heartbeat_sink if obs is not None else None)
 
     sweeps = _assemble(jobs, results)
     # Report in grid order, not completion order, so output is stable.
@@ -221,14 +234,21 @@ def run_sweep_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,
 
 
 def _execute_inline(tasks: Sequence[SweepTask], max_task_retries: int,
-                    tracker: ProgressTracker, on_success, on_failure) -> None:
-    """Single-process execution path (``workers=1`` or one task)."""
+                    tracker: ProgressTracker, on_success, on_failure,
+                    heartbeat_sink: Optional[Callable[[dict], None]]
+                    ) -> None:
+    """In-process execution path (``workers=1`` or one task).
+
+    The one executor that can stream: each observed run hands its
+    heartbeats to ``heartbeat_sink`` the instant they fire.
+    """
     for task in tasks:
         attempts = 0
         while True:
             attempts += 1
             try:
-                metrics, observation = execute_task_observed(task)
+                metrics, observation = execute_task_observed(
+                    task, heartbeat_sink=heartbeat_sink)
             except Exception as exc:
                 if attempts <= max_task_retries:
                     tracker.task_retried(worker="main")
@@ -296,35 +316,3 @@ def _assemble(jobs: Sequence[SweepJob],
                 result.rows.append(aggregate(rate, job.label, runs))
         sweeps[job.label] = result
     return sweeps
-
-
-def parallel_sweep(buffer_config: BufferConfig,
-                   workload_factory: WorkloadFactory,
-                   rates_mbps: Sequence[float], repetitions: int,
-                   calibration: Optional[TestbedCalibration] = None,
-                   base_seed: int = 0, workers: Optional[int] = None,
-                   cache: Optional[ResultCache] = None,
-                   progress: ProgressLike = None,
-                   max_task_retries: int = 2,
-                   raise_on_failure: bool = True,
-                   obs: Optional[ObsCollector] = None,
-                   scenario: Optional["ScenarioSpec"] = None,
-                   faults: Optional["FaultSpec"] = None) -> SweepResult:
-    """Drop-in parallel equivalent of :func:`repro.experiments.sweep`.
-
-    With ``raise_on_failure`` (the default) a partial failure raises
-    :class:`SweepExecutionError` carrying the engine report; pass False
-    to get whatever rows survived instead.  ``scenario`` selects the
-    topology every repetition runs on (and keys the cache), ``faults``
-    the control-plane fault spec (likewise cache-keyed).
-    """
-    job = SweepJob(config=buffer_config, factory=workload_factory,
-                   rates_mbps=tuple(rates_mbps), repetitions=repetitions,
-                   calibration=calibration, base_seed=base_seed,
-                   scenario=scenario, faults=faults)
-    sweeps, report = run_sweep_jobs(
-        [job], workers=workers, cache=cache, progress=progress,
-        max_task_retries=max_task_retries, obs=obs)
-    if raise_on_failure and not report.ok:
-        raise SweepExecutionError(report)
-    return sweeps[job.label]

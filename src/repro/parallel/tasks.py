@@ -4,14 +4,15 @@ A sweep is an embarrassingly parallel grid of independent testbed runs.
 :class:`SweepJob` describes one mechanism's (rates × repetitions) slice;
 :meth:`SweepJob.tasks` shards it into :class:`SweepTask` coordinates
 whose seeds are pure functions of ``(base_seed, rate, rep)`` — never of
-scheduling order — so any execution order reproduces the serial sweep
-bit-for-bit (see :func:`repro.experiments.runner.derive_seed`).
+scheduling order — so any execution order reproduces the grid-order
+sweep bit-for-bit (see :func:`repro.experiments.runner.derive_seed`).
 
 Workers receive tasks, not jobs: a task is a tiny frozen dataclass that
 pickles cheaply, while the job (whose workload factory is typically a
 closure and not picklable) is shared with worker processes through
 :data:`_JOB_REGISTRY` plus ``fork`` inheritance — the engine registers
-jobs *before* spawning the pool, so children see the same registry.
+jobs *before* spawning the pool, so children see the same registry, and
+releases them when its call returns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import BufferConfig
 from ..experiments.calibration import TestbedCalibration
@@ -58,10 +59,6 @@ class SweepJob:
     repetitions: int
     calibration: Optional[TestbedCalibration] = None
     base_seed: int = 0
-    # run_once knobs — defaults mirror the serial runner's.
-    settle: float = 0.020
-    drain: float = 0.250
-    max_extends: int = 20
     #: When set, workers observe each run (spans + metric snapshots) and
     #: ship the picklable :class:`repro.obs.RunObservation` back with the
     #: run metrics.  Frozen/picklable, so it crosses the fork boundary.
@@ -128,30 +125,39 @@ def register_jobs(jobs: List[SweepJob]) -> List[SweepJob]:
     return jobs
 
 
+def release_jobs(jobs: List[SweepJob]) -> None:
+    """Drop ``jobs`` from the registry (their factories, configs and
+    calibrations with them).  Fork workers hold their own copy from the
+    moment their pool started, so nothing reads these entries after the
+    call that registered them returns."""
+    for job in jobs:
+        _JOB_REGISTRY.pop(job.job_id, None)
+
+
 def execute_task_observed(
-        task: SweepTask) -> Tuple[RunMetrics, Optional[RunObservation]]:
-    """Run one repetition; also observe it when its job asks for that.
+        task: SweepTask,
+        heartbeat_sink: Optional[Callable[[dict], None]] = None
+) -> Tuple[RunMetrics, Optional[RunObservation]]:
+    """Run one repetition from its coordinates (any process, any order);
+    also observe it when its job asks for that.
 
     The observation rides back to the parent as picklable data; the run
     metrics are identical whether or not observation is on.
+    ``heartbeat_sink`` receives each monitor heartbeat as it fires (the
+    engine's in-process executor passes its collector's sink; a fork
+    worker has no way to stream across the process boundary).
     """
     job = _JOB_REGISTRY[task.job_id]
     rng = RandomStreams(task.seed)
     workload = job.factory(mbps(task.rate_mbps), rng)
     observer = (RunObserver(job.obs_config, label=job.label,
                             rate_mbps=task.rate_mbps, rep=task.rep,
-                            seed=task.seed)
+                            seed=task.seed, heartbeat_sink=heartbeat_sink)
                 if job.obs_config is not None else None)
     metrics = run_once(job.config, workload, calibration=job.calibration,
-                       seed=task.seed, settle=job.settle, drain=job.drain,
-                       max_extends=job.max_extends, obs=observer,
+                       seed=task.seed, obs=observer,
                        scenario=job.scenario, faults=job.faults)
     return metrics, (observer.observation if observer is not None else None)
-
-
-def execute_task(task: SweepTask) -> RunMetrics:
-    """Run one repetition from its coordinates (any process, any order)."""
-    return execute_task_observed(task)[0]
 
 
 def execute_task_with_pid(

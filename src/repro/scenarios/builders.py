@@ -28,7 +28,7 @@ from ..openflow import ControlChannel
 from ..simkit import RandomStreams, Simulator
 from ..switchsim import Switch
 from ..trafficgen import (HOST1_IP, HOST1_MAC, HOST2_IP, HOST2_MAC,
-                          PacketGenerator, Workload)
+                          AggregateWorkload, PacketGenerator, Workload)
 from .spec import ScenarioSpec
 from .testbed import Testbed
 
@@ -302,16 +302,30 @@ def shard_workload(workload: Workload, n_shards: int) -> List[Workload]:
     Entries are assigned by ``flow_id % n_shards`` so a flow's packets
     always leave the same host (no reordering within a flow); offsets are
     preserved, so the union of the shards replays the original schedule.
+    The shards of an :class:`~repro.trafficgen.AggregateWorkload` are
+    aggregate too: each keeps its flows' lazy tails and counts its own
+    logical packets and duration.
     """
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
-    shards = [Workload(name=f"{workload.name}/shard{i + 1}")
+    shards = [type(workload)(name=f"{workload.name}/shard{i + 1}")
               for i in range(n_shards)]
     for offset, packet in workload.entries:
         index = (packet.flow_id or 0) % n_shards
         shards[index].entries.append((offset, packet))
     for flow_id, flow_spec in workload.flows.items():
         shards[flow_id % n_shards].flows[flow_id] = flow_spec
+    if isinstance(workload, AggregateWorkload):
+        for flow_id, tail in workload.tails.items():
+            shards[flow_id % n_shards].tails[flow_id] = tail
+        for shard in shards:
+            tails = [times for _template, times in shard.tails.values()
+                     if len(times)]
+            shard.logical_packets = (len(shard.entries)
+                                     + sum(len(times) for times in tails))
+            shard.logical_duration = max(
+                [shard.entries[-1][0] if shard.entries else 0.0]
+                + [times[-1] for times in tails])
     return shards
 
 

@@ -14,17 +14,15 @@ Entry points:
 
 * :class:`ShardSpec` / :func:`parse_shard` — the value object riding
   :class:`~repro.scenarios.ScenarioSpec` (``--shard per-switch[:N]``);
-* :func:`run_once_sharded` — drop-in ``run_once`` counterpart (also
-  reached transparently via ``run_once`` when the scenario's shard is
-  active);
-* :func:`execute_sharded` — the same, returning the coordination
-  report (rounds, messages, horizon stalls, per-shard spans) alongside
-  the metrics.
+* :func:`execute_sharded` — one sharded repetition, returning the
+  coordination report (rounds, messages, horizon stalls, per-shard
+  spans) alongside the metrics; ``run_once`` reaches it transparently
+  when the scenario's shard is active, and both end through
+  ``run_once``'s own tail.
 """
 
 from .coordinator import (ShardCoordinator, ShardRunReport,
-                          ShardRunResult, execute_sharded,
-                          run_once_sharded)
+                          ShardRunResult, execute_sharded)
 from .partition import CutLink, PartitionPlan, build_partition_plan
 from .seam import EventRecorder, ShardContext, first_packet_uids
 from .spec import OFF, PER_SWITCH, SHARD_MODES, ShardSpec, parse_shard
@@ -44,6 +42,6 @@ __all__ = [
     "CutLink", "PartitionPlan", "build_partition_plan",
     "EventRecorder", "ShardContext", "first_packet_uids",
     "ShardCoordinator", "ShardRunReport", "ShardRunResult",
-    "execute_sharded", "run_once_sharded",
+    "execute_sharded",
     "VerifyReport", "metrics_fingerprint", "verify_shard_equivalence",
 ]

@@ -48,10 +48,12 @@ loopback (``inline``).  Both carriers answer the coordinator through
 one function, :func:`_serve`, so an inline run ships exactly the bytes
 a fork run does; only the final state is handed over in-process.
 
-Results merge by grafting (:mod:`repro.shard.state`) onto a never-run
-parent replica, then running the standard ``metrics.snapshot`` — the
-whole ``run_once`` tail (deadline extension, active window, load
-window, incomplete accounting) is mirrored 1:1 so sharded and serial
+A sharded run ends through :func:`repro.experiments.runner.finish_run`,
+the tail serial runs take too, with :meth:`ShardCoordinator.run_until`
+as its way to advance: the deadline extension, the graft of every
+shard's state (:mod:`repro.shard.state`) onto a never-run parent
+replica, the standard ``metrics.snapshot``, the active and load windows
+and the incomplete accounting are one code path, so sharded and serial
 runs return bit-identical :class:`~repro.metrics.RunMetrics`.
 """
 
@@ -471,8 +473,14 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
                     scenario=None, faults=None, *,
                     transport: str = "auto",
                     record_events: bool = False) -> ShardRunResult:
-    """One sharded repetition, mirroring ``run_once`` step for step."""
-    from ..experiments.runner import _INCOMPLETE_WARNING
+    """One sharded repetition, ended through ``run_once``'s own tail.
+
+    ``run_once`` comes here for a scenario whose shard is active; the
+    coordinator's :meth:`~ShardCoordinator.run_until` advances the run
+    for :func:`~repro.experiments.runner.finish_run`, and the shards'
+    final state lands on the parent replica before its snapshot.
+    """
+    from ..experiments.runner import finish_run
     from ..faults import install_faults
     from ..scenarios import build_scenario
 
@@ -504,27 +512,46 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
     handles: List[_ShardHandle] = []
     shard_cls = _ForkShard if transport == "fork" else _InlineShard
     hub = RelayHub()
+
+    def land() -> None:
+        """Graft every shard's final state onto the parent replica."""
+        states = [handle.collect() for handle in handles]
+        wire = TransportStats()
+        for handle in handles:
+            wire.merge(handle.stats)
+        worker_serialize = 0.0
+        for state in states:
+            worker_side = state.pop("transport")
+            worker_serialize += (worker_side["encode_seconds"]
+                                 + worker_side["decode_seconds"])
+        graft_states(parent, plan, states)
+        report.horizon_stalls = sum(s["stalled_rounds"] for s in states)
+        report.bytes_total = wire.bytes_out + wire.bytes_in
+        report.serialize_seconds = (wire.encode_seconds
+                                    + wire.decode_seconds
+                                    + worker_serialize)
+        if record_events:
+            report.events = merged_events(states)
+        registry = parent.registry
+        if registry is not None:
+            registry.counter("shard.rounds_total").inc(report.rounds)
+            registry.counter("shard.messages_total").inc(report.messages)
+            registry.counter("shard.horizon_stalls_total").inc(
+                report.horizon_stalls)
+            registry.counter("shard.rounds_coalesced_total").inc(
+                report.rounds_coalesced)
+            registry.counter("shard.bytes_total").inc(report.bytes_total)
+            registry.gauge("shard.serialize_seconds").set(
+                report.serialize_seconds)
+
     try:
         # Handles append one by one so a constructor failure mid-fleet
         # still leaves every already-started worker reachable for kill().
         for i in range(plan.n_shards):
             handles.append(shard_cls(build_args, i, hub, plan.n_shards))
         coordinator = ShardCoordinator(handles, plan, report)
-
-        deadline = settle + workload.duration + drain
-        completed = coordinator.run_until(deadline)
-
-        total = parent.metrics.delay_tracker.total_flows
-        extends = 0
-        previous_completed = -1
-        while (completed < total and extends < max_extends
-               and completed != previous_completed):
-            previous_completed = completed
-            deadline += 0.100
-            completed = coordinator.run_until(deadline)
-            extends += 1
-
-        states = [handle.collect() for handle in handles]
+        metrics = finish_run(parent, workload, coordinator.run_until,
+                             settle, drain, max_extends, land=land)
     except BaseException:
         # A dead or wedged worker must not leave siblings blocked in
         # recv: hard-stop the whole fleet first, then let the graceful
@@ -535,57 +562,4 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
     finally:
         for handle in handles:
             handle.close()
-
-    wire = TransportStats()
-    for handle in handles:
-        wire.merge(handle.stats)
-    worker_serialize = 0.0
-    for state in states:
-        worker_side = state.pop("transport")
-        worker_serialize += (worker_side["encode_seconds"]
-                             + worker_side["decode_seconds"])
-    graft_states(parent, plan, states)
-    report.horizon_stalls = sum(s["stalled_rounds"] for s in states)
-    report.bytes_total = wire.bytes_out + wire.bytes_in
-    report.serialize_seconds = (wire.encode_seconds + wire.decode_seconds
-                                + worker_serialize)
-    if record_events:
-        report.events = merged_events(states)
-    registry = parent.registry
-    if registry is not None:
-        registry.counter("shard.rounds_total").inc(report.rounds)
-        registry.counter("shard.messages_total").inc(report.messages)
-        registry.counter("shard.horizon_stalls_total").inc(
-            report.horizon_stalls)
-        registry.counter("shard.rounds_coalesced_total").inc(
-            report.rounds_coalesced)
-        registry.counter("shard.bytes_total").inc(report.bytes_total)
-        registry.gauge("shard.serialize_seconds").set(
-            report.serialize_seconds)
-
-    active_end = max(
-        settle + workload.duration,
-        parent.metrics.capture_up.last_time() or 0.0,
-        parent.metrics.capture_down.last_time() or 0.0,
-    ) + 0.005
-    load_end = settle + workload.duration + 0.050
-    snapshot = parent.metrics.snapshot(settle, min(active_end, deadline),
-                                       load_end=load_end)
-    if (snapshot.incomplete and extends >= max_extends
-            and registry is not None):
-        registry.counter("run.incomplete_extends_exhausted").inc()
-    parent.shutdown()
-    if snapshot.incomplete:
-        warnings.warn(_INCOMPLETE_WARNING, RuntimeWarning, stacklevel=2)
-    return ShardRunResult(metrics=snapshot, report=report)
-
-
-def run_once_sharded(buffer_config, workload, calibration=None, seed=0,
-                     settle=0.020, drain=0.250, max_extends=20,
-                     scenario=None, faults=None,
-                     transport: str = "auto"):
-    """Drop-in sharded counterpart of ``run_once`` (metrics only)."""
-    return execute_sharded(
-        buffer_config, workload, calibration=calibration, seed=seed,
-        settle=settle, drain=drain, max_extends=max_extends,
-        scenario=scenario, faults=faults, transport=transport).metrics
+    return ShardRunResult(metrics=metrics, report=report)

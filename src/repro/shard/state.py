@@ -3,9 +3,10 @@
 Bit-identical merged metrics come from a *graft-into-parent* merge: the
 coordinator keeps its own never-run replica of the testbed, copies each
 shard's raw measurement state onto the replica's idle probes, and then
-calls the standard ``metrics.snapshot(...)`` — every derived figure goes
-through exactly the serial math, so there is no second aggregation
-implementation to drift.
+the run's shared tail (``runner.finish_run``) takes the standard
+``metrics.snapshot(...)`` — every derived figure goes through exactly
+the serial math, so there is no second aggregation implementation to
+drift.
 
 Ownership is structural: each capture is owned by the shard containing
 its link's *sender*, each sampler by its component's shard, each

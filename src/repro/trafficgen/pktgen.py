@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..netsim import Host
 from ..simkit import Simulator
-from .workloads import Workload
+from .workloads import AggregateWorkload, Workload
 
 
 class PacketGenerator:
@@ -32,8 +32,18 @@ class PacketGenerator:
         Each run sends a :meth:`~repro.packets.Packet.replay_copy` of
         every template packet: a shallow copy that shares the immutable
         headers, so measurement stamps from one repetition never leak
-        into the next.
+        into the next.  A workload that still keeps lazy per-flow tails
+        (:class:`AggregateWorkload`) is refused: only the hybrid
+        engine's driver sends those, so replaying its ``entries`` alone
+        would send each flow's first packet and silently drop the rest.
         """
+        if (isinstance(self.workload, AggregateWorkload)
+                and self.workload.tails):
+            raise ValueError(
+                f"workload {self.workload.name!r} keeps lazy per-flow "
+                f"tails, which the packet engine cannot send: play "
+                f"workload.materialize() instead, or run it on the hybrid "
+                f"engine")
         base = self.sim.now + at
         for offset, packet in self.workload.entries:
             self._handles.append(self.sim.schedule_at(

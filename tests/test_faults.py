@@ -15,8 +15,7 @@ from repro.faults import (FaultSpec, NO_FAULTS, install_faults, loss_fault,
                           parse_fault)
 from repro.openflow import (ErrorMsg, ErrorType, OutputAction, PacketIn,
                             PacketOut)
-from repro.parallel import (SweepJob, parallel_sweep, register_jobs,
-                            task_key)
+from repro.parallel import SweepJob, register_jobs, task_key
 from repro.simkit import RandomStreams, mbps
 from repro.switchsim import SwitchConfig
 from repro.trafficgen import single_packet_flows
@@ -176,8 +175,8 @@ def test_serial_vs_parallel_identical_with_faults():
     spec = loss_fault(0.02)
     kwargs = dict(rates_mbps=(20.0, 40.0), repetitions=2, base_seed=5)
     serial = sweep(flow_buffer_256(), _FACTORY, faults=spec, **kwargs)
-    parallel = parallel_sweep(flow_buffer_256(), _FACTORY, workers=2,
-                              faults=spec, **kwargs)
+    parallel = sweep(flow_buffer_256(), _FACTORY, workers=2, faults=spec,
+                     **kwargs)
     assert [dataclasses.asdict(r) for r in serial.rows] \
         == [dataclasses.asdict(r) for r in parallel.rows]
 

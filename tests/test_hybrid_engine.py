@@ -34,7 +34,8 @@ from repro.engine import (HYBRID, HYBRID_DELAY_TOLERANCE, PACKET,
 from repro.experiments import default_calibration, run_once
 from repro.experiments import workload_a_factory
 from repro.parallel import SweepJob, register_jobs, task_key
-from repro.scenarios import SINGLE, line_scenario, single_scenario
+from repro.scenarios import (SINGLE, line_scenario, parse_scenario,
+                             single_scenario)
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import (flow_train_flows, single_packet_flows,
                               tcp_eviction_scenario)
@@ -220,6 +221,45 @@ def test_hybrid_segments_refresh_the_rules_they_ride(line):
                                                            reference):
             assert abs(now - ref_now) <= 0.1 + 1e-9, engine
             assert counts == ref_counts, engine
+
+
+# ---------------------------------------------------------------------------
+# Lazy tails on every shape: the hybrid engine sends them, the packet
+# engine refuses them until they are materialized
+# ---------------------------------------------------------------------------
+
+_SHAPES = ("single", "fanin:2", "line:3")
+
+
+def _lazy_train():
+    return flow_train_flows(mbps(4), n_flows=300, packets_per_flow=40,
+                            flow_rate=50.0)
+
+
+def test_hybrid_flow_trains_complete_on_every_shape():
+    """A fanin source's share of an aggregate workload keeps its flows'
+    lazy tails, so every flow completes, with the single switch's
+    delays (the sources only change the switch's ingress port)."""
+    runs = {shape: run_once(buffer_256(), _lazy_train(), seed=3,
+                            scenario=parse_scenario(shape).with_engine(
+                                HYBRID))
+            for shape in _SHAPES}
+    for shape, metrics in runs.items():
+        assert metrics.completed_flows == metrics.total_flows == 300, shape
+    assert runs["fanin:2"].setup_delays == runs["single"].setup_delays
+    assert (runs["fanin:2"].forwarding_delays
+            == runs["single"].forwarding_delays)
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_packet_engine_refuses_lazy_tails_and_plays_materialized_ones(
+        shape):
+    scenario = parse_scenario(shape)
+    with pytest.raises(ValueError, match=r"materialize\(\)"):
+        run_once(buffer_256(), _lazy_train(), seed=3, scenario=scenario)
+    metrics = run_once(buffer_256(), _lazy_train().materialize(), seed=3,
+                       scenario=scenario)
+    assert metrics.completed_flows == metrics.total_flows == 300
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Observation plumbing end to end: serial, parallel, cache, CLI."""
+"""Observation plumbing end to end: in-process, parallel, cache, CLI."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.experiments.cli import main as cli_main
 from repro.obs import (ObsCollector, ObsConfig, parse_prometheus,
                        spans_from_jsonl, validate_chrome_trace,
                        validate_nesting)
-from repro.parallel import ResultCache, SweepJob, parallel_sweep, run_sweep_jobs
+from repro.parallel import ResultCache, SweepJob, run_sweep_jobs
 
 _RATES = (20.0,)
 _REPS = 2
@@ -76,7 +76,7 @@ def test_observing_does_not_perturb_results():
 def test_parallel_observations_match_serial():
     serial_result, serial_obs = _observed_sweep()
     parallel_obs = ObsCollector(ObsConfig())
-    parallel_result = parallel_sweep(
+    parallel_result = sweep(
         buffer_16(), workload_a_factory(n_flows=_FLOWS), _RATES, _REPS,
         base_seed=1, workers=2, obs=parallel_obs)
     _rows_equal(serial_result, parallel_result)
@@ -91,7 +91,7 @@ def test_trace_off_still_merges_metrics_and_stays_bit_identical():
     plain = sweep(buffer_16(), workload_a_factory(n_flows=_FLOWS),
                   _RATES, _REPS, base_seed=1)
     obs = ObsCollector(ObsConfig(trace=False))
-    result = parallel_sweep(
+    result = sweep(
         buffer_16(), workload_a_factory(n_flows=_FLOWS), _RATES, _REPS,
         base_seed=1, workers=2, obs=obs)
     _rows_equal(plain, result)

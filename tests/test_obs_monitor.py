@@ -93,6 +93,25 @@ def test_seeded_corruption_fires_exactly_one_violation():
     assert doc["monitor"] == "conservation" and doc["subject"] == "ovs"
 
 
+def test_one_worker_sweep_streams_heartbeats_live():
+    """In-process sweeps hand every beat to the collector's sink as it
+    fires, before its run's observation is collected — the live stream
+    ``repro profile`` writes to its heartbeat JSONL."""
+    streamed = []
+    obs = ObsCollector(ObsConfig(monitor=True),
+                       heartbeat_sink=lambda beat: streamed.append(
+                           (len(obs.observations), beat)))
+    sweep(buffer_16(), workload_a_factory(n_flows=_FLOWS), (_RATE,), 2,
+          base_seed=1, obs=obs, workers=1)
+    assert streamed and streamed[0][0] == 0
+    for collected, beat in streamed:
+        # rep N's beats arrive while reps 0..N-1 alone are collected.
+        assert beat["record"] == "heartbeat"
+        assert beat["run"].endswith(f"rep={collected}")
+    assert len(streamed) == sum(len(o.heartbeats)
+                                for o in obs.observations)
+
+
 def test_parallel_monitor_summary_matches_serial():
     def run(workers):
         obs = ObsCollector(ObsConfig(monitor=True))

@@ -8,9 +8,9 @@ import pickle
 import pytest
 
 from repro.core import BufferConfig, MECHANISM_PACKET, buffer_256
-from repro.experiments import workload_a_factory
+from repro.experiments import sweep, workload_a_factory
 from repro.parallel import (ResultCache, SweepJob, default_cache_dir,
-                            parallel_sweep, register_jobs, task_key)
+                            register_jobs, task_key)
 
 _FACTORY = workload_a_factory(n_flows=12)
 
@@ -29,11 +29,11 @@ def _job(config=None, factory=None, base_seed=1, **kwargs):
 
 def test_second_run_is_served_from_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    first = parallel_sweep(buffer_256(), _FACTORY, (20, 80), 2,
-                           base_seed=1, workers=1, cache=cache)
+    first = sweep(buffer_256(), _FACTORY, (20, 80), 2, base_seed=1,
+                  workers=1, cache=cache)
     assert cache.stores == 4 and cache.hits == 0
-    second = parallel_sweep(buffer_256(), _FACTORY, (20, 80), 2,
-                            base_seed=1, workers=1, cache=cache)
+    second = sweep(buffer_256(), _FACTORY, (20, 80), 2, base_seed=1,
+                   workers=1, cache=cache)
     assert cache.hits == 4
     assert cache.stores == 4          # nothing recomputed
     for a, b in zip(first.rows, second.rows):
@@ -42,11 +42,11 @@ def test_second_run_is_served_from_cache(tmp_path):
 
 def test_config_change_busts_the_key(tmp_path):
     cache = ResultCache(tmp_path)
-    parallel_sweep(buffer_256(), _FACTORY, (20,), 1, base_seed=1,
-                   workers=1, cache=cache)
+    sweep(buffer_256(), _FACTORY, (20,), 1, base_seed=1, workers=1,
+          cache=cache)
     stores_before = cache.stores
-    parallel_sweep(BufferConfig(mechanism=MECHANISM_PACKET, capacity=64),
-                   _FACTORY, (20,), 1, base_seed=1, workers=1, cache=cache)
+    sweep(BufferConfig(mechanism=MECHANISM_PACKET, capacity=64),
+          _FACTORY, (20,), 1, base_seed=1, workers=1, cache=cache)
     assert cache.stores == stores_before + 1    # recomputed, not reused
     assert cache.hits == 0
 
@@ -67,7 +67,6 @@ def test_key_sensitive_to_every_input():
     assert _key_of(_job(base_seed=2)) != base                # seed
     assert _key_of(_job(factory=workload_a_factory(
         n_flows=99))) != base                                # workload
-    assert _key_of(_job(max_extends=5)) != base              # runner knob
     from repro.experiments import default_calibration
     assert _key_of(_job(
         calibration=default_calibration())) != base          # calibration

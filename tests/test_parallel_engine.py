@@ -1,4 +1,4 @@
-"""Engine tests: parallel == serial, crash retry, order independence."""
+"""Engine tests: parallel == in-process, crash retry, order independence."""
 
 from __future__ import annotations
 
@@ -7,12 +7,14 @@ import dataclasses
 import pytest
 
 from repro.core import buffer_16, buffer_256
-from repro.experiments import sweep, workload_a_factory
-from repro.parallel import (SweepExecutionError, SweepJob, execute_task,
-                            parallel_sweep, register_jobs, resolve_workers,
-                            run_sweep_jobs)
+from repro.experiments import (aggregate, derive_seed, run_once, sweep,
+                               workload_a_factory)
+from repro.parallel import (SweepExecutionError, SweepJob,
+                            execute_task_observed, register_jobs,
+                            resolve_workers, run_sweep_jobs)
+from repro.parallel import engine, tasks
 from repro.parallel.engine import _assemble
-from repro.simkit import mbps
+from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import single_packet_flows
 
 _RATES = (20, 80)
@@ -33,19 +35,26 @@ def _rows_equal(a, b):
 def test_workers_1_equals_workers_4():
     """The acceptance bar: fig2a-style rows identical at 1 and 4 workers."""
     factory = workload_a_factory(n_flows=_FLOWS)
-    one = parallel_sweep(buffer_256(), factory, _RATES, _REPS,
-                         base_seed=1, workers=1)
-    four = parallel_sweep(buffer_256(), factory, _RATES, _REPS,
-                          base_seed=1, workers=4)
+    one = sweep(buffer_256(), factory, _RATES, _REPS, base_seed=1,
+                workers=1)
+    four = sweep(buffer_256(), factory, _RATES, _REPS, base_seed=1,
+                 workers=4)
     _rows_equal(one, four)
 
 
 def test_parallel_equals_legacy_serial_sweep():
+    """The serial sweep, written out as the reference: ``run_once`` at
+    every grid point in order, each rate's repetitions aggregated."""
     factory = workload_a_factory(n_flows=_FLOWS)
-    serial = sweep(buffer_256(), factory, _RATES, _REPS, base_seed=1)
+    serial = [aggregate(rate, "buffer-256", [
+        run_once(buffer_256(),
+                 factory(mbps(rate), RandomStreams(derive_seed(1, rate, rep))),
+                 seed=derive_seed(1, rate, rep))
+        for rep in range(_REPS)]) for rate in _RATES]
     parallel = sweep(buffer_256(), factory, _RATES, _REPS, base_seed=1,
                      workers=4)
-    _rows_equal(serial, parallel)
+    assert [dataclasses.asdict(row) for row in serial] \
+        == [dataclasses.asdict(row) for row in parallel.rows]
 
 
 def test_multi_job_study_matches_per_config_serial():
@@ -75,7 +84,7 @@ def test_completion_order_does_not_change_aggregates():
     register_jobs([job])
     results = {}
     for task in reversed(job.tasks()):
-        results[task.key] = execute_task(task)
+        results[task.key] = execute_task_observed(task)[0]
     reassembled = _assemble([job], results)[job.label]
     serial = sweep(buffer_256(), factory, _RATES, 3, base_seed=2)
     _rows_equal(serial, reassembled)
@@ -111,21 +120,82 @@ def test_crashing_task_is_retried_then_reported(workers):
 
 def test_parallel_sweep_raises_on_partial_failure():
     with pytest.raises(SweepExecutionError) as excinfo:
-        parallel_sweep(buffer_256(), _crash_at_50, (20, 50), 1,
-                       base_seed=1, workers=2, max_task_retries=1)
+        sweep(buffer_256(), _crash_at_50, (20, 50), 1, base_seed=1,
+              workers=2)
     assert "injected crash" in str(excinfo.value)
     assert not excinfo.value.report.ok
 
 
+def test_one_worker_sweep_names_the_task_that_failed_every_attempt():
+    """In-process sweeps take the engine's bounded retry too, then
+    raise a report naming the repetition, not the bare exception."""
+    with pytest.raises(SweepExecutionError) as excinfo:
+        sweep(buffer_256(), _crash_at_50, (20, 50), 2, base_seed=1)
+    report = excinfo.value.report
+    assert report.workers == 1
+    assert [(f.rate_mbps, f.rep, f.attempts) for f in report.failures] \
+        == [(50, 0, 3), (50, 1, 3)]
+    text = str(excinfo.value)
+    assert "rate=50 rep=0" in text and "rate=50 rep=1" in text
+    assert "RuntimeError: injected crash" in text
+
+
 def test_partial_failure_rows_match_serial_for_surviving_rates():
-    result = parallel_sweep(buffer_256(), _crash_at_50, (20, 50), 2,
-                            base_seed=1, workers=2, max_task_retries=0,
-                            raise_on_failure=False)
+    job = SweepJob(config=buffer_256(), factory=_crash_at_50,
+                   rates_mbps=(20, 50), repetitions=2, base_seed=1)
+    sweeps, report = run_sweep_jobs([job], workers=2, max_task_retries=0)
+    assert not report.ok
     serial = sweep(buffer_256(),
                    lambda rate_bps, rng: single_packet_flows(
                        rate_bps, n_flows=10, rng=rng),
                    (20,), 2, base_seed=1)
-    _rows_equal(serial, result)
+    _rows_equal(serial, sweeps[job.label])
+
+
+# ---------------------------------------------------------------------------
+# in-process default and the job registry
+# ---------------------------------------------------------------------------
+
+def test_runs_without_workers_start_no_pool(monkeypatch):
+    from repro.experiments import (run_benefits_experiment,
+                                   run_mechanism_experiment)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run without workers started a pool")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    result = sweep(buffer_256(), workload_a_factory(n_flows=5), (20, 80), 2)
+    assert result.rates == [20, 80]
+    benefits = run_benefits_experiment(rates_mbps=(20,), repetitions=2,
+                                       n_flows=5)
+    mechanism = run_mechanism_experiment(rates_mbps=(20,), repetitions=2,
+                                         n_flows=5, packets_per_flow=2)
+    assert benefits.report.workers == mechanism.report.workers == 1
+    assert benefits.report.ok and mechanism.report.ok
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweeps_leave_the_job_registry_as_they_found_it(workers):
+    """Jobs are registered for one engine call only: a healthy study, one
+    with a failing task and one whose telemetry raises out of the engine
+    all leave the registry as it was."""
+    def explode(line):
+        raise RuntimeError("telemetry sink failed")
+
+    before = dict(tasks._JOB_REGISTRY)
+    for factory in (workload_a_factory(n_flows=5), _crash_at_50):
+        job = SweepJob(config=buffer_256(), factory=factory,
+                       rates_mbps=(20, 50), repetitions=2)
+        run_sweep_jobs([job], workers=workers, max_task_retries=0)
+        assert tasks._JOB_REGISTRY == before
+    job = SweepJob(config=buffer_256(), factory=workload_a_factory(5),
+                   rates_mbps=(20,), repetitions=2)
+    with pytest.raises(RuntimeError, match="telemetry"):
+        run_sweep_jobs([job], workers=workers, progress=explode)
+    assert tasks._JOB_REGISTRY == before
+    sweep(buffer_256(), workload_a_factory(n_flows=5), (20, 80), 2,
+          workers=workers)
+    assert tasks._JOB_REGISTRY == before
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import buffer_256
 from repro.experiments import derive_seed, run_once, workload_a_factory
-from repro.parallel import SweepJob, execute_task, register_jobs
+from repro.parallel import SweepJob, execute_task_observed, register_jobs
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import single_packet_flows
 
@@ -67,7 +67,8 @@ def test_execute_task_matches_direct_run_once():
                    rates_mbps=(20,), repetitions=1, base_seed=2)
     register_jobs([job])
     task = job.tasks()[0]
-    via_task = execute_task(task)
+    via_task, observation = execute_task_observed(task)
+    assert observation is None              # the job asked for none
     rng = RandomStreams(task.seed)
     direct = run_once(
         buffer_256(),
