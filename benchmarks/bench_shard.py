@@ -9,7 +9,7 @@ numerator for every configuration: the workload is identical (the verify
 mode asserts bit-identity), so the rate ratio IS the wall-time ratio.
 
 **shard_transport** — what the pipe costs per round at 2 workers.
-Inline shards ship the same frames as forked ones, through the same
+Inline shards send the same batches as forked ones, through the same
 channel code, joined by an in-process loopback instead of a pipe; so
 ``(rounds_wall_fork - rounds_wall_inline) / rounds`` is the pipe's cost
 alone — syscalls, context switches, the second process — with the codec
@@ -161,7 +161,10 @@ def _transport_run(transport: str):
 def measure_transport(rounds: int = 7) -> dict:
     """Best-of-N rounds wall, inline vs fork, and the pipe's per-round cost.
 
-    Both carriers ship the same frames through the same channel code, so
+    Both carriers send the same batches through the same channel code
+    (the two runs must agree on rounds, messages, coalesced rounds and
+    stalls; wire bytes may differ, since inline shards share the
+    process's xid counter and pickle sizes an int by its value), so
     ``(fork - inline) / rounds`` is what the pipe itself costs per
     advance/reply round: syscalls, context switches, the second process.
     Each repetition runs inline then fork back to back, so the two share
@@ -178,11 +181,12 @@ def measure_transport(rounds: int = 7) -> dict:
                 best[transport] = report.rounds_wall_seconds
                 reports[transport] = report
     inline, fork = reports["inline"], reports["fork"]
-    if (inline.rounds, inline.bytes_total) != (fork.rounds, fork.bytes_total):
+    shape = ("rounds", "messages", "rounds_coalesced", "horizon_stalls")
+    if any(getattr(inline, key) != getattr(fork, key) for key in shape):
         raise RuntimeError(
-            f"inline and fork runs diverged: rounds {inline.rounds} vs "
-            f"{fork.rounds}, bytes {inline.bytes_total} vs "
-            f"{fork.bytes_total}")
+            "inline and fork runs diverged: " + ", ".join(
+                f"{key} {getattr(inline, key)} vs {getattr(fork, key)}"
+                for key in shape))
     overhead_ms = (best["fork"] - best["inline"]) / max(fork.rounds, 1) * 1e3
     section = {
         "scenario": SCENARIO,
@@ -204,7 +208,8 @@ def measure_transport(rounds: int = 7) -> dict:
     print(f"bench-shard: transport inline {best['inline']:8.3f}s, fork "
           f"{best['fork']:8.3f}s rounds_wall ({fork.rounds} rounds) -> "
           f"{overhead_ms:6.3f} ms/round pipe cost "
-          f"({fork.bytes_total:,} wire bytes)")
+          f"({fork.bytes_total:,} wire bytes fork, "
+          f"{inline.bytes_total:,} inline)")
     return section
 
 

@@ -1,23 +1,25 @@
 """The ``shard-verify`` subcommand: sharded-vs-serial bit-identity.
 
 Peeled off before the figure-target parser (like ``profile`` and
-``bench diff``): ``repro-experiments shard-verify --scenario line:2``
-runs the same repetition serial and sharded, and exits non-zero on any
-divergence in event ordering, metrics, or cache keying.
+``bench diff``): ``repro-sdn-buffer shard-verify --scenario line:2``
+runs the same repetition serial and sharded, and exits 1 on any
+divergence in event ordering, metrics, or cache keying.  Options no run
+can use exit 2 with a one-line message before anything is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 
 def shard_verify_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro-experiments shard-verify`` body; returns an exit code."""
+    """``repro-sdn-buffer shard-verify`` body; returns an exit code."""
     parser = argparse.ArgumentParser(
-        prog="repro-experiments shard-verify",
+        prog="repro-sdn-buffer shard-verify",
         description="Assert sharded execution is bit-identical to serial.")
     parser.add_argument("--scenario", metavar="SHAPE[:N]", default="line:2",
                         help="scenario to verify (default line:2)")
@@ -46,6 +48,14 @@ def shard_verify_main(argv: Optional[Sequence[str]] = None) -> int:
     from ..scenarios import parse_scenario
     from ..shard import parse_shard, verify_shard_equivalence
     try:
+        if args.flows < 1:
+            raise ValueError(f"--flows must be >= 1, got {args.flows}")
+        if not (math.isfinite(args.rate) and args.rate > 0):
+            raise ValueError(
+                f"--rate must be finite and > 0, got {args.rate:g}")
+        if args.loss is not None and not 0.0 <= args.loss <= 1.0:
+            raise ValueError(
+                f"--loss must be within [0, 1], got {args.loss:g}")
         scenario = parse_scenario(args.scenario)
         shard = parse_shard(args.shard)
         if not shard.is_active:

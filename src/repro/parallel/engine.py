@@ -134,7 +134,7 @@ def run_sweep_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,
     bit-identical at any worker count, plus the engine's
     telemetry/failure report.  Labels must be unique across ``jobs``,
     which stay registered for worker processes only until this call
-    returns.
+    returns and leave it with the ``obs_config`` they came in with.
 
     ``obs`` turns on per-task observation: workers ship spans and metric
     snapshots back alongside the run metrics and the collector merges
@@ -148,6 +148,7 @@ def run_sweep_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,
     labels = [job.label for job in jobs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"job labels must be unique, got {labels}")
+    configs = [job.obs_config for job in jobs]
     if obs is not None:
         for job in jobs:
             job.obs_config = obs.config
@@ -157,6 +158,8 @@ def run_sweep_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,
                               max_task_retries, obs)
     finally:
         release_jobs(jobs)
+        for job, config in zip(jobs, configs):
+            job.obs_config = config
 
 
 def _execute_study(jobs: List[SweepJob], workers: Optional[int],

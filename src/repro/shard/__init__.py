@@ -6,7 +6,7 @@
 default transport — synchronized with Chandy–Misra–Bryant-style
 conservative horizons derived from the minimum propagation delay on cut
 cables.  Results merge bit-identically to serial execution; the verify
-mode (:func:`verify_shard_equivalence`, ``repro-experiments
+mode (:func:`verify_shard_equivalence`, ``repro-sdn-buffer
 shard-verify``) asserts exactly that, down to per-component event
 ordering.
 
@@ -26,19 +26,13 @@ from .coordinator import (ShardCoordinator, ShardRunReport,
 from .partition import CutLink, PartitionPlan, build_partition_plan
 from .seam import EventRecorder, ShardContext, first_packet_uids
 from .spec import OFF, PER_SWITCH, SHARD_MODES, ShardSpec, parse_shard
-from .transport import (MAGIC_FRAME, WIRE_VERSION, RelayHub, ShardChannel,
-                        StringTable, TransportStats, decode_frame,
-                        decode_round, emit_round, encode_round,
-                        loopback_pair, scan_frame, scan_round)
+from .transport import ShardChannel, TransportStats, loopback_pair
 from .verify import (VerifyReport, metrics_fingerprint,
                      verify_shard_equivalence)
 
 __all__ = [
     "OFF", "PER_SWITCH", "SHARD_MODES", "ShardSpec", "parse_shard",
-    "MAGIC_FRAME", "WIRE_VERSION", "RelayHub", "ShardChannel",
-    "StringTable", "TransportStats", "loopback_pair",
-    "encode_round", "decode_round", "scan_round", "emit_round",
-    "decode_frame", "scan_frame",
+    "ShardChannel", "TransportStats", "loopback_pair",
     "CutLink", "PartitionPlan", "build_partition_plan",
     "EventRecorder", "ShardContext", "first_packet_uids",
     "ShardCoordinator", "ShardRunReport", "ShardRunResult",

@@ -25,10 +25,11 @@ O(shards²) pipes would be worse).  Each round:
    ``bound(j)`` and arrives no earlier than ``L`` later, so executing
    events *strictly before* ``t_end(i)`` can never be invalidated.
 
-2. Shards with work advance in parallel: pending messages are injected
-   (ordered by ``(delivery time, cut-link index, per-link sequence)`` —
-   the deterministic cross-shard tie rule), the local loop runs up to
-   the exclusive horizon, and freshly emitted messages come back.
+2. Shards with work advance in parallel: pending messages due by the
+   deadline are injected (ordered by ``(delivery time, cut-link index,
+   per-link sequence)`` — the deterministic cross-shard tie rule), the
+   local loop runs up to the exclusive horizon, and freshly emitted
+   messages come back.
 
 3. Once no shard can deliver at or before the deadline, each shard gets
    one *inclusive* advance to the deadline — mirroring what serial
@@ -41,12 +42,15 @@ always clears its own next event.  A shard advanced over a window
 holding no local events and no injections counts a *horizon stall* —
 the null-message overhead figure exported on the parent registry.
 
-Every round travels as framed bytes (:mod:`repro.shard.transport`)
-between two :class:`~repro.shard.transport.ShardChannel` ends, whatever
-carries them: a pipe to a forked worker (``fork``) or an in-process
-loopback (``inline``).  Both carriers answer the coordinator through
-one function, :func:`_serve`, so an inline run ships exactly the bytes
-a fork run does; only the final state is handed over in-process.
+Every round travels as pickled per-destination batches
+(:mod:`repro.shard.transport`) between two
+:class:`~repro.shard.transport.ShardChannel` ends, whatever carries
+them: a pipe to a forked worker (``fork``) or an in-process loopback
+(``inline``).  The coordinator routes each batch as opaque bytes and
+reads only its delivery times.  Both carriers answer the coordinator
+through one function, :func:`_serve`, so an inline run sends the same
+messages in the same batches as a fork run; only the final state is
+handed over in-process.
 
 A sharded run ends through :func:`repro.experiments.runner.finish_run`,
 the tail serial runs take too, with :meth:`ShardCoordinator.run_until`
@@ -68,10 +72,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.spans import SpanRecorder
 from .partition import PartitionPlan, build_partition_plan
-from .seam import ShardContext, ShardMessage
+from .seam import ShardContext
 from .state import extract_state, graft_states, merged_events
-from .transport import (RelayHub, ShardChannel, TransportStats,
-                        loopback_pair)
+from .transport import Batch, ShardChannel, TransportStats, loopback_pair
 
 
 def _fork_available() -> bool:
@@ -80,15 +83,15 @@ def _fork_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shard handles: one local, one forked — same channel, same frames
+# Shard handles: one local, one forked — same channel, same batches
 # ---------------------------------------------------------------------------
 
 class _ShardHandle:
     """The coordinator's end of one shard's :class:`ShardChannel`.
 
-    Subclasses attach ``channel`` (role ``parent``) to a carrier and
-    receive the shard's ready announcement; advancing, collecting
-    replies and the transport stats are common to both carriers.
+    Subclasses attach ``channel`` to a carrier and receive the shard's
+    ready announcement; advancing, collecting replies and the transport
+    stats are common to both carriers.
     """
 
     channel: ShardChannel
@@ -113,44 +116,40 @@ class _ShardHandle:
                 f"expected {expected!r}")
         return payload
 
-    def advance(self, t_end: float, messages: List[ShardMessage],
+    def advance(self, t_end: float, deadline: float, blobs: List[bytes],
                 inclusive: bool) -> None:
         try:
-            self.channel.send_advance(t_end, messages, inclusive)
+            self.channel.send_advance(t_end, deadline, blobs, inclusive)
         except (BrokenPipeError, ConnectionError, OSError) as exc:
             raise RuntimeError(
                 f"shard worker died mid-round ({type(exc).__name__}); "
                 f"see worker stderr for the original failure") from exc
 
-    def result(self) -> Tuple[List[ShardMessage], float, Optional[int]]:
+    def result(self) -> Tuple[List[Batch], float, Optional[int]]:
         return self._recv("advanced")
 
 
 class _InlineShard(_ShardHandle):
     """A shard's event loop living in the coordinator's own process.
 
-    Its worker end is a real worker-role :class:`ShardChannel`, joined to
-    the coordinator's end by a :func:`loopback_pair` instead of a pipe:
-    every round is encoded, shipped, decoded and scanned exactly as under
-    fork, through :func:`_serve`, so inline runs verify the very bytes a
-    fork run ships.  Only the final state skips the wire — it is handed
+    Its worker end is a real :class:`ShardChannel`, joined to the
+    coordinator's end by a :func:`loopback_pair` instead of a pipe: every
+    round is pickled, shipped, routed and unpickled exactly as under
+    fork, through :func:`_serve`, so inline runs verify the very wire a
+    fork run uses.  Only the final state skips the wire — it is handed
     over as the object :func:`_serve` returns.
     """
 
-    def __init__(self, build_args: dict, shard_index: int,
-                 hub: RelayHub, n_shards: int):
+    def __init__(self, build_args: dict, shard_index: int):
         parent_end, worker_end = loopback_pair()
-        self._worker = ShardChannel(worker_end, role="worker",
-                                    shard_index=shard_index,
-                                    n_shards=n_shards)
+        self._worker = ShardChannel(worker_end)
         self._context = _start_shard(self._worker, build_args, shard_index)
-        self.channel = ShardChannel(parent_end, role="parent", hub=hub,
-                                    shard_index=shard_index)
+        self.channel = ShardChannel(parent_end)
         self.next_time, self.ready = self._recv("ready")
 
-    def advance(self, t_end: float, messages: List[ShardMessage],
+    def advance(self, t_end: float, deadline: float, blobs: List[bytes],
                 inclusive: bool) -> None:
-        super().advance(t_end, messages, inclusive)
+        super().advance(t_end, deadline, blobs, inclusive)
         _serve(self._context, self._worker, self._worker.recv())
 
     def collect(self) -> Dict[str, Any]:
@@ -166,20 +165,18 @@ class _InlineShard(_ShardHandle):
 class _ForkShard(_ShardHandle):
     """A shard's event loop in a forked worker, spoken to over a pipe."""
 
-    def __init__(self, build_args: dict, shard_index: int,
-                 hub: RelayHub, n_shards: int):
+    def __init__(self, build_args: dict, shard_index: int):
         self._process = None
         ctx = multiprocessing.get_context("fork")
         self._conn, child = ctx.Pipe(duplex=True)
         try:
             self._process = ctx.Process(
                 target=_shard_worker,
-                args=(child, build_args, shard_index, n_shards),
+                args=(child, build_args, shard_index),
                 daemon=True)
             self._process.start()
             child.close()
-            self.channel = ShardChannel(self._conn, role="parent", hub=hub,
-                                        shard_index=shard_index)
+            self.channel = ShardChannel(self._conn)
             self.next_time, self.ready = self._recv("ready")
         except BaseException:
             self.kill()
@@ -265,11 +262,9 @@ def _serve(context: ShardContext, channel: ShardChannel, command):
     raise ValueError(f"unknown shard command {command[0]!r}")
 
 
-def _shard_worker(conn, build_args: dict, shard_index: int,
-                  n_shards: int) -> None:
+def _shard_worker(conn, build_args: dict, shard_index: int) -> None:
     """Worker process main loop: build once, then serve until ``stop``."""
-    channel = ShardChannel(conn, role="worker", shard_index=shard_index,
-                           n_shards=n_shards)
+    channel = ShardChannel(conn)
     try:
         context = _start_shard(channel, build_args, shard_index)
         while True:
@@ -307,14 +302,18 @@ class ShardRunReport:
     #: Per-shard advances skipped entirely: the horizon moved but the
     #: window could not contain events or injections, so no IPC was paid.
     rounds_coalesced: int = 0
-    #: Hot-path frame bytes, counted once per frame (parent side);
-    #: inline and fork runs of one repetition ship the same bytes.
+    #: Hot-path wire bytes (pickled advances and replies), counted once
+    #: per message on the coordinator's side.  Inline and fork runs send
+    #: the same messages in the same batches, but not always the same
+    #: bytes: inline shards share the process-wide xid and buffer-id
+    #: counters, so those ints differ in value, and pickle sizes an int
+    #: by its value.
     bytes_total: int = 0
     #: Encode+decode wall time summed over both ends of every channel.
     serialize_seconds: float = 0.0
     #: Wall time spent inside ``run_until`` — the advance/reply rounds
     #: themselves, excluding fork/build/collect/graft.  Inline rounds
-    #: carry the same frames, so the transport bench subtracts inline
+    #: do the same codec work, so the transport bench subtracts inline
     #: from fork on this figure to isolate the pipe's per-round cost.
     rounds_wall_seconds: float = 0.0
     #: Per-component event streams (verify mode only).
@@ -333,31 +332,44 @@ class ShardCoordinator:
         self.report = report
         self.n = plan.n_shards
         self.lookahead = plan.lookahead
-        self.cut_dst = [cut.dst for cut in plan.cut_links]
-        #: Per-destination in-flight messages, not yet injected; seeded
-        #: with those the shards sent while adopting, so the first
-        #: horizons already see them.
-        self.pending: List[List[ShardMessage]] = [[] for _ in range(self.n)]
+        #: Per destination: the delivery times of its in-flight messages
+        #: not yet injected, whether their batch is still here or already
+        #: shipped and held back by the worker.  Seeded with those the
+        #: shards sent while adopting, so the first horizons see them.
+        self.pending: List[List[float]] = [[] for _ in range(self.n)]
+        #: Per destination: ``(earliest delivery, blob)`` of each batch
+        #: not yet shipped.
+        self.unshipped: List[List[Tuple[float, bytes]]] = [
+            [] for _ in range(self.n)]
         for handle in handles:
             self._route(handle.ready)
         self.next_time = [handle.next_time for handle in handles]
         self.horizon = [0.0] * self.n
         self.completed: Optional[int] = None
 
-    def _route(self, messages: List[ShardMessage]) -> None:
-        for message in messages:
-            self.pending[self.cut_dst[message[1]]].append(message)
-        self.report.messages += len(messages)
+    def _route(self, batches: List[Batch]) -> None:
+        for dst, times, blob in batches:
+            self.pending[dst].extend(times)
+            self.unshipped[dst].append((min(times), blob))
+            self.report.messages += len(times)
 
     def _next_effective(self) -> List[float]:
-        effective = []
-        for i in range(self.n):
-            t = self.next_time[i]
-            for message in self.pending[i]:
-                if message[0] < t:
-                    t = message[0]
-            effective.append(t)
-        return effective
+        return [min(self.next_time[i], min(self.pending[i], default=math.inf))
+                for i in range(self.n)]
+
+    def _ship_due(self, i: int, deadline: float) -> List[bytes]:
+        """Take shard ``i``'s messages due by ``deadline`` off the books
+        and return the unshipped blobs that hold any of them.
+
+        The worker injects exactly the messages due by the deadline —
+        from these blobs and from those it holds back — so the books and
+        the injections agree without the blobs being opened here.
+        """
+        self.pending[i] = [t for t in self.pending[i] if t > deadline]
+        waiting = self.unshipped[i]
+        self.unshipped[i] = [entry for entry in waiting
+                             if entry[0] > deadline]
+        return [blob for first, blob in waiting if first <= deadline]
 
     def _closed_bounds(self, next_eff: List[float]) -> List[float]:
         """Transitive emission lower bounds (Bellman–Ford over L).
@@ -394,7 +406,7 @@ class ShardCoordinator:
         final_done = [False] * self.n
         while True:
             bound = self._closed_bounds(self._next_effective())
-            batch: List[Tuple[int, float, List[ShardMessage], bool]] = []
+            batch: List[Tuple[int, float, List[bytes], bool]] = []
             for i in range(self.n):
                 promise = math.inf
                 row_to_i = self.lookahead
@@ -410,8 +422,8 @@ class ShardCoordinator:
                         continue
                 else:
                     t_end, inclusive = promise, False
-                messages = [m for m in self.pending[i] if m[0] <= deadline]
-                if not inclusive and not messages:
+                due = any(t <= deadline for t in self.pending[i])
+                if not inclusive and not due:
                     if t_end <= self.horizon[i]:
                         continue
                     if self.next_time[i] >= t_end:
@@ -427,17 +439,15 @@ class ShardCoordinator:
                         self.horizon[i] = t_end
                         self.report.rounds_coalesced += 1
                         continue
-                if messages:
-                    kept = [m for m in self.pending[i] if m[0] > deadline]
-                    self.pending[i] = kept
-                batch.append((i, t_end, messages, inclusive))
+                blobs = self._ship_due(i, deadline) if due else []
+                batch.append((i, t_end, blobs, inclusive))
             if not batch:
                 break
             self.report.rounds += 1
-            for i, t_end, messages, inclusive in batch:
+            for i, t_end, blobs, inclusive in batch:
                 segment_start[i]["rounds"] += 1
-                self.handles[i].advance(t_end, messages, inclusive)
-            for i, t_end, messages, inclusive in batch:
+                self.handles[i].advance(t_end, deadline, blobs, inclusive)
+            for i, t_end, _blobs, inclusive in batch:
                 outbound, next_time, completed = self.handles[i].result()
                 self.next_time[i] = next_time
                 self.horizon[i] = max(self.horizon[i], t_end)
@@ -511,7 +521,6 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
     report = ShardRunReport(n_shards=plan.n_shards, transport=transport)
     handles: List[_ShardHandle] = []
     shard_cls = _ForkShard if transport == "fork" else _InlineShard
-    hub = RelayHub()
 
     def land() -> None:
         """Graft every shard's final state onto the parent replica."""
@@ -548,7 +557,7 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
         # Handles append one by one so a constructor failure mid-fleet
         # still leaves every already-started worker reachable for kill().
         for i in range(plan.n_shards):
-            handles.append(shard_cls(build_args, i, hub, plan.n_shards))
+            handles.append(shard_cls(build_args, i))
         coordinator = ShardCoordinator(handles, plan, report)
         metrics = finish_run(parent, workload, coordinator.run_until,
                              settle, drain, max_extends, land=land)

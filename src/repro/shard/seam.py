@@ -127,7 +127,8 @@ class ShardContext:
         self.plan = plan
         self.shard_index = shard_index
         self.sim = testbed.sim
-        self._outbox: List[ShardMessage] = []
+        #: Destination shard -> messages sent its way since the last drain.
+        self._outbox: Dict[int, List[ShardMessage]] = {}
         self._out_seq: Dict[int, int] = {}
         self._inbound: Dict[int, Any] = {}
         self.recorder: Optional[EventRecorder] = None
@@ -146,7 +147,7 @@ class ShardContext:
             cable = testbed.topology.cable(*cut.cable)
             link = getattr(cable, cut.direction)
             if cut.src == me:
-                link._outbound = self._make_outbound(cut.index)
+                link._outbound = self._make_outbound(cut.index, cut.dst)
             elif cut.dst == me:
                 self._inbound[cut.index] = link
             else:
@@ -185,8 +186,8 @@ class ShardContext:
         if controller_owner:
             testbed.controller.start_handshake()
 
-    def _make_outbound(self, cut_index: int):
-        outbox = self._outbox
+    def _make_outbound(self, cut_index: int, dst: int):
+        outbox = self._outbox.setdefault(dst, [])
         seq = self._out_seq
 
         def emit(deliver_time: float, item: Any) -> None:
@@ -216,8 +217,9 @@ class ShardContext:
 
     # -- round execution -------------------------------------------------
     def advance(self, t_end: float, messages: List[ShardMessage],
-                inclusive: bool) -> Tuple[List[ShardMessage], float,
-                                          Optional[int]]:
+                inclusive: bool
+                ) -> Tuple[List[Tuple[int, List[ShardMessage]]], float,
+                           Optional[int]]:
         """Inject ``messages``, run the local loop up to the horizon.
 
         Exclusive horizons (``inclusive=False``) execute events strictly
@@ -226,10 +228,10 @@ class ShardContext:
         deadline is inclusive (mirroring serial ``run(until=deadline)``)
         and is only issued once no shard can deliver at or before it.
 
-        Returns ``(outbound messages, next local event time, completed
-        flows or None)`` — the completion count is only computed on
-        inclusive advances (it is O(flows) and only the extension loop
-        needs it).
+        Returns ``(outbound messages by destination, next local event
+        time, completed flows or None)`` — the completion count is only
+        computed on inclusive advances (it is O(flows) and only the
+        extension loop needs it).
         """
         for message in sorted(messages, key=lambda m: (m[0], m[1], m[2])):
             deliver_time, cut_index, _seq, item = message
@@ -246,10 +248,14 @@ class ShardContext:
             completed = self.testbed.metrics.delay_tracker.completed_flows
         return self.take_outbox(), self.sim.peek(), completed
 
-    def take_outbox(self) -> List[ShardMessage]:
-        """Drain the cross-shard messages sent since the last drain."""
-        # Drain in place: the seam closures hold a reference to this
-        # exact list, so rebinding would orphan them.
-        outbound = list(self._outbox)
-        self._outbox.clear()
-        return outbound
+    def take_outbox(self) -> List[Tuple[int, List[ShardMessage]]]:
+        """Drain the cross-shard messages sent since the last drain, as
+        ``(destination shard, messages)`` groups."""
+        groups = []
+        for dst, box in self._outbox.items():
+            if box:
+                groups.append((dst, list(box)))
+                # Drain in place: the seam closures hold a reference to
+                # this exact list, so rebinding would orphan them.
+                box.clear()
+        return groups

@@ -17,10 +17,10 @@ Two modes ship:
   minimum propagation delay on cut cables.  ``workers`` groups the
   partitions onto that many event loops (``None`` = one per partition).
 
-A spec says nothing about the wire: rounds always travel as the framed
-records of :mod:`repro.shard.transport`.  Combinations a sharded run
-cannot carry (the hybrid engine, a shared buffer pool) are refused by
-:class:`~repro.scenarios.ScenarioSpec` when it is built.
+A spec says nothing about the wire: rounds always travel as the pickled
+per-destination batches of :mod:`repro.shard.transport`.  Combinations
+a sharded run cannot carry (the hybrid engine, a shared buffer pool) are
+refused by :class:`~repro.scenarios.ScenarioSpec` when it is built.
 
 This module is dependency-light on purpose: ``scenarios.spec`` imports
 it, so it must not import simulation machinery.  The coordinator itself

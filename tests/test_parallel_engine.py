@@ -198,6 +198,27 @@ def test_sweeps_leave_the_job_registry_as_they_found_it(workers):
     assert tasks._JOB_REGISTRY == before
 
 
+def test_observed_call_leaves_its_jobs_unobserved(monkeypatch):
+    """A job run once with a collector and then without one builds no
+    observer in the second call: each job leaves the engine with the
+    ``obs_config`` it came in with."""
+    from repro.obs import ObsCollector
+    job = SweepJob(config=buffer_256(), factory=workload_a_factory(5),
+                   rates_mbps=(20,), repetitions=1)
+    run_sweep_jobs([job], workers=1, obs=ObsCollector())
+    built = []
+    original = tasks.RunObserver
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("label"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tasks, "RunObserver", counting)
+    run_sweep_jobs([job], workers=1)
+    assert built == []
+    assert job.obs_config is None
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------

@@ -183,19 +183,24 @@ def test_verify_bit_identity_under_faults():
 
 def test_fork_transport_matches_inline():
     spec = parse_scenario("line:2").with_shard(PER_SWITCH)
+    workload = _workload(n_flows=10)
     runs = {}
     for transport in ("inline", "fork"):
         runs[transport] = execute_sharded(
-            BufferConfig(), _workload(n_flows=10), seed=3, scenario=spec,
-            transport=transport)
+            BufferConfig(), workload, seed=3, scenario=spec,
+            transport=transport, record_events=True)
     assert metrics_fingerprint(runs["inline"].metrics) \
         == metrics_fingerprint(runs["fork"].metrics)
     # Inline shards ride the fork path's own channel over a loopback, so
-    # they run the same rounds and ship the very same frame bytes.
+    # they run the same rounds and see the same event streams.  Their
+    # wire bytes may differ: inline shards share the process's xid and
+    # buffer-id counters, and pickle sizes an int by its value.
     def wire(report):
-        return (report.rounds, report.messages, report.bytes_total,
-                report.rounds_coalesced)
+        return (report.rounds, report.messages, report.rounds_coalesced,
+                report.horizon_stalls)
     assert wire(runs["inline"].report) == wire(runs["fork"].report)
+    assert runs["inline"].report.events == runs["fork"].report.events
+    assert runs["inline"].report.events
 
 
 def test_run_once_dispatches_to_sharded():
@@ -245,6 +250,22 @@ def test_cli_rejects_shard_combination_before_any_task(axis, capsys,
     assert code == 2
     assert ran == []
     assert "sharded execution does not compose" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", (["--loss", "2"], ["--flows", "0"],
+                                    ["--rate", "-1"], ["--rate", "nan"]))
+def test_shard_verify_rejects_unusable_options(option, capsys, monkeypatch):
+    """Usage errors exit 2 with one line before any testbed is built;
+    exit 1 stays the code for "sharded diverged from serial"."""
+    import repro.shard
+    from repro.experiments.cli import main
+    ran = []
+    monkeypatch.setattr(repro.shard, "verify_shard_equivalence",
+                        lambda *args, **kwargs: ran.append(kwargs))
+    assert main(["shard-verify", *option]) == 2
+    assert ran == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and option[0] in err
 
 
 def test_unknown_transport_rejected():

@@ -1,39 +1,83 @@
-"""Shard wire tests: the framed codec (round-trip property, golden
-frame, per-item pickle escape), cut-through relay over a pipe and over
-the in-process loopback, and crash cleanup."""
+"""Shard wire tests: pickled per-destination batches round-trip every
+item that crosses a cut (property and field for field, over the
+in-process loopback and a real pipe), cut-through relay, the deadline
+hold-back, the round structure it keeps, and crash cleanup."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import buffer_256
+from repro.core import BufferConfig, buffer_256
 from repro.openflow.actions import (ControllerAction, DropAction,
                                     OutputAction)
-from repro.openflow.constants import OFP_NO_BUFFER, FlowModCommand
+from repro.openflow.constants import (OFP_NO_BUFFER, ErrorType,
+                                      FlowModCommand, PacketInReason)
 from repro.openflow.match import Match
-from repro.openflow.messages import (BarrierRequest, EchoRequest, FlowMod,
-                                     FlowRemoved, Hello, PacketIn,
-                                     PacketOut, SetConfig)
+from repro.openflow.messages import (BarrierReply, BarrierRequest,
+                                     EchoReply, EchoRequest, ErrorMsg,
+                                     FeaturesReply, FeaturesRequest,
+                                     FlowMod, FlowRemoved, FlowStatsEntry,
+                                     FlowStatsReply, FlowStatsRequest,
+                                     GetConfigReply, GetConfigRequest,
+                                     Hello, OFMessage, PacketIn, PacketOut,
+                                     PortStatsEntry, PortStatsReply,
+                                     PortStatsRequest, SetConfig)
 from repro.packets.ethernet import EthernetHeader
+from repro.packets.flowkey import FiveTuple
 from repro.packets.ipv4 import IPv4Header
 from repro.packets.packet import Packet
 from repro.packets.tcp import TCPHeader
 from repro.packets.udp import UDPHeader
 from repro.scenarios import parse_scenario
-from repro.shard import (MAGIC_FRAME, PER_SWITCH, RelayHub, ShardChannel,
-                         StringTable, WIRE_VERSION, decode_frame,
-                         decode_round, emit_round, encode_round,
-                         execute_sharded, loopback_pair, scan_round)
-from repro.shard.transport import TAG_PICKLE
+from repro.shard import (PER_SWITCH, ShardChannel, execute_sharded,
+                         loopback_pair, parse_shard)
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import single_packet_flows
 
 
+def _pipe_pair():
+    return multiprocessing.Pipe(duplex=True)
+
+
+_CARRIERS = {"loopback": loopback_pair, "pipe": _pipe_pair}
+
+
+class _Wire:
+    """Worker A → coordinator → worker B, each hop a channel pair."""
+
+    def __init__(self, carrier: str = "loopback"):
+        make = _CARRIERS[carrier]
+        self.conns = [*make(), *make()]
+        parent_a, worker_a, parent_b, worker_b = (ShardChannel(conn)
+                                                  for conn in self.conns)
+        self.parent_a, self.worker_a = parent_a, worker_a
+        self.parent_b, self.worker_b = parent_b, worker_b
+
+    def relay(self, messages, deadline=math.inf):
+        """Ship ``messages`` from A to B; B's advance as received."""
+        self.worker_a.send_reply([(1, messages)] if messages else [],
+                                 0.625, None)
+        tag, (batches, next_time, completed) = self.parent_a.recv()
+        assert (tag, next_time, completed) == ("advanced", 0.625, None)
+        self.parent_b.send_advance(0.5, deadline,
+                                   [blob for _dst, _t, blob in batches],
+                                   False)
+        return self.worker_b.recv()
+
+    def close(self):
+        for conn in self.conns:
+            close = getattr(conn, "close", None)
+            if close is not None:
+                close()
+
+
 # ---------------------------------------------------------------------------
-# Codec round-trip property (hypothesis)
+# Round-trip property (hypothesis)
 # ---------------------------------------------------------------------------
 
 _MACS = st.sampled_from(["00:00:00:00:00:01", "00:00:00:00:00:02",
@@ -114,183 +158,166 @@ _MESSAGES = st.lists(
           suppress_health_check=[HealthCheck.too_slow])
 @given(batches=st.lists(_MESSAGES, min_size=1, max_size=4))
 def test_codec_round_trip_property(batches):
-    """decode(encode(batch)) == batch, across consecutive rounds on one
-    table pair (string-table growth included), empty rounds and all."""
-    enc, dec = StringTable(), StringTable()
+    """What worker B receives is what worker A sent, round after round
+    on one channel set, empty rounds and all."""
+    wire = _Wire()
     for batch in batches:
-        frame = encode_round(batch, enc)
-        decoded, end = decode_round(frame, dec)
-        assert end == len(frame)
-        assert decoded == batch
+        assert wire.relay(batch) == ("advance", 0.5, batch, False)
 
 
 def test_codec_empty_round():
-    enc, dec = StringTable(), StringTable()
-    frame = encode_round([], enc)
-    assert decode_round(frame, dec) == ([], len(frame))
+    wire = _Wire()
+    assert wire.relay([]) == ("advance", 0.5, [], False)
+    assert wire.parent_a.stats.frames_in == wire.parent_b.stats.frames_out \
+        == 1
 
 
 def test_codec_max_scalars():
     pkt = Packet(EthernetHeader("00:00:00:00:00:01", "00:00:00:00:00:02"),
                  uid=2**63)
     batch = [(1.5e5, 65535, 2**32 - 1, pkt)]
-    enc, dec = StringTable(), StringTable()
-    assert decode_round(encode_round(batch, enc), dec)[0] == batch
-
-
-def test_codec_pickle_escape():
-    """Items the fast path does not know still travel, per-item pickled."""
-    batch = [(0.1, 0, 1, {"stats": (1, 2, 3)}),
-             (0.2, 0, 2, Hello(xid=9))]
-    enc, dec = StringTable(), StringTable()
-    frame = encode_round(batch, enc)
-    assert decode_round(frame, dec)[0] == batch
-    _, raw_messages, _ = scan_round(frame)
-    assert raw_messages[0][3][0] == TAG_PICKLE       # the dict escaped
-    # While an in-range FlowMod never escapes.
-    fm = FlowMod(match=Match(in_port=1), actions=(DropAction(),), xid=1)
-    _, raw_messages, _ = scan_round(
-        encode_round([(0.0, 0, 0, fm)], StringTable()))
-    assert raw_messages[0][3][0] != TAG_PICKLE
+    assert _Wire().relay(batch)[2] == batch
 
 
 # ---------------------------------------------------------------------------
-# Golden frame — change-detects the wire format
+# Every item type that can cross a cut, field for field
 # ---------------------------------------------------------------------------
 
-def _golden_batch():
+def _cut_items():
     eth = EthernetHeader("00:00:00:00:00:01", "00:00:00:00:00:02", 0x0800)
     ip = IPv4Header("10.0.0.1", "10.0.0.2", protocol=17, ttl=64,
                     identification=7)
-    pkt = Packet(eth, ip, UDPHeader(5000, 443), payload_len=512,
-                 flow_id=3, seq_in_flow=0, created_at=0.25, uid=42)
-    fm = FlowMod(match=Match(in_port=2, eth_dst="00:00:00:00:00:02"),
-                 actions=(OutputAction(1),), priority=0x8000,
-                 xid=11, sent_at=0.5)
-    return [(0.375, 1, 9, pkt), (0.5, 0, 10, fm)]
+    udp = Packet(eth, ip, UDPHeader(5000, 443), payload_len=512,
+                 flow_id=3, seq_in_flow=0, created_at=0.25,
+                 switch_in_at=0.26, switch_out_at=0.27, uid=42)
+    tcp = Packet(eth, IPv4Header("10.0.0.1", "10.0.0.2", protocol=6),
+                 TCPHeader(5001, 80, seq=2**31, ack=9, flags=0x12,
+                           window=4096),
+                 payload_len=1400, flow_id=4, seq_in_flow=2,
+                 created_at=0.5, uid=43)
+    match = Match(in_port=2, eth_dst="00:00:00:00:00:02", ip_dst="10.0.0.2")
+    stamps = dict(sent_at=0.125, in_reply_to=900)
+    return [
+        udp, tcp,
+        PacketIn(packet=udp, in_port=1, buffer_id=5, data_len=128,
+                 reason=PacketInReason.ACTION, is_retry=True, xid=101,
+                 **stamps),
+        PacketOut(actions=(OutputAction(2),), buffer_id=5, in_port=1,
+                  xid=102, **stamps),
+        PacketOut(actions=(ControllerAction(128), DropAction()),
+                  in_port=1, data_len=tcp.wire_len, packet=tcp, xid=103),
+        FlowMod(match=match, actions=(OutputAction(1),),
+                command=FlowModCommand.MODIFY, priority=0x8001,
+                idle_timeout=1.5, hard_timeout=3.0, buffer_id=5,
+                cookie=2**40, send_flow_removed=True, xid=104, **stamps),
+        FlowRemoved(match=match, cookie=2, priority=7, reason=2,
+                    duration=1.5, packet_count=10, byte_count=999,
+                    xid=105),
+        Hello(xid=106), EchoRequest(payload_len=8, xid=107),
+        EchoReply(payload_len=8, xid=108, **stamps),
+        FeaturesRequest(xid=109),
+        FeaturesReply(datapath_id=7, n_buffers=256, n_tables=2,
+                      ports=(1, 2, 3), xid=110),
+        SetConfig(miss_send_len=64, flags=1, xid=111),
+        GetConfigRequest(xid=112),
+        GetConfigReply(miss_send_len=64, flags=1, xid=113),
+        BarrierRequest(xid=114), BarrierReply(xid=115, **stamps),
+        ErrorMsg(error_type=ErrorType.BAD_ACTION, code=3, context_len=12,
+                 xid=116),
+        FlowStatsRequest(match=match, xid=117),
+        FlowStatsReply(entries=(FlowStatsEntry(match, 7, 1.25, 4, 512),),
+                       xid=118, **stamps),
+        PortStatsRequest(port_no=2, xid=119),
+        PortStatsReply(entries=(PortStatsEntry(2, 1, 2, 64, 128, 0),),
+                       xid=120, **stamps),
+    ]
 
 
-#: The byte-exact encoding of ``_golden_batch()`` on a fresh table,
-#: captured at WIRE_VERSION 1.  Any codec change that reshapes these
-#: bytes must bump WIRE_VERSION and re-pin.
-GOLDEN_FRAME_HEX = (
-    "04001130303a30303a30303a30303a30303a3031011130303a30303a30303a3030"
-    "3a30303a3032020831302e302e302e31030831302e302e302e3202000000000000"
-    "d83f01000900000049000000013b2a000000000000000000000001000000000802"
-    "0000000300000011400007008813bb010002000003000000000000000000000000"
-    "00d03f00000000000000000000000000000000000000000000e03f00000a000000"
-    "3c00000005010b00000000000000000000000000e03f000000000000000000ffff"
-    "ffff0000000000000000000000000000000000808002000305020103010101"
-)
+def _identity(item):
+    """The fields a run keys on: uid and stamps, or xid and stamps."""
+    if isinstance(item, Packet):
+        return (item.uid, item.created_at, item.switch_in_at,
+                item.switch_out_at)
+    assert isinstance(item, OFMessage)
+    return (item.xid, item.sent_at, item.in_reply_to)
 
 
-def test_golden_frame_pins_wire_format():
-    """Byte-exact pin of one representative frame.
-
-    If this fails, the wire format changed: bump ``WIRE_VERSION`` in
-    ``repro/shard/transport.py`` and regenerate the constant with::
-
-        PYTHONPATH=src python -c "import tests.test_shard_transport as t; \\
-            print(t._current_golden_hex())"
-    """
-    assert WIRE_VERSION == 1
-    assert _current_golden_hex() == GOLDEN_FRAME_HEX
-
-
-def _current_golden_hex() -> str:
-    return encode_round(_golden_batch(), StringTable()).hex()
-
-
-def test_frame_header_magic_and_version():
-    from repro.shard.transport import encode_reply
-    frame = encode_reply(_golden_batch(), 0.75, 5, StringTable())
-    assert frame[0] == MAGIC_FRAME
-    assert frame[1] == WIRE_VERSION
-    decoded = decode_frame(frame, StringTable())
-    assert decoded[0] == "advanced"
-    messages, next_time, completed = decoded[1]
-    assert (next_time, completed) == (0.75, 5)
-    assert messages == _golden_batch()
+@pytest.mark.parametrize("carrier", sorted(_CARRIERS))
+def test_every_cut_item_round_trips_field_for_field(carrier):
+    items = _cut_items()
+    messages = [(0.001 * n, n % 3, n, item) for n, item in enumerate(items)]
+    wire = _Wire(carrier)
+    try:
+        _tag, _t_end, received, _inclusive = wire.relay(messages)
+    finally:
+        wire.close()
+    assert len(received) == len(items)
+    for sent, got in zip(messages, received):
+        assert got[:3] == sent[:3]
+        assert type(got[3]) is type(sent[3])
+        assert _identity(got[3]) == _identity(sent[3])
+        assert {f.name: getattr(got[3], f.name)
+                for f in dataclasses.fields(got[3])} \
+            == {f.name: getattr(sent[3], f.name)
+                for f in dataclasses.fields(sent[3])}
 
 
-def test_wire_version_mismatch_rejected():
-    from repro.shard.transport import encode_reply
-    frame = bytearray(encode_reply([], 0.0, None, StringTable()))
-    frame[1] = WIRE_VERSION + 1
-    with pytest.raises(ValueError, match="wire version"):
-        decode_frame(bytes(frame), StringTable())
+def test_packet_crossing_twice_keeps_its_five_tuple():
+    """A packet whose flow key was never computed crosses a cut, then
+    crosses again inside a packet_in with a 2**32-byte data length; the
+    copy still computes its key, and never returns a stray copy of the
+    in-process "not computed" sentinel in its place."""
+    original = _cut_items()[0]
+    wire = _Wire()
+    crossed = wire.relay([(0.1, 0, 0, original.replay_copy())])[2][0][3]
+    packet_in = PacketIn(packet=crossed, in_port=1, data_len=2**32,
+                         xid=7)
+    again = wire.relay([(0.2, 0, 1, packet_in)])[2][0][3]
+    assert again.packet.five_tuple == FiveTuple.from_packet(original)
+    assert isinstance(again.packet.five_tuple, FiveTuple)
 
 
 # ---------------------------------------------------------------------------
-# Cut-through relay: scan, gossip, splice
+# Cut-through relay and the deadline hold-back
 # ---------------------------------------------------------------------------
-
-def test_scan_emit_relay_round_trip():
-    """Worker-encoded rounds survive scan → adopt → splice verbatim."""
-    worker_enc = StringTable(offset=1, stride=3)   # shard 1 of 3
-    batch = _golden_batch()
-    frame = encode_round(batch, worker_enc)
-    minted, raw_messages, end = scan_round(frame)
-    assert end == len(frame)
-    assert [m[:3] for m in raw_messages] == [m[:3] for m in batch]
-    # The coordinator relays the minted pairs, never re-interns refs.
-    gossip = StringTable()
-    gossip.adopt(minted)
-    spliced = emit_round(raw_messages, gossip)
-    decoded, _ = decode_round(spliced, StringTable())
-    assert decoded == batch
-
-
-def test_namespaced_tables_never_collide():
-    a = StringTable(offset=0, stride=2)
-    b = StringTable(offset=1, stride=2)
-    for table, strings in ((a, ["x", "y"]), (b, ["x", "z"])):
-        for text in strings:
-            table.ref(text)
-    assert not (set(a.ids.values()) & set(b.ids.values()))
-
-
-def test_relay_hub_skips_source():
-    hub = RelayHub()
-    tables = [hub.register() for _ in range(3)]
-    hub.publish([(4, "aa")], source=1)
-    assert tables[0].pending == [(4, "aa")]
-    assert tables[1].pending == []
-    assert tables[2].pending == [(4, "aa")]
-
 
 def test_channel_relay_end_to_end():
-    """Two parent/worker channel pairs wired through one hub: worker A's
-    reply is scanned (never decoded) by the coordinator and spliced into
-    an advance that worker B decodes back to equal objects."""
-    hub = RelayHub()
-    conn_a_parent, conn_a_worker = multiprocessing.Pipe(duplex=True)
-    conn_b_parent, conn_b_worker = multiprocessing.Pipe(duplex=True)
-    parent_a = ShardChannel(conn_a_parent, role="parent", hub=hub,
-                            shard_index=0)
-    parent_b = ShardChannel(conn_b_parent, role="parent", hub=hub,
-                            shard_index=1)
-    worker_a = ShardChannel(conn_a_worker, role="worker", shard_index=0,
-                            n_shards=2)
-    worker_b = ShardChannel(conn_b_worker, role="worker", shard_index=1,
-                            n_shards=2)
-    batch = _golden_batch()
-    worker_a.send_reply(batch, 0.625, None)
-    tag, (raw_messages, next_time, completed) = parent_a.recv()
-    assert (tag, next_time, completed) == ("advanced", 0.625, None)
-    parent_b.send_advance(0.75, raw_messages, True)
-    assert worker_b.recv() == ("advance", 0.75, batch, True)
-    assert parent_a.stats.frames_in == 1
-    assert parent_b.stats.frames_out == 1
-    for conn in (conn_a_parent, conn_a_worker, conn_b_parent,
-                 conn_b_worker):
-        conn.close()
+    """Worker A's reply is routed by the coordinator as opaque blobs,
+    with the delivery times it books, and worker B unpickles them back
+    to equal objects; over real pipes."""
+    batch = [(0.375, 1, 9, _cut_items()[0]), (0.5, 0, 10, _cut_items()[5])]
+    wire = _Wire("pipe")
+    try:
+        wire.worker_a.send_reply([(1, batch)], 0.625, 4)
+        tag, (batches, next_time, completed) = wire.parent_a.recv()
+        assert (tag, next_time, completed) == ("advanced", 0.625, 4)
+        [(dst, times, blob)] = batches
+        assert (dst, times, type(blob)) == (1, [0.375, 0.5], bytes)
+        wire.parent_b.send_advance(0.75, 1.0, [blob], True)
+        assert wire.worker_b.recv() == ("advance", 0.75, batch, True)
+        assert wire.parent_a.stats.frames_in == 1
+        assert wire.parent_b.stats.frames_out == 1
+    finally:
+        wire.close()
+
+
+def test_worker_holds_back_messages_past_the_deadline():
+    """One batch straddles the advance's deadline: the worker injects the
+    message due by it and keeps the later one for the first advance
+    whose deadline covers it, blob or no blob."""
+    early, late = (0.1, 0, 0, Hello(xid=1)), (0.3, 0, 1, Hello(xid=2))
+    wire = _Wire()
+    assert wire.relay([late, early], deadline=0.2)[2] == [early]
+    wire.parent_b.send_advance(0.25, 0.2, [], True)
+    assert wire.worker_b.recv()[2] == []
+    wire.parent_b.send_advance(0.35, 0.4, [], False)
+    assert wire.worker_b.recv()[2] == [late]
 
 
 def test_loopback_carries_the_frames_a_pipe_does():
     """The inline carrier: each end receives what the other sent, in
-    order, and channels over it relay exactly as over pipes, shipping
-    the same frame bytes."""
+    order, and a channel over it ships the same bytes a channel over a
+    pipe does and relays the same messages."""
     left, right = loopback_pair()
     left.send_bytes(b"a")
     left.send_bytes(b"b")
@@ -298,34 +325,65 @@ def test_loopback_carries_the_frames_a_pipe_does():
     assert [right.recv_bytes(), right.recv_bytes()] == [b"a", b"b"]
     assert left.recv_bytes() == b"c"
 
-    from repro.shard.transport import encode_reply
-    hub = RelayHub()
-    parents, workers = [], []
-    for index in range(2):
-        parent_end, worker_end = loopback_pair()
-        parents.append(ShardChannel(parent_end, role="parent", hub=hub,
-                                    shard_index=index))
-        workers.append(ShardChannel(worker_end, role="worker",
-                                    shard_index=index, n_shards=2))
-    workers[0].send_ready(0.25, [(0.5, 1, 0, Hello(xid=1))])
-    tag, (first, ready) = parents[0].recv()
-    assert (tag, first, [m[:3] for m in ready]) == ("ready", 0.25,
-                                                    [(0.5, 1, 0)])
-    batch = _golden_batch()
-    workers[0].send_reply(batch, 0.625, 3)
-    tag, (raw_messages, next_time, completed) = parents[0].recv()
-    assert (tag, next_time, completed) == ("advanced", 0.625, 3)
-    parents[1].send_advance(0.75, raw_messages, True)
-    assert workers[1].recv() == ("advance", 0.75, batch, True)
-    # Shard 0 of 2 mints ids 0, 2, 4, …: its reply is byte for byte what
-    # a pipe-connected worker with the same table sends.
-    expected = encode_reply(batch, 0.625, 3, StringTable(offset=0, stride=2))
-    assert parents[0].stats.bytes_in == workers[0].stats.bytes_out \
-        == len(expected)
+    items = _cut_items()
+    messages = [(0.001 * n, 0, n, item) for n, item in enumerate(items)]
+    loop, pipe = _Wire("loopback"), _Wire("pipe")
+    try:
+        assert loop.relay(messages) == pipe.relay(messages)
+        for side in ("parent_a", "worker_a", "parent_b", "worker_b"):
+            assert getattr(loop, side).stats.bytes_out \
+                == getattr(pipe, side).stats.bytes_out
+            assert getattr(loop, side).stats.bytes_in \
+                == getattr(pipe, side).stats.bytes_in
+    finally:
+        pipe.close()
 
 
 # ---------------------------------------------------------------------------
-# Worker-crash cleanup (satellite regression)
+# The hold-back keeps every injection round
+# ---------------------------------------------------------------------------
+
+def _churn_run():
+    """``line4_churn`` at seed 1: line:4, per-switch:2, 1,000 flows over
+    512-rule tables and 5 ms cables, shards inline."""
+    from repro.experiments.calibration import default_calibration
+    cal = default_calibration()
+    cal = dataclasses.replace(
+        cal, link_propagation_delay=5e-3,
+        switch=dataclasses.replace(cal.switch, flow_table_capacity=512))
+    workload = single_packet_flows(mbps(40.0), n_flows=1000,
+                                   rng=RandomStreams(1))
+    return execute_sharded(
+        BufferConfig(), workload, calibration=cal, seed=1,
+        scenario=parse_scenario("line:4").with_shard(
+            parse_shard("per-switch:2")), transport="inline").report
+
+
+def _verify_line_two():
+    """The sharded half of ``shard-verify --scenario line:2``."""
+    workload = single_packet_flows(mbps(4.0), n_flows=30,
+                                   rng=RandomStreams(7))
+    return execute_sharded(
+        BufferConfig(), workload, seed=7,
+        scenario=parse_scenario("line:2").with_shard(PER_SWITCH),
+        transport="inline").report
+
+
+@pytest.mark.parametrize("run, expected", [
+    (_churn_run, dict(rounds=97, rounds_coalesced=5, messages=7012,
+                      horizon_stalls=3)),
+    (_verify_line_two, dict(rounds=1055, messages=218, horizon_stalls=3)),
+], ids=["line4_churn", "shard_verify_line2"])
+def test_round_structure_is_pinned(run, expected):
+    """Rounds, coalesced skips, messages and stalls as the per-message
+    wire produced them: a batch straddling a deadline must not move any
+    message to another advance."""
+    report = run()
+    assert {key: getattr(report, key) for key in expected} == expected
+
+
+# ---------------------------------------------------------------------------
+# Worker-crash cleanup
 # ---------------------------------------------------------------------------
 
 def test_worker_crash_cleans_up_fleet(monkeypatch):
