@@ -101,10 +101,13 @@ def _station_run():
 
 
 def _pktbuf_private_run():
-    """20k store/release cycles through a private (pool-less) buffer.
+    """20k one-packet-unit store/release cycles, private (pool-less).
 
-    Guards the ``pool is None`` fast path in ``PacketBuffer.store``: a
-    pooled buffer may pay for ledger routing, a private one must not.
+    The packet-granularity mechanism's path through the one buffer
+    store: guards the ``pool is None`` fast path in
+    ``PacketBuffer.store``, since a pooled buffer may pay for ledger
+    routing and a private one must not, and the unkeyed-unit path
+    through ``release``.
     """
     buffer = PacketBuffer(capacity=64, reclaim_delay=0.0005)
     packet = udp_packet("00:00:00:00:00:01", "00:00:00:00:00:02",
@@ -114,7 +117,7 @@ def _pktbuf_private_run():
         buffer_id = buffer.store(packet, now)
         buffer.release(buffer_id, now)
         now += 0.001
-    return buffer.total_released
+    return buffer.released.value
 
 
 class ScanExpiryTable(FlowTable):

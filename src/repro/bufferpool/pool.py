@@ -6,9 +6,9 @@ PacketBuffer` partitions through an :class:`~repro.bufferpool.policies.
 AdmissionPolicy`.  The pool keeps its *own* per-partition ledger (live
 units plus a cooling ring mirroring each buffer's reclaim delay) rather
 than reaching into buffer internals: buffers call :meth:`admit` before
-taking a unit and :meth:`release_unit` when one comes back, and the two
-ledgers stay in lockstep because every buffer mutation pairs with
-exactly one pool call.
+opening a unit and :meth:`release_unit` when one is vacated, and the two
+ledgers stay in lockstep because every unit opened or vacated pairs with
+exactly one pool call (appends to a flow's unit take no budget).
 
 Observability: per-partition ``pool_occupancy_units`` gauges and
 ``pool_admitted_total``/``pool_rejected_total`` counters (labelled by
@@ -202,37 +202,6 @@ class SharedBufferPool:
         if self._pressure_active:
             if self.total_occupancy(now) < self._pressure_rearm:
                 self._pressure_active = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def reset_partition(self, partition: str) -> None:
-        """Zero ``partition``'s ledger (the buffer cleared itself).
-
-        Drops live *and* cooling units: a cleared buffer frees its ring
-        too, so leaving cooled units counted would leak budget forever.
-        """
-        if partition not in self._live:
-            return
-        self._live[partition] = 0
-        self._cooling[partition].clear()
-        self._occupancy_gauges[partition].set(0)
-
-    def reset_accounting(self) -> None:
-        """Restart counters and re-base the peak at current occupancy.
-
-        Live and cooling units survive (they are state, not statistics)
-        — the peak restarts from what is held right now, including the
-        cooling rings, matching ``PacketBuffer.reset_accounting``.
-        """
-        for partition in self._live:
-            self._admitted[partition].reset()
-            self._rejected[partition].reset()
-        self._underflow.reset()
-        held = sum(self._live[p] + len(self._cooling[p])
-                   for p in self._live)
-        self.peak_occupancy = held
-        self._peak_gauge.reset(held)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SharedBufferPool({self.spec.name!r}, "

@@ -15,7 +15,6 @@ from .analysis import (HeadlineClaim, build_headline_claims, crossover_rate,
 from .config import (MECHANISM_FLOW, MECHANISM_NO_BUFFER, MECHANISM_PACKET,
                      BufferConfig, buffer_16, buffer_256, create_mechanism,
                      flow_buffer_256, no_buffer)
-from .flow_buffer import FlowBufferFullError, FlowPacketBuffer
 from .mechanisms import (BufferMechanism, FlowGranularityBuffer,
                          MissDecision, NoBuffer, PacketGranularityBuffer,
                          ReleaseResult)
@@ -27,7 +26,6 @@ __all__ = [
     "no_buffer", "buffer_16", "buffer_256", "flow_buffer_256",
     "BufferMechanism", "NoBuffer", "PacketGranularityBuffer",
     "FlowGranularityBuffer", "MissDecision", "ReleaseResult",
-    "FlowPacketBuffer", "FlowBufferFullError",
     "BufferOps", "NO_OPS",
     "HeadlineClaim", "build_headline_claims", "crossover_rate",
     "percent_increase", "percent_reduction",

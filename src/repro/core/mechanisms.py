@@ -29,7 +29,6 @@ from ..openflow import OFP_NO_BUFFER, BufferFullError, PacketBuffer
 from ..openflow.messages import FlowMod, PacketOut
 from ..packets import Packet
 from ..simkit import ScheduledCall, Simulator
-from .flow_buffer import FlowBufferFullError, FlowPacketBuffer
 from .ops import NO_OPS, BufferOps
 
 #: Callback the agent provides for Algorithm 1 line 13 re-requests:
@@ -72,10 +71,26 @@ class ReleaseResult:
 
 
 class BufferMechanism(abc.ABC):
-    """Policy interface for handling miss-match packets."""
+    """Policy interface for handling miss-match packets.
+
+    Every mechanism holds its unit store as :attr:`buffer` (the
+    no-buffer mechanism's holds zero units), so occupancy, counters and
+    ageout read the same way off any of them.
+    """
 
     #: Short machine-readable name used by configs, reports and figures.
     name: str = "abstract"
+
+    #: The mechanism's unit store.
+    buffer: PacketBuffer
+
+    #: Pool ledger the store charges (normally the switch name);
+    #: ``None`` for no-buffer, which heartbeats leave out.
+    partition: Optional[str] = None
+
+    #: Pool scope=port: each ingress port is its own pool partition
+    #: (``<partition>:p<port>``) instead of one per-switch partition.
+    per_port_partitions: bool = False
 
     #: Flows given up on after exhausting re-requests (Algorithm 1 line
     #: 13).  Only the flow-granularity mechanism ever abandons flows,
@@ -99,25 +114,30 @@ class BufferMechanism(abc.ABC):
         (OpenFlow spec); mechanisms without a buffer return nothing."""
         return ReleaseResult()
 
+    def _partition_for(self, in_port: int) -> Optional[str]:
+        if self.per_port_partitions:
+            return f"{self.partition}:p{in_port}"
+        return None   # the buffer's own default partition
+
     # -- occupancy (Fig. 8 / Fig. 13 raw material) ----------------------
     def occupancy(self, now: float) -> int:
         """Buffer units unavailable at ``now`` (live + recycling)."""
-        return self.units_in_use
+        return self.buffer.occupancy(now)
 
     @property
     def units_in_use(self) -> int:
         """Buffer units currently occupied."""
-        return 0
+        return self.buffer.units_in_use
 
     @property
     def packets_stored(self) -> int:
         """Packets currently held in the buffer."""
-        return 0
+        return self.buffer.packets_stored
 
     @property
     def capacity(self) -> int:
         """Total buffer units."""
-        return 0
+        return self.buffer.capacity
 
     def shutdown(self) -> None:
         """Cancel timers etc. at the end of a run."""
@@ -131,6 +151,10 @@ class NoBuffer(BufferMechanism):
     """OpenFlow with buffering disabled (``buffer_id = OFP_NO_BUFFER``)."""
 
     name = "no-buffer"
+
+    def __init__(self):
+        # Zero units, as its FeaturesReply advertises (n_buffers=0).
+        self.buffer = PacketBuffer(0)
 
     def on_miss(self, packet: Packet, in_port: int,
                 now: float) -> MissDecision:
@@ -166,14 +190,7 @@ class PacketGranularityBuffer(BufferMechanism):
                                    pool=pool, partition=partition)
         self.miss_send_len = miss_send_len
         self.partition = partition
-        #: Pool scope=port: each ingress port is its own pool partition
-        #: (``<switch>:p<port>``) instead of one per-switch partition.
         self.per_port_partitions = per_port_partitions and pool is not None
-
-    def _partition_for(self, in_port: int) -> Optional[str]:
-        if self.per_port_partitions:
-            return f"{self.partition}:p{in_port}"
-        return None   # the buffer's own default partition
 
     def on_miss(self, packet: Packet, in_port: int,
                 now: float) -> MissDecision:
@@ -199,41 +216,21 @@ class PacketGranularityBuffer(BufferMechanism):
             if message.packet is None:
                 return ReleaseResult(unknown=True)
             return ReleaseResult(packets=(message.packet,))
-        packet = self.buffer.release(message.buffer_id, now)
-        ops = BufferOps(map_lookups=1, releases=1, map_removes=1)
-        if packet is None:
-            return ReleaseResult(unknown=True, ops=ops)
-        return ReleaseResult(packets=(packet,), ops=ops)
+        return self._release(message.buffer_id, now)
 
     def on_flow_mod_release(self, message: FlowMod,
                             now: float) -> ReleaseResult:
         """A flow_mod with a valid buffer_id also releases its packet."""
         if message.buffer_id == OFP_NO_BUFFER:
             return ReleaseResult()
-        packet = self.buffer.release(message.buffer_id, now)
+        return self._release(message.buffer_id, now)
+
+    def _release(self, buffer_id: int, now: float) -> ReleaseResult:
+        packets = self.buffer.release(buffer_id, now)
         ops = BufferOps(map_lookups=1, releases=1, map_removes=1)
-        if packet is None:
+        if not packets:
             return ReleaseResult(unknown=True, ops=ops)
-        return ReleaseResult(packets=(packet,), ops=ops)
-
-    def occupancy(self, now: float) -> int:
-        """Units unavailable at ``now`` (live + recycling)."""
-        return self.buffer.occupancy(now)
-
-    @property
-    def units_in_use(self) -> int:
-        """Units holding a live packet."""
-        return self.buffer.units_in_use
-
-    @property
-    def packets_stored(self) -> int:
-        """Packets currently held (== units here)."""
-        return self.buffer.packets_stored
-
-    @property
-    def capacity(self) -> int:
-        """Total buffer units."""
-        return self.buffer.capacity
+        return ReleaseResult(packets=tuple(packets), ops=ops)
 
 
 @dataclass
@@ -270,7 +267,7 @@ class FlowGranularityBuffer(BufferMechanism):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.sim = sim
-        self.buffer = FlowPacketBuffer(
+        self.buffer = PacketBuffer(
             capacity, max_packets_per_flow=max_packets_per_flow,
             pool=pool, partition=partition)
         self.partition = partition
@@ -305,14 +302,11 @@ class FlowGranularityBuffer(BufferMechanism):
         lookup_ops = BufferOps(map_lookups=1)
 
         if buffer_id == -1:                           # line 6: first packet
-            if self.per_port_partitions:
-                partition = f"{self.partition}:p{in_port}"
-            else:
-                partition = None
             try:
-                buffer_id = self.buffer.buffer_first_packet(
-                    flow, packet, now, partition=partition)
-            except FlowBufferFullError as exc:
+                buffer_id = self.buffer.store(
+                    packet, now, partition=self._partition_for(in_port),
+                    key=flow)
+            except BufferFullError as exc:
                 return MissDecision(send_packet_in=True,
                                    buffer_id=OFP_NO_BUFFER,
                                    data_len=packet.wire_len, stored=False,
@@ -326,7 +320,7 @@ class FlowGranularityBuffer(BufferMechanism):
                                 data_len=data_len, stored=True, ops=ops)
 
         # line 10–11: subsequent packet of an already-pending flow.
-        stored = self.buffer.buffer_subsequent_packet(buffer_id, packet)
+        stored = self.buffer.append(buffer_id, packet)
         pending = self._pending.get(buffer_id)
         if pending is not None:
             pending.last_packet = packet
@@ -350,7 +344,7 @@ class FlowGranularityBuffer(BufferMechanism):
                 return ReleaseResult(unknown=True)
             return ReleaseResult(packets=(message.packet,))
         self._disarm_timer(message.buffer_id)
-        packets = self.buffer.release_all(message.buffer_id, now=now)
+        packets = self.buffer.release(message.buffer_id, now)
         ops = BufferOps(map_lookups=1, map_removes=1,
                         releases=len(packets))
         if not packets:
@@ -391,7 +385,7 @@ class FlowGranularityBuffer(BufferMechanism):
             # These packets are never forwarded, so they must count as
             # drops, not releases (Fig. 13 release accounting).
             self._pending.pop(buffer_id, None)
-            self.buffer.drop_all(buffer_id, now=self.sim.now)
+            self.buffer.abandon(buffer_id, self.sim.now)
             self.flows_abandoned += 1
             return
         pending.retries += 1
@@ -407,18 +401,3 @@ class FlowGranularityBuffer(BufferMechanism):
             if pending.timer is not None:
                 pending.timer.cancel()
         self._pending.clear()
-
-    @property
-    def units_in_use(self) -> int:
-        """Units in use — one per flow with buffered packets."""
-        return self.buffer.units_in_use
-
-    @property
-    def packets_stored(self) -> int:
-        """Packets held across all flow queues."""
-        return self.buffer.packets_stored
-
-    @property
-    def capacity(self) -> int:
-        """Total buffer units (flows)."""
-        return self.buffer.capacity

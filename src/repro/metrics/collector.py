@@ -235,10 +235,9 @@ class MetricsSuite:
             "buffer-occupancy", ordered_sum)
         peak = rejections = 0
         for switch in self.switches:
-            buffer_obj = getattr(switch.mechanism, "buffer", None)
-            if buffer_obj is not None:
-                peak += buffer_obj.peak_units
-                rejections += buffer_obj.full_rejections
+            buffer = switch.mechanism.buffer
+            peak += int(buffer.peak_units.value)
+            rejections += buffer.full_rejections.value
         return RunMetrics(
             window=window,
             control_load_up_mbps=to_mbps(

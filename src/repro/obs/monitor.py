@@ -14,9 +14,9 @@ applies to queueing delay: measure continuously, not after the fact).
 Built-in monitors:
 
 * :class:`ConservationMonitor` — the PR 6 conservation law, per
-  mechanism: every unit ever stored is released, expired/overflowed,
-  abandoned or still in use; with a shared pool attached, the pool
-  ledger must track the buffers' occupancy in lockstep.
+  mechanism: every packet ever stored is released, expired, abandoned
+  or still held; with a shared pool attached, the pool ledger must
+  track the buffers' occupancy in lockstep.
 * :class:`MM1EnvelopeMonitor` — the analytic M/M/1 sanity envelope from
   :mod:`repro.analytic`: at low offered load the observed mean flow
   setup delay must stay under :func:`repro.analytic.setup_delay_bound`.
@@ -115,49 +115,37 @@ class RunMonitor:
 
 
 class ConservationMonitor(RunMonitor):
-    """The PR 6 unit-conservation law, evaluated live.
+    """The buffer conservation law, evaluated live, in packets.
 
-    Packet-granularity buffers: ``total_buffered == total_released +
-    total_expired + units_in_use`` (nothing is abandoned mid-run; the
-    runner's shutdown ``clear()`` happens after monitoring stops).
-    Flow-granularity buffers count packets: ``total_buffered ==
-    total_released + overflow_drops + abandoned_drops +
-    packets_stored``.  With a shared pool, the pool ledger must charge
-    its partitions exactly what the buffers hold (lockstep check).
+    Every buffer, at either granularity: ``buffered == released +
+    expired + abandoned + packets_stored``.  Packets the per-flow cap
+    refused were never stored, so they stay outside the law.  With a
+    shared pool, the pool ledger must charge its partitions exactly
+    what the buffers hold (lockstep check).
     """
 
     name = "conservation"
+
+    #: The law as the violation message spells it.
+    LAW = "buffered == released + expired + abandoned + packets_stored"
 
     def check(self, testbed, now: float) -> List[MonitorViolation]:
         violations: List[MonitorViolation] = []
         pool = getattr(testbed, "pool", None)
         pooled_occupancy = 0
         for mechanism in testbed.mechanisms:
-            buffer = getattr(mechanism, "buffer", None)
-            if buffer is None:        # no-buffer mechanism: nothing to check
-                continue
-            partition = getattr(mechanism, "partition", None) \
-                or getattr(buffer, "partition", "buffer")
+            buffer = mechanism.buffer
             if pool is not None and buffer.pool is pool:
                 pooled_occupancy += mechanism.occupancy(now)
-            stored = buffer.total_buffered
-            released = buffer.total_released
-            if hasattr(buffer, "total_expired"):      # packet granularity
-                drained = released + buffer.total_expired
-                in_use = buffer.units_in_use
-                law = ("total_buffered == total_released + total_expired "
-                       "+ units_in_use")
-            else:                                     # flow granularity
-                drained = (released + buffer.overflow_drops
-                           + buffer.abandoned_drops)
-                in_use = buffer.packets_stored
-                law = ("total_buffered == total_released + overflow_drops "
-                       "+ abandoned_drops + packets_stored")
+            stored = buffer.buffered.value
+            drained = (buffer.released.value + buffer.expired.value
+                       + buffer.abandoned.value)
+            in_use = buffer.packets_stored
             if stored != drained + in_use:
                 violations.append(MonitorViolation(
-                    monitor=self.name, time=now, subject=partition,
+                    monitor=self.name, time=now, subject=buffer.partition,
                     message=(f"unit conservation broken on partition "
-                             f"{partition!r}: {law} is "
+                             f"{buffer.partition!r}: {self.LAW} is "
                              f"{stored} != {drained} + {in_use}"),
                     details=(("stored", stored), ("drained", drained),
                              ("in_use", in_use))))
@@ -307,10 +295,9 @@ class HealthMonitor:
             heap_depth=sim.pending_count())
         self._last_events = scheduled
         for mechanism in testbed.mechanisms:
-            partition = getattr(mechanism, "partition", None)
-            if partition is None:
-                continue
-            record.buffer_units[partition] = mechanism.units_in_use
+            if mechanism.partition is not None:
+                record.buffer_units[mechanism.partition] = \
+                    mechanism.units_in_use
         pool = getattr(testbed, "pool", None)
         if pool is not None:
             record.pool_units = pool.total_occupancy(now)

@@ -57,7 +57,6 @@ MODULE_COMPONENTS = {
     "repro.switchsim.qos": "qos",
     "repro.openflow.channel": "channel",
     "repro.openflow.pktbuffer": "buffer",
-    "repro.core.flow_buffer": "buffer",
     "repro.core.mechanisms": "buffer",
     "repro.bufferpool.pool": "pool",
     "repro.controllersim.controller": "controller",

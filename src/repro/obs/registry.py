@@ -3,9 +3,10 @@
 The registry replaces the ad-hoc integer counters that used to live on
 the switch agent, datapath, controller and packet buffer: each component
 now owns :class:`Counter`/:class:`Gauge` objects (created standalone or
-through a shared :class:`MetricsRegistry`) and exposes its old integer
-attributes as properties reading the metric's value, so no caller
-changed.
+through a shared :class:`MetricsRegistry`).  The agent, datapath and
+controller still expose their old integer attributes as properties
+reading the metric's value; the packet buffer's callers read its
+metrics directly.
 
 Snapshots (:class:`MetricsSnapshot`) are plain picklable data: the
 parallel engine ships one per task back to the parent and merges them on

@@ -1,20 +1,31 @@
-"""The switch packet buffer (packet-granularity, per the OpenFlow spec).
+"""The switch buffer: units of miss-match packets keyed by ``buffer_id``.
 
-This is the "intrinsic buffer in a SDN switch" the paper studies.  Each
-buffered miss-match packet occupies one *buffer unit* and is assigned an
-exclusive ``buffer_id``; a later ``packet_out`` (or ``flow_mod``) carrying
-that id releases the unit and emits the packet.  When all units are in use
-the switch falls back to no-buffer behaviour for new misses — the paper's
-"buffer exhaustion" knee (Fig. 2/8 around 30–35 Mbps for buffer-16).
+This is the "intrinsic buffer in a SDN switch" the paper studies, at
+both granularities it compares.  A *unit* is the list of packets held
+under one ``buffer_id``:
 
-Occupancy accounting feeds the Fig. 8 / Fig. 13 buffer-utilization curves.
+* packet granularity (the OpenFlow spec's buffer, §IV) stores one
+  packet per unit, so every miss-match packet gets an exclusive id;
+* flow granularity (the paper's mechanism, §V.A, Algorithms 1–2) opens
+  a *keyed* unit for a flow's first miss-match packet and appends the
+  flow's later packets to it.  The key (the flow's five-tuple) is
+  Algorithm 1's ``buffer_id ↔ flow`` map; release, abandonment and
+  ageout all unmap it.
+
+A ``packet_out`` (or ``flow_mod``) carrying the id releases the unit and
+emits its packets in arrival order.  When no unit is free the switch
+falls back to no-buffer behaviour for new misses — the paper's "buffer
+exhaustion" knee (Fig. 2/8 around 30–35 Mbps for buffer-16).
+
+Occupancy counts units and feeds the Fig. 8 / Fig. 13 buffer-utilization
+curves.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Optional
+from typing import Hashable, Optional
 
 from ..obs.registry import Counter, Gauge
 from ..packets import Packet
@@ -56,86 +67,81 @@ class BufferFullError(Exception):
 
 
 class PacketBuffer:
-    """Fixed-capacity store of miss-match packets keyed by ``buffer_id``.
+    """Fixed-capacity store of packet units keyed by ``buffer_id``.
 
-    ``reclaim_delay`` models how OVS's pktbuf recycles ring slots: a unit
-    released by a ``packet_out`` only becomes allocatable again after the
-    delay.  Occupancy (and exhaustion) therefore reflects allocation churn,
-    not just packets literally in flight — which is how a 16-unit buffer
-    exhausts near a 30–35 Mbps sending rate even though the control loop
-    only takes a millisecond (paper Figs. 2 and 8).
+    ``reclaim_delay`` models how OVS's pktbuf recycles ring slots: an
+    unkeyed unit vacated by a ``packet_out`` or an ageout only becomes
+    allocatable again after the delay.  Occupancy (and exhaustion)
+    therefore reflects allocation churn, not just packets literally in
+    flight — which is how a 16-unit buffer exhausts near a 30–35 Mbps
+    sending rate even though the control loop only takes a millisecond
+    (paper Figs. 2 and 8).  Keyed (flow) units live in a map, not a
+    ring, and free at once: the paper's "buffer units can be quickly
+    released" (§V.B.5).
+
+    ``max_packets_per_flow`` caps a keyed unit's length; :meth:`append`
+    refuses packets past it, and those were never stored.
 
     ``pool`` routes unit accounting through a shared
     :class:`~repro.bufferpool.SharedBufferPool`: admission is decided by
     the pool's policy instead of this buffer's private capacity, and
-    every store/release/expire pairs with exactly one pool ledger call.
-    Units land in the partition named per ``store`` call (falling back
-    to this buffer's default ``partition``), so one buffer can span
-    several per-port partitions.  ``pool=None`` — the default — keeps
-    the historical private-buffer semantics and fast path untouched.
+    every unit opened or vacated pairs with exactly one pool ledger
+    call.  Units land in the partition named per ``store`` call
+    (falling back to this buffer's default ``partition``), so one
+    buffer can span several per-port partitions.
+
+    Counters are registry metrics, created unlabeled (the buffer is
+    built below the testbed layer; a Switch adopts them via
+    :meth:`metrics`).  Packet counts obey ``buffered == released +
+    expired + abandoned + packets_stored``.
     """
 
     def __init__(self, capacity: int, reclaim_delay: float = 0.0,
-                 pool=None, partition: str = "buffer"):
+                 pool=None, partition: str = "buffer",
+                 max_packets_per_flow: Optional[int] = None):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         if reclaim_delay < 0:
             raise ValueError(
                 f"reclaim_delay must be >= 0, got {reclaim_delay}")
+        if max_packets_per_flow is not None and max_packets_per_flow < 1:
+            raise ValueError("max_packets_per_flow must be >= 1")
         self.capacity = capacity
         self.reclaim_delay = reclaim_delay
         self.pool = pool
         self.partition = partition
-        self._units: dict[int, Packet] = {}
-        self._stored_at: dict[int, float] = {}
-        #: Pooled mode only: which partition each live unit counts
-        #: against, so releases return budget to the right ledger.
-        self._partition_of: dict[int, str] = {}
-        #: Partitions this buffer has ever stored into (it owns them
-        #: exclusively — ``clear`` resets them pool-side).
-        self._partitions_touched: set = set()
-        #: Expiry times of released-but-not-yet-reclaimed units (sorted,
-        #: because releases happen in nondecreasing simulated time).
+        self.max_packets_per_flow = max_packets_per_flow
+        #: buffer_id -> (packets, stored_at, key, partition): the key is
+        #: ``None`` for unkeyed units, the partition (the ledger the unit
+        #: counts against) ``None`` for private buffers.
+        self._units: dict[int, tuple] = {}
+        #: Algorithm 1's ``buffer_id ↔ flow`` map, key side.
+        self._unit_of: dict[Hashable, int] = {}
+        #: Expiry times of vacated-but-not-yet-reclaimed units (sorted,
+        #: because units vacate in nondecreasing simulated time).
         self._cooling: deque[float] = deque()
-        # Metric objects (created standalone: the buffer is built below
-        # the testbed layer; a Switch adopts them via :meth:`metrics`).
-        # The legacy integer attributes are read-only property views.
-        self._buffered = Counter("pktbuf_buffered_total")
-        self._released = Counter("pktbuf_released_total")
-        self._full_rejections = Counter("pktbuf_full_rejections_total")
-        self._unknown_releases = Counter("pktbuf_unknown_releases_total")
-        self._expired = Counter("pktbuf_expired_total")
-        self._peak = Gauge("pktbuf_peak_units")
+        #: Packets stored (first packets and appends alike).
+        self.buffered = Counter("pktbuf_buffered_total")
+        #: Packets handed back by a ``packet_out``/``flow_mod``.
+        self.released = Counter("pktbuf_released_total")
+        #: Units refused for want of capacity (or by the pool policy).
+        self.full_rejections = Counter("pktbuf_full_rejections_total")
+        #: Releases naming an id that holds no unit.
+        self.unknown_releases = Counter("pktbuf_unknown_releases_total")
+        #: Packets dropped by ageout.
+        self.expired = Counter("pktbuf_expired_total")
+        #: Packets dropped when a flow is given up on.
+        self.abandoned = Counter("pktbuf_abandoned_total")
+        #: Appends refused by ``max_packets_per_flow`` (never stored).
+        self.cap_refusals = Counter("pktbuf_cap_refusals_total")
+        #: Most units unavailable at once (live + cooling).
+        self.peak_units = Gauge("pktbuf_peak_units")
 
     def metrics(self) -> tuple:
         """Metric objects for adoption into a run's registry."""
-        return (self._buffered, self._released, self._full_rejections,
-                self._unknown_releases, self._expired, self._peak)
-
-    # -- legacy counter attributes (views over the metric objects) -------
-    @property
-    def total_buffered(self) -> int:
-        return self._buffered.value
-
-    @property
-    def total_released(self) -> int:
-        return self._released.value
-
-    @property
-    def full_rejections(self) -> int:
-        return self._full_rejections.value
-
-    @property
-    def unknown_releases(self) -> int:
-        return self._unknown_releases.value
-
-    @property
-    def total_expired(self) -> int:
-        return self._expired.value
-
-    @property
-    def peak_units(self) -> int:
-        return int(self._peak.value)
+        return (self.buffered, self.released, self.full_rejections,
+                self.unknown_releases, self.expired, self.peak_units,
+                self.abandoned, self.cap_refusals)
 
     # ------------------------------------------------------------------
     # Capacity
@@ -151,160 +157,158 @@ class PacketBuffer:
 
     @property
     def units_in_use(self) -> int:
-        """Units holding a live packet (excludes cooling units)."""
+        """Units holding live packets (excludes cooling units)."""
         return len(self._units)
 
     @property
     def packets_stored(self) -> int:
-        """Packets currently held (== live units for packet granularity)."""
-        return len(self._units)
-
-    def is_exhausted(self, now: float) -> bool:
-        """True when no unit can be allocated at ``now``."""
-        return self.occupancy(now) >= self.capacity
-
-    @property
-    def is_full(self) -> bool:
-        """True when live units alone reach capacity."""
-        return len(self._units) >= self.capacity
-
-    def free_units(self, now: float) -> int:
-        """Units allocatable at ``now``."""
-        return self.capacity - self.occupancy(now)
-
-    # ------------------------------------------------------------------
-    # Store / fetch
-    # ------------------------------------------------------------------
-    def store(self, packet: Packet, now: float,
-              partition: Optional[str] = None) -> int:
-        """Buffer ``packet``; returns its fresh exclusive ``buffer_id``.
-
-        Raises :class:`BufferFullError` when exhausted — the caller then
-        falls back to enclosing the full frame in the ``packet_in``.
-        With a pool attached, admission is the pool policy's call (the
-        private capacity check does not apply) and the unit counts
-        against ``partition`` (default: this buffer's own).
-        """
-        if self.pool is None:
-            if self.is_exhausted(now):
-                self._full_rejections.inc()
-                raise BufferFullError(
-                    f"all {self.capacity} buffer units in use",
-                    capacity=self.capacity, occupancy=self.occupancy(now),
-                    verdict="exhausted")
-            buffer_id = next(_buffer_ids)
-            self._units[buffer_id] = packet
-            self._stored_at[buffer_id] = now
-            self._buffered.inc()
-            self._peak.track_max(len(self._units) + len(self._cooling))
-            return buffer_id
-        self._prune_cooling(now)   # keep the peak gauge honest
-        pid = partition if partition is not None else self.partition
-        verdict = self.pool.admit(pid, now)
-        if not verdict.admitted:
-            self._full_rejections.inc()
-            raise BufferFullError(
-                f"pool rejected partition {pid!r} ({verdict.reason})",
-                capacity=self.pool.total_capacity,
-                occupancy=self.pool.occupancy_of(pid, now),
-                partition=pid, verdict=verdict.reason)
-        buffer_id = next(_buffer_ids)
-        self._units[buffer_id] = packet
-        self._stored_at[buffer_id] = now
-        self._partition_of[buffer_id] = pid
-        self._partitions_touched.add(pid)
-        self._buffered.inc()
-        self._peak.track_max(len(self._units) + len(self._cooling))
-        return buffer_id
-
-    def release(self, buffer_id: int, now: float) -> Optional[Packet]:
-        """Free the unit and return its packet; ``None`` if unknown.
-
-        Unknown ids happen legitimately: a retransmitted ``packet_out``
-        after the unit already aged out, or a controller bug.  The switch
-        answers those with an error message rather than crashing.  The
-        freed unit re-enters the free pool after ``reclaim_delay``.
-        """
-        packet = self._units.pop(buffer_id, None)
-        stored_at = self._stored_at.pop(buffer_id, None)
-        if packet is None:
-            self._unknown_releases.inc()
-            return None
-        self._released.inc()
-        if self.reclaim_delay > 0:
-            self._cooling.append(now + self.reclaim_delay)
-        if self.pool is not None:
-            pid = self._partition_of.pop(buffer_id, self.partition)
-            held = None if stored_at is None else now - stored_at
-            cool = (now + self.reclaim_delay
-                    if self.reclaim_delay > 0 else None)
-            self.pool.release_unit(pid, now, held=held, cool_until=cool)
-        return packet
-
-    def peek(self, buffer_id: int) -> Optional[Packet]:
-        """Look at a buffered packet without releasing it."""
-        return self._units.get(buffer_id)
+        """Packets currently held across all units."""
+        return sum(len(unit[0]) for unit in self._units.values())
 
     def __contains__(self, buffer_id: int) -> bool:
         return buffer_id in self._units
 
+    # ------------------------------------------------------------------
+    # Store
+    # ------------------------------------------------------------------
+    def get_buffer_id(self, key: Hashable) -> int:
+        """Algorithm 1's ``getBufferIdFromMap``: the key's unit, or -1."""
+        return self._unit_of.get(key, -1)
+
+    def store(self, packet: Packet, now: float,
+              partition: Optional[str] = None,
+              key: Optional[Hashable] = None) -> int:
+        """Open a unit holding ``packet``; returns its fresh ``buffer_id``.
+
+        Raises :class:`BufferFullError` when no unit is free — the caller
+        then falls back to enclosing the full frame in the
+        ``packet_in``.  With a pool attached, admission is the pool
+        policy's call (the private capacity check does not apply) and
+        the unit counts against ``partition`` (default: this buffer's
+        own).  ``key`` maps the unit for :meth:`get_buffer_id` until it
+        is vacated.
+        """
+        if key is not None and key in self._unit_of:
+            raise ValueError(f"key {key} already has a buffer unit")
+        pid = None
+        if self.pool is None:
+            occupancy = self.occupancy(now)
+            if occupancy >= self.capacity:
+                self.full_rejections.inc()
+                raise BufferFullError(
+                    f"all {self.capacity} buffer units in use",
+                    capacity=self.capacity, occupancy=occupancy,
+                    verdict="exhausted")
+        else:
+            self._prune_cooling(now)   # keep the peak gauge honest
+            pid = partition if partition is not None else self.partition
+            verdict = self.pool.admit(pid, now)
+            if not verdict.admitted:
+                self.full_rejections.inc()
+                raise BufferFullError(
+                    f"pool rejected partition {pid!r} ({verdict.reason})",
+                    capacity=self.pool.total_capacity,
+                    occupancy=self.pool.occupancy_of(pid, now),
+                    partition=pid, verdict=verdict.reason)
+        buffer_id = next(_buffer_ids)
+        self._units[buffer_id] = ([packet], now, key, pid)
+        if key is not None:
+            self._unit_of[key] = buffer_id
+        self.buffered.inc()
+        self.peak_units.track_max(len(self._units) + len(self._cooling))
+        return buffer_id
+
+    def append(self, buffer_id: int, packet: Packet) -> bool:
+        """Algorithm 1's ``bufferSubsequentPacket``: queue in a live unit.
+
+        Returns ``False`` — nothing stored — when the unit already holds
+        ``max_packets_per_flow`` packets; the caller decides how to
+        degrade.
+        """
+        packets = self._units[buffer_id][0]
+        if (self.max_packets_per_flow is not None
+                and len(packets) >= self.max_packets_per_flow):
+            self.cap_refusals.inc()
+            return False
+        packets.append(packet)
+        self.buffered.inc()
+        return True
+
+    # ------------------------------------------------------------------
+    # Vacate: release, abandonment, ageout
+    # ------------------------------------------------------------------
+    def _vacate(self, buffer_id: int, now: float,
+                observe: bool) -> Optional[list[Packet]]:
+        """Take a unit out; ``None`` if ``buffer_id`` holds none.
+
+        Unmaps its key, starts an unkeyed unit's reclaim cooling and
+        returns its pool budget — with the store-to-``now`` hold time
+        only when ``observe`` (a completed round trip).
+        """
+        unit = self._units.pop(buffer_id, None)
+        if unit is None:
+            return None
+        packets, stored_at, key, pid = unit
+        cool = None
+        if key is not None:
+            del self._unit_of[key]
+        elif self.reclaim_delay > 0:
+            cool = now + self.reclaim_delay
+            self._cooling.append(cool)
+        if pid is not None:
+            self.pool.release_unit(
+                pid, now, held=now - stored_at if observe else None,
+                cool_until=cool)
+        return packets
+
+    def release(self, buffer_id: int, now: float) -> list[Packet]:
+        """Free the unit and return its packets in arrival order.
+
+        This is Algorithm 2's ``getPacketFromBuffer`` loop plus
+        ``releaseBufferUnit``.  Unknown ids (empty result) happen
+        legitimately: a retransmitted ``packet_out`` after the unit
+        already aged out, or a controller bug.  The switch answers
+        those with an error message rather than crashing.
+        """
+        packets = self._vacate(buffer_id, now, True)
+        if packets is None:
+            self.unknown_releases.inc()
+            return []
+        self.released.inc(len(packets))
+        return packets
+
+    def abandon(self, buffer_id: int, now: float) -> list[Packet]:
+        """Free the unit, counting its packets as abandoned, not released.
+
+        The retry-exhaustion path (Algorithm 1 gives up on the flow):
+        the packets were dropped, never forwarded, and the pool sees no
+        hold time.  Unknown ids return an empty list, uncounted.
+        """
+        packets = self._vacate(buffer_id, now, False)
+        if packets is None:
+            return []
+        self.abandoned.inc(len(packets))
+        return packets
+
     def expire_older_than(self, cutoff: float,
                           now: Optional[float] = None) -> list[int]:
-        """Free units stored before ``cutoff``; returns the expired ids.
+        """Free units opened before ``cutoff``; returns the expired ids.
 
-        Real switches age out buffered packets whose ``packet_out`` never
-        arrives; this keeps a crashed controller from pinning the buffer.
-        Expired units recycle through the same ``reclaim_delay`` cooling
-        ring as ``packet_out``-released ones (the §2 ring model: a slot
-        is a slot, however it was vacated).  ``now`` anchors the cooling
+        Real switches age out buffered packets whose ``packet_out``
+        never arrives; this keeps a crashed controller from pinning the
+        buffer.  Expired unkeyed units recycle through the same
+        ``reclaim_delay`` cooling ring as released ones (a slot is a
+        slot, however it was vacated).  ``now`` anchors the cooling
         clock; it defaults to ``cutoff`` for callers without one, which
         only shortens the cooling of already-overdue units.
         """
-        expired = [bid for bid, t in self._stored_at.items() if t < cutoff]
+        expired = [bid for bid, unit in self._units.items()
+                   if unit[1] < cutoff]
         when = cutoff if now is None else now
-        cool = when + self.reclaim_delay if self.reclaim_delay > 0 else None
         for bid in expired:
-            self._units.pop(bid, None)
-            self._stored_at.pop(bid, None)
-            self._expired.inc()
-            if cool is not None:
-                self._cooling.append(cool)
-            if self.pool is not None:
-                pid = self._partition_of.pop(bid, self.partition)
-                # Aged-out units never completed a round trip, so no
-                # hold observation — only the budget comes back.
-                self.pool.release_unit(pid, when, cool_until=cool)
+            self.expired.inc(len(self._vacate(bid, when, False)))
         return expired
-
-    def clear(self) -> None:
-        """Free every unit (counters retained).
-
-        Pooled buffers own their partitions exclusively, so clearing
-        also zeroes those ledgers pool-side — live *and* cooling units,
-        since the cooling ring is dropped here too.
-        """
-        self._units.clear()
-        self._stored_at.clear()
-        self._cooling.clear()
-        self._partition_of.clear()
-        if self.pool is not None:
-            for pid in self._partitions_touched:
-                self.pool.reset_partition(pid)
-
-    def reset_accounting(self) -> None:
-        """Zero the counters (occupancy is untouched).
-
-        The peak re-bases at the full current occupancy — live units
-        plus the cooling ring — so a reset taken mid-cooldown cannot
-        report a peak below what the buffer actually holds.
-        """
-        self._buffered.reset()
-        self._released.reset()
-        self._full_rejections.reset()
-        self._unknown_releases.reset()
-        self._expired.reset()
-        self._peak.reset(len(self._units) + len(self._cooling))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PacketBuffer(units={len(self._units)}/{self.capacity}, "
-                f"peak={self.peak_units})")
+                f"peak={self.peak_units.value})")

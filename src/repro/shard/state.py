@@ -80,13 +80,12 @@ def extract_state(context) -> Dict[str, Any]:
     for switch in switches:
         if plan.shard_of_node[switch.name] != me:
             continue
-        buffer_obj = getattr(switch.mechanism, "buffer", None)
+        buffer = switch.mechanism.buffer
         counters[switch.name] = {
             "dropped": switch.datapath.packets_dropped,
             "abandoned": switch.mechanism.flows_abandoned,
-            "peak": buffer_obj.peak_units if buffer_obj is not None else 0,
-            "rejections": (buffer_obj.full_rejections
-                           if buffer_obj is not None else 0),
+            "peak": buffer.peak_units.value,
+            "rejections": buffer.full_rejections.value,
         }
 
     tracker = metrics.delay_tracker
@@ -177,15 +176,9 @@ def graft_states(parent_testbed, plan: PartitionPlan,
             switch = switches[name]
             switch.datapath._dropped.value = counts["dropped"]
             switch.mechanism.flows_abandoned = counts["abandoned"]
-            buffer_obj = getattr(switch.mechanism, "buffer", None)
-            if buffer_obj is not None:
-                if hasattr(buffer_obj, "_peak"):
-                    buffer_obj._peak.value = counts["peak"]
-                    buffer_obj._full_rejections.value = (
-                        counts["rejections"])
-                else:
-                    buffer_obj.peak_units = counts["peak"]
-                    buffer_obj.full_rejections = counts["rejections"]
+            buffer = switch.mechanism.buffer
+            buffer.peak_units.value = counts["peak"]
+            buffer.full_rejections.value = counts["rejections"]
 
 
 def merged_events(states: List[Dict[str, Any]]

@@ -385,14 +385,12 @@ class OpenFlowAgent:
         # would leave that forced handle live but untracked (two sweep
         # chains, double expiry, and shutdown() cancelling only one).
         self._ageout_handle = None
-        buffer_obj = getattr(self.mechanism, "buffer", None)
-        if buffer_obj is not None and hasattr(buffer_obj,
-                                              "expire_older_than"):
-            cutoff = self.sim.now - self.config.buffer_ageout
-            expired = buffer_obj.expire_older_than(cutoff, now=self.sim.now)
-            self._buffer_ageout_drops.inc(len(expired))
-            for buffer_id in expired:
-                self.events.emit("buffer_aged_out", self.sim.now, buffer_id)
+        cutoff = self.sim.now - self.config.buffer_ageout
+        expired = self.mechanism.buffer.expire_older_than(cutoff,
+                                                          now=self.sim.now)
+        self._buffer_ageout_drops.inc(len(expired))
+        for buffer_id in expired:
+            self.events.emit("buffer_aged_out", self.sim.now, buffer_id)
         if self._ageout_handle is None:
             self._ageout_handle = self.sim.schedule(
                 self.config.buffer_ageout_interval, self._ageout_sweep)

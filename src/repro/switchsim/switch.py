@@ -49,17 +49,15 @@ class Switch:
                                    self.datapath, mechanism, channel,
                                    self.events, datapath_id=datapath_id,
                                    registry=self.registry, switch=name)
-        # The mechanism's packet buffer exists below this layer; adopt
-        # its standalone metrics into the run's registry when it has any.
-        # The buffer creates them unlabeled (it does not know its switch),
-        # so label them here — like the datapath/agent counters — which
-        # also keeps per-switch buffers distinct in a shared registry.
-        buffer_obj = getattr(mechanism, "buffer", None)
-        if buffer_obj is not None and hasattr(buffer_obj, "metrics"):
-            for metric in buffer_obj.metrics():
-                if not metric.labels:
-                    metric.labels = label_set({"switch": name})
-                self.registry.register(metric)
+        # The mechanism's unit store exists below this layer; adopt its
+        # standalone metrics into the run's registry.  The store creates
+        # them unlabeled (it does not know its switch), so label them
+        # here — like the datapath/agent counters — which also keeps
+        # per-switch buffers distinct in a shared registry.
+        for metric in mechanism.buffer.metrics():
+            if not metric.labels:
+                metric.labels = label_set({"switch": name})
+            self.registry.register(metric)
 
     def attach_port(self, port_no: int, cable: DuplexLink,
                     switch_side_forward: bool = True) -> SwitchPort:

@@ -250,29 +250,6 @@ def test_pool_return_underflow_guard():
     assert sum(underflow.values()) == 2
 
 
-def test_pool_reset_partition_drops_live_and_cooling():
-    pool = _pool()
-    pool.admit("a", 0.0)
-    pool.admit("a", 0.0)
-    pool.release_unit("a", 1.0, cool_until=9.0)
-    pool.reset_partition("a")
-    assert pool.occupancy_of("a", 1.0) == 0
-    assert pool.free_units(1.0) == 8
-
-
-def test_pool_reset_accounting_rebases_peak_at_held_units():
-    pool = _pool()
-    for _ in range(4):
-        pool.admit("a", 0.0)
-    pool.release_unit("a", 1.0, cool_until=5.0)   # 3 live + 1 cooling
-    pool.reset_accounting()
-    assert pool.peak_occupancy == 4               # cooling still held
-    snap = pool.registry.snapshot()
-    admitted = {k: v for k, v in snap.counters.items()
-                if k[0] == "pool_admitted_total"}
-    assert sum(admitted.values()) == 0
-
-
 def test_expected_partitions_and_build_pool_budget():
     assert expected_partitions(static_pool(), n_switches=3) == 3
     assert expected_partitions(static_pool(scope=SCOPE_PORT),
@@ -305,7 +282,7 @@ def test_pooled_store_routes_through_pool_policy():
     assert error.occupancy == 2
     assert error.partition == "s1"
     assert error.verdict == "quota"
-    assert buffer.full_rejections == 1
+    assert buffer.full_rejections.value == 1
 
 
 def test_private_buffer_error_is_structured_too():
@@ -358,46 +335,12 @@ def test_pooled_unknown_release_never_touches_the_pool():
     buffer = PacketBuffer(capacity=64, pool=pool, partition="s1")
     buffer.store(_packet(0), now=0.0)
     buffer.release(424242, now=1.0)
-    assert buffer.unknown_releases == 1
+    assert buffer.unknown_releases.value == 1
     assert pool.occupancy_of("s1", 1.0) == 1     # untouched
     snap = pool.registry.snapshot()
     underflow = {k: v for k, v in snap.counters.items()
                  if k[0] == "pool_return_underflow_total"}
     assert sum(underflow.values()) == 0
-
-
-def test_clear_mid_cooldown_resets_pool_side_too():
-    # Satellite-3 regression: a clear taken while units are cooling must
-    # zero both ledgers -- leaked cooling entries would pin pool budget
-    # (and peak gauges) forever.
-    pool = _pool(capacity=8, quota=8)
-    buffer = PacketBuffer(capacity=64, reclaim_delay=1.0, pool=pool,
-                          partition="s1")
-    bid = buffer.store(_packet(0), now=0.0)
-    buffer.store(_packet(1), now=0.0)
-    buffer.release(bid, now=0.5)                 # cooling until 1.5
-    buffer.clear()                               # mid-cooldown
-    assert buffer.occupancy(0.6) == 0
-    assert pool.occupancy_of("s1", 0.6) == 0
-    assert pool.free_units(0.6) == 8
-    # Counters survive the clear; reset_accounting re-bases the peak at
-    # the (now empty) holdings.
-    assert buffer.total_buffered == 2
-    buffer.reset_accounting()
-    pool.reset_accounting()
-    assert buffer.peak_units == 0
-    assert pool.peak_occupancy == 0
-
-
-def test_reset_accounting_mid_cooldown_keeps_peak_honest():
-    buffer = PacketBuffer(capacity=8, reclaim_delay=1.0)
-    bid = buffer.store(_packet(0), now=0.0)
-    buffer.store(_packet(1), now=0.0)
-    buffer.release(bid, now=0.5)                 # 1 live + 1 cooling
-    buffer.reset_accounting()
-    # The peak re-bases at live + cooling: reporting less than the
-    # buffer actually holds would understate the next window's maximum.
-    assert buffer.peak_units == 2
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +357,11 @@ _OPS = st.lists(
     min_size=1, max_size=60)
 
 
-def _check_conservation(buffer, pool, live_ids, now, abandoned=0):
+def _check_conservation(buffer, pool, live_ids, now):
     in_use = buffer.units_in_use
-    assert buffer.total_buffered == (buffer.total_released
-                                     + buffer.total_expired
-                                     + abandoned + in_use)
+    assert buffer.buffered.value == (buffer.released.value
+                                     + buffer.expired.value
+                                     + buffer.abandoned.value + in_use)
     assert in_use == len(live_ids)
     if pool is not None:
         # The two ledgers stay in lockstep: what the buffer holds (live
@@ -430,7 +373,8 @@ def _check_conservation(buffer, pool, live_ids, now, abandoned=0):
 @settings(max_examples=80, deadline=None)
 @given(ops=_OPS, pooled=st.booleans(), reclaim=st.sampled_from([0.0, 0.05]))
 def test_unit_conservation_under_interleavings(ops, pooled, reclaim):
-    """stored == released + expired + in_use, private and pooled alike."""
+    """stored == released + expired + abandoned + in_use, private and
+    pooled alike."""
     pool = (SharedBufferPool(dt_pool(alpha=2.0, scope=SCOPE_PORT), 12, 3)
             if pooled else None)
     buffer = PacketBuffer(capacity=12, reclaim_delay=reclaim, pool=pool,
@@ -449,7 +393,7 @@ def test_unit_conservation_under_interleavings(ops, pooled, reclaim):
             # Mix of known ids, repeats and never-issued ids.
             target = (live_ids[arg % len(live_ids)]
                       if live_ids and arg < 10 else 999_000 + arg)
-            if buffer.release(target, now) is not None:
+            if buffer.release(target, now):
                 live_ids.remove(target)
         elif op == "expire":
             for bid in buffer.expire_older_than(now - arg, now=now):
@@ -457,12 +401,11 @@ def test_unit_conservation_under_interleavings(ops, pooled, reclaim):
         else:
             now += arg
         _check_conservation(buffer, pool, live_ids, now)
-    # clear() abandons whatever is live: the counters retain history, so
-    # the conservation identity closes with the abandoned term.
-    abandoned = buffer.units_in_use
-    buffer.clear()
-    live_ids.clear()
-    _check_conservation(buffer, pool, live_ids, now, abandoned=abandoned)
+    # Abandon whatever is live: the identity closes with the abandoned
+    # term, and the pool ledger follows the vacated units.
+    while live_ids:
+        buffer.abandon(live_ids.pop(), now)
+    _check_conservation(buffer, pool, live_ids, now)
 
 
 # ---------------------------------------------------------------------------

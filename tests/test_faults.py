@@ -313,7 +313,8 @@ def test_forced_ageout_expires_units_and_late_timer_is_clean():
     assert mechanism.units_in_use == 0
     assert mechanism.flows_abandoned == 0      # ageout, not retry give-up
     assert mechanism._pending == {}            # late timers cleaned up
-    assert mechanism.buffer.total_released == 0
+    assert mechanism.buffer.released.value == 0
+    assert mechanism.buffer.expired.value == 3
     testbed.shutdown()
 
 
@@ -368,7 +369,7 @@ def test_retry_exhaustion_counts_drops_not_releases():
     testbed.sim.run(until=1.0)
     mechanism = testbed.mechanism
     assert mechanism.flows_abandoned == 3
-    assert mechanism.buffer.total_released == 0      # the bug inflated this
-    assert mechanism.buffer.abandoned_drops == 3
+    assert mechanism.buffer.released.value == 0      # the bug inflated this
+    assert mechanism.buffer.abandoned.value == 3
     assert mechanism.units_in_use == 0
     testbed.shutdown()

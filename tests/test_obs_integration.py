@@ -7,13 +7,15 @@ import json
 
 import pytest
 
-from repro.core import buffer_16, buffer_256
-from repro.experiments import sweep, workload_a_factory
+from repro.core import buffer_16, buffer_256, flow_buffer_256
+from repro.experiments import (run_once, sweep, workload_a_factory,
+                               workload_b_factory)
 from repro.experiments.cli import main as cli_main
-from repro.obs import (ObsCollector, ObsConfig, parse_prometheus,
-                       spans_from_jsonl, validate_chrome_trace,
-                       validate_nesting)
+from repro.obs import (ObsCollector, ObsConfig, RunObserver,
+                       parse_prometheus, spans_from_jsonl,
+                       validate_chrome_trace, validate_nesting)
 from repro.parallel import ResultCache, SweepJob, run_sweep_jobs
+from repro.simkit import RandomStreams, mbps
 
 _RATES = (20.0,)
 _REPS = 2
@@ -67,6 +69,27 @@ def test_observing_does_not_perturb_results():
                   _RATES, _REPS, base_seed=1)
     observed, _ = _observed_sweep()
     _rows_equal(plain, observed)
+
+
+def test_flow_granularity_store_counters_reach_the_registry():
+    """Flow runs export the ``pktbuf_*`` family as packet runs do: the
+    switch-labelled registry samples equal the store's own counts."""
+    observer = RunObserver(ObsConfig(trace=False))
+    stores = []
+    workload = workload_b_factory(n_flows=20)(mbps(40), RandomStreams(3))
+    run_once(flow_buffer_256(), workload, seed=3, obs=observer,
+             on_testbed=lambda testbed: stores.append(
+                 testbed.mechanisms[0].buffer))
+    buffer, = stores
+    snapshot = observer.observation.metrics
+    key = (("switch", "ovs"),)
+    assert buffer.buffered.value > 20       # 20 flows' units, appended to
+    assert snapshot.counters[("pktbuf_buffered_total", key)] \
+        == buffer.buffered.value
+    assert snapshot.counters[("pktbuf_released_total", key)] \
+        == buffer.released.value > 0
+    assert snapshot.gauges[("pktbuf_peak_units", key)] \
+        == buffer.peak_units.value > 0
 
 
 # ---------------------------------------------------------------------------

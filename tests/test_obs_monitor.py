@@ -74,7 +74,7 @@ def test_seeded_corruption_fires_exactly_one_violation():
     persistent 'violated' verdict."""
     def corrupt(testbed):
         mechanism = testbed.mechanisms[0]
-        testbed.sim.schedule(0.100, mechanism.buffer._released.inc)
+        testbed.sim.schedule(0.100, mechanism.buffer.released.inc)
 
     observation = _observed_run(ObsConfig(monitor=True), monkey=corrupt,
                                 flows=60)

@@ -1,4 +1,4 @@
-"""Tests for the packet-granularity buffer incl. unit recycling."""
+"""Tests for the buffer store's one-packet units incl. unit recycling."""
 
 from __future__ import annotations
 
@@ -25,22 +25,24 @@ def test_release_returns_stored_packet():
     buffer = PacketBuffer(capacity=4)
     packet = _packet()
     buffer_id = buffer.store(packet, now=0.0)
-    assert buffer.release(buffer_id, now=1.0) is packet
+    assert buffer.release(buffer_id, now=1.0) == [packet]
     assert buffer.units_in_use == 0
-    assert buffer.total_released == 1
+    assert buffer.released.value == 1
 
 
 def test_release_unknown_id_returns_none():
     buffer = PacketBuffer(capacity=4)
-    assert buffer.release(999999, now=0.0) is None
-    assert buffer.unknown_releases == 1
+    assert buffer.release(999999, now=0.0) == []      # no packets
+    assert buffer.unknown_releases.value == 1
 
 
 def test_double_release_counts_as_unknown():
     buffer = PacketBuffer(capacity=4)
     buffer_id = buffer.store(_packet(), now=0.0)
     buffer.release(buffer_id, now=1.0)
-    assert buffer.release(buffer_id, now=2.0) is None
+    assert buffer.release(buffer_id, now=2.0) == []
+    assert buffer.unknown_releases.value == 1
+    assert buffer.released.value == 1
 
 
 def test_store_when_full_raises():
@@ -49,16 +51,7 @@ def test_store_when_full_raises():
     buffer.store(_packet(2), now=0.0)
     with pytest.raises(BufferFullError):
         buffer.store(_packet(3), now=0.0)
-    assert buffer.full_rejections == 1
-
-
-def test_peek_does_not_release():
-    buffer = PacketBuffer(capacity=2)
-    packet = _packet()
-    buffer_id = buffer.store(packet, now=0.0)
-    assert buffer.peek(buffer_id) is packet
-    assert buffer_id in buffer
-    assert buffer.units_in_use == 1
+    assert buffer.full_rejections.value == 1
 
 
 def test_reclaim_delay_keeps_unit_unavailable():
@@ -87,7 +80,7 @@ def test_peak_units_includes_cooling():
         buffer.release(buffer_id, now=3.0 + i)
     buffer.store(_packet(9), now=6.5)
     # 3 cooling + 1 live at t=6.5.
-    assert buffer.peak_units == 4
+    assert buffer.peak_units.value == 4
 
 
 def test_expire_older_than():
@@ -105,25 +98,15 @@ def test_expiry_has_own_counter_and_cooling():
     buffer = PacketBuffer(capacity=1, reclaim_delay=1.0)
     buffer.store(_packet(1), now=0.0)
     buffer.expire_older_than(cutoff=4.0, now=5.0)
-    assert buffer.total_expired == 1
-    assert buffer.total_released == 0
-    assert buffer.unknown_releases == 0
+    assert buffer.expired.value == 1
+    assert buffer.released.value == 0
+    assert buffer.unknown_releases.value == 0
     # Cooling until t = 6.0: the slot is not allocatable yet.
     assert buffer.occupancy(5.5) == 1
     with pytest.raises(BufferFullError):
         buffer.store(_packet(2), now=5.5)
     assert buffer.occupancy(6.1) == 0
     buffer.store(_packet(3), now=6.1)
-
-
-def test_clear_frees_everything():
-    buffer = PacketBuffer(capacity=4, reclaim_delay=5.0)
-    a = buffer.store(_packet(1), now=0.0)
-    buffer.store(_packet(2), now=0.0)
-    buffer.release(a, now=0.1)
-    buffer.clear()
-    assert buffer.units_in_use == 0
-    assert buffer.occupancy(0.2) == 0
 
 
 def test_validation():

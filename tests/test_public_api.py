@@ -67,6 +67,25 @@ def test_public_classes_have_documented_public_methods():
                 assert member.__doc__, f"{cls.__name__}.{name} undocumented"
 
 
+def test_one_buffer_store_serves_both_granularities():
+    """The flow-keyed store and its error class are gone: both buffered
+    mechanisms and no-buffer hold the one ``PacketBuffer``."""
+    import repro.core
+    from repro.core import BufferConfig, create_mechanism
+    from repro.openflow import PacketBuffer
+    from repro.simkit import Simulator
+    for name in ("FlowPacketBuffer", "FlowBufferFullError"):
+        assert name not in repro.core.__all__
+        assert not hasattr(repro.core, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.core.flow_buffer")
+    for mechanism in ("no-buffer", "packet-granularity",
+                      "flow-granularity"):
+        built = create_mechanism(BufferConfig(mechanism=mechanism),
+                                 Simulator())
+        assert type(built.buffer) is PacketBuffer
+
+
 def test_workload_schedule_on_sends_through_host():
     from repro.netsim import Host, Link
     from repro.simkit import RandomStreams, Simulator, mbps
