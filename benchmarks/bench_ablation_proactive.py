@@ -29,14 +29,14 @@ def _run_proactive():
         testbed.controller,
         destination_routes(1, {HOST1_IP: 1, HOST2_IP: 2})).provision()
     testbed.sim.run(until=0.01)
-    testbed.pktgen.start(at=0.0)
+    testbed.pktgens[0].start(at=0.0)
     testbed.sim.run(until=2.0)
     stats = {
-        "packet_ins": testbed.switch.agent.packet_ins_sent,
+        "packet_ins": testbed.switches[0].agent.packet_ins_sent.value,
         "control_kb": (testbed.metrics.capture_up.bytes_total
                        + testbed.metrics.capture_down.bytes_total) / 1000,
-        "rules": len(testbed.switch.flow_table),
-        "delivered": len(testbed.host2.received),
+        "rules": len(testbed.switches[0].datapath.table),
+        "delivered": len(testbed.hosts[-1].received),
     }
     testbed.shutdown()
     return stats

@@ -26,11 +26,12 @@ def _run_with_dead_controller(retry_timeout: float, max_retries: int = 4):
     workload = single_packet_flows(mbps(20), n_flows=5,
                                    rng=RandomStreams(2))
     testbed = build_testbed(config, workload, seed=2)
-    testbed.channel.bind_controller(lambda message: None)   # dead app
-    testbed.pktgen.start(at=0.01)
+    switch = testbed.switches[0]
+    switch.agent.channel.bind_controller(lambda message: None)   # dead app
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=2.0)
-    mechanism = testbed.mechanism
-    stats = (mechanism.retries_sent, mechanism.flows_abandoned)
+    stats = (switch.agent.retries_sent.value,
+             switch.mechanism.flows_abandoned)
     testbed.shutdown()
     return stats
 

@@ -20,7 +20,7 @@ def test_table1_inventory_and_testbed_build(benchmark, emit):
         return build_testbed(buffer_256(), workload)
 
     testbed = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert testbed.switch is not None
+    assert len(testbed.switches) == 1
     assert testbed.controller is not None
     testbed.shutdown()
 

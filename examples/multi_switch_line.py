@@ -29,11 +29,11 @@ def run(config, n_switches):
         rng=RandomStreams(1))
     testbed = build_scenario(line_scenario(n_switches), config, workload)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=3.0)
     stats = (testbed.total_packet_ins(),
              testbed.total_control_bytes() / 1000.0,
-             len(testbed.host2.received))
+             len(testbed.hosts[-1].received))
     testbed.shutdown()
     return stats
 

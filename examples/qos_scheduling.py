@@ -58,7 +58,7 @@ def run(with_scheduler: bool):
     scheduler = attach_scheduler(port2, sim) if with_scheduler else None
 
     # Pre-install a match-all rule so this is purely a data-path test.
-    switch.flow_table.insert(
+    switch.datapath.table.insert(
         FlowEntry(match=Match(), actions=(OutputAction(2),)), now=0.0)
 
     gap = FRAME_LEN * 8 / SEND_RATE

@@ -46,7 +46,7 @@ def main() -> None:
         testbed = build_testbed(config, workload, calibration=calibration)
         testbed.controller.start_handshake()
         settle = 0.02
-        testbed.pktgen.start(at=settle)
+        testbed.pktgens[0].start(at=settle)
         testbed.sim.run(until=settle + workload.duration + 0.5)
         ctrl_bytes = testbed.metrics.capture_up.bytes_total
         packet_ins = testbed.metrics.capture_up.count("packetin")
@@ -55,10 +55,10 @@ def main() -> None:
         burst_start = settle + workload.burst_start
         deliveries = [t for t, p in
                       ((pkt.switch_out_at, pkt)
-                       for pkt in testbed.host2.received)
+                       for pkt in testbed.hosts[-1].received)
                       if t is not None and t >= burst_start]
         burst_delay = max(deliveries) - burst_start if deliveries else 0.0
-        delivered = len(testbed.host2.received)
+        delivered = len(testbed.hosts[-1].received)
         print(f"{config.label:<16} {packet_ins:>10d} "
               f"{ctrl_bytes / 1000:>7.1f}K {to_msec(burst_delay):>13.2f}ms "
               f"{delivered:>4d}/{workload.n_packets}")

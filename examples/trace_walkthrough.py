@@ -37,7 +37,7 @@ def main() -> None:
             timeline.append((time, kind, args))
         return handler
 
-    events = testbed.switch.events
+    events = testbed.switches[0].events
     events.on("packet_ingress", log("packet enters switch"))
     events.on("table_miss", log("flow-table MISS"))
     events.on("buffer_stored", log("packet buffered"))
@@ -52,7 +52,7 @@ def main() -> None:
                                  log("controller sends flow_mod+packet_out"))
 
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.01)
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=0.2)
 
     print("Timeline of one 4-packet flow under the flow-granularity "
@@ -71,9 +71,9 @@ def main() -> None:
                       f"{message.data_len}B of {message.total_len}B)")
         print(f"  +{(time - start) * 1e3:7.3f} ms  {kind:<34} {detail}")
 
-    agent = testbed.switch.agent
-    print(f"\nTotals: {agent.packet_ins_sent} packet_in for "
-          f"{len(testbed.host2.received)} delivered packets "
+    agent = testbed.switches[0].agent
+    print(f"\nTotals: {agent.packet_ins_sent.value} packet_in for "
+          f"{len(testbed.hosts[-1].received)} delivered packets "
           f"(Algorithm 1 buffered the rest; Algorithm 2 released them "
           f"together).")
     testbed.shutdown()

@@ -2,9 +2,9 @@
 
 A policy answers one question per ``store`` attempt: may partition ``p``
 take one more unit, given its occupancy, its static quota and the pool's
-free headroom?  Policies are registered by name (the same pattern as the
-scenario builder registry) so :func:`create_policy` can instantiate one
-from a :class:`~repro.bufferpool.spec.PoolSpec`, and every decision comes
+free headroom?  Policies are registered by name so
+:func:`create_policy` can instantiate one from a
+:class:`~repro.bufferpool.spec.PoolSpec`, and every decision comes
 back as a :class:`Verdict` so rejections stay explainable all the way up
 into :class:`~repro.openflow.pktbuffer.BufferFullError`.
 

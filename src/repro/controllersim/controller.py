@@ -42,18 +42,17 @@ class Controller:
                                       servers=config.cpu_cores)
         #: Attached channels as (channel, datapath_id) pairs.
         self._channels: list = []
-        # Registry-backed counters; the legacy integer attributes are
-        # read-only property views over these.
+        # Registry counters, read as ``controller.flow_mods_sent.value``.
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._packet_ins_handled = self.registry.counter(
+        self.packet_ins_handled = self.registry.counter(
             "controller_packet_ins_handled_total", controller=name)
-        self._flow_mods_sent = self.registry.counter(
+        self.flow_mods_sent = self.registry.counter(
             "controller_flow_mods_sent_total", controller=name)
-        self._packet_outs_sent = self.registry.counter(
+        self.packet_outs_sent = self.registry.counter(
             "controller_packet_outs_sent_total", controller=name)
-        self._errors_received = self.registry.counter(
+        self.errors_received = self.registry.counter(
             "controller_errors_received_total", controller=name)
-        self._flow_removed_received = self.registry.counter(
+        self.flow_removed_received = self.registry.counter(
             "controller_flow_removed_received_total", controller=name)
         #: The latest FlowStatsReply / PortStatsReply per datapath id.
         self.flow_stats: dict = {}
@@ -62,27 +61,6 @@ class Controller:
         if config.echo_interval > 0:
             self._echo_handle = sim.schedule(config.echo_interval,
                                              self._send_echo)
-
-    # -- legacy counter attributes (views over the registry metrics) -----
-    @property
-    def packet_ins_handled(self) -> int:
-        return self._packet_ins_handled.value
-
-    @property
-    def flow_mods_sent(self) -> int:
-        return self._flow_mods_sent.value
-
-    @property
-    def packet_outs_sent(self) -> int:
-        return self._packet_outs_sent.value
-
-    @property
-    def errors_received(self) -> int:
-        return self._errors_received.value
-
-    @property
-    def flow_removed_received(self) -> int:
-        return self._flow_removed_received.value
 
     # ------------------------------------------------------------------
     # Session management
@@ -156,10 +134,10 @@ class Controller:
                 EchoReply(payload_len=message.payload_len,
                           in_reply_to=message.xid))
         elif isinstance(message, ErrorMsg):
-            self._errors_received.inc()
+            self.errors_received.inc()
             self.events.emit("error_received", self.sim.now, message)
         elif isinstance(message, FlowRemoved):
-            self._flow_removed_received.inc()
+            self.flow_removed_received.inc()
             self.events.emit("flow_removed", self.sim.now, message,
                              datapath_id)
             self.station.submit(message, self.config.housekeeping_cost)
@@ -181,7 +159,7 @@ class Controller:
     def _decide(self, payload: tuple) -> None:
         message, channel, datapath_id = payload
         decision = self.app.decide(message, datapath_id=datapath_id)
-        self._packet_ins_handled.inc()
+        self.packet_ins_handled.inc()
         self.sim.schedule(self.config.decision_latency,
                           self._send_replies, decision, channel)
 
@@ -189,9 +167,9 @@ class Controller:
                       channel: ControlChannel) -> None:
         if decision.flow_mod is not None:
             channel.send_to_switch(decision.flow_mod)
-            self._flow_mods_sent.inc()
+            self.flow_mods_sent.inc()
         channel.send_to_switch(decision.packet_out)
-        self._packet_outs_sent.inc()
+        self.packet_outs_sent.inc()
         self.events.emit("replies_sent", self.sim.now, decision)
 
     # ------------------------------------------------------------------
@@ -202,10 +180,6 @@ class Controller:
         return (self.config.baseline_usage_percent
                 + self.station.utilization_percent())
 
-    def reset_accounting(self) -> None:
-        """Restart the usage window."""
-        self.station.reset_accounting()
-
     def shutdown(self) -> None:
         """Cancel periodic work (end of run)."""
         if self._echo_handle is not None:
@@ -213,4 +187,4 @@ class Controller:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Controller({self.name!r}, "
-                f"handled={self.packet_ins_handled})")
+                f"handled={self.packet_ins_handled.value})")

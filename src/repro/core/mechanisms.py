@@ -277,8 +277,6 @@ class FlowGranularityBuffer(BufferMechanism):
         self.max_retries = max_retries
         self._pending: dict[int, _PendingFlow] = {}
         self._retry_sender: Optional[RetrySender] = None
-        #: Counters.
-        self.retries_sent = 0
         self.flows_abandoned = 0
 
     def set_retry_sender(self, sender: RetrySender) -> None:
@@ -389,7 +387,6 @@ class FlowGranularityBuffer(BufferMechanism):
             self.flows_abandoned += 1
             return
         pending.retries += 1
-        self.retries_sent += 1
         if self._retry_sender is not None:
             self._retry_sender(pending.last_packet, buffer_id)
         pending.timer = self.sim.schedule(self.retry_timeout,

@@ -328,7 +328,7 @@ def run_resilience_experiment(
     fixed sending rate, for the no-buffer, packet-granularity and
     flow-granularity mechanisms.  Only the flow-granularity mechanism
     (Algorithm 1) re-requests on timeout: under loss it shows
-    ``retries_sent > 0`` and keeps its completion rate near 100 %,
+    ``packet_in_retry_count > 0`` and keeps its completion rate near 100 %,
     while the other two silently lose whatever the channel eats — the
     resilience benefit of §V's buffering design, which no figure of the
     paper measures directly.

@@ -125,7 +125,7 @@ def install_faults(testbed, spec: Optional[FaultSpec]) -> None:
     channel_faults = (
         spec.loss_up or spec.loss_down or spec.dup_up or spec.dup_down
         or spec.jitter_up or spec.jitter_down or spec.stall_windows)
-    for switch, channel in zip(testbed.switches, testbed.channels):
+    for switch in testbed.switches:
         if channel_faults:
             events = switch.events
 
@@ -141,7 +141,8 @@ def install_faults(testbed, spec: Optional[FaultSpec]) -> None:
                 testbed.rng.stream(f"faults.{switch.name}.down"),
                 spec, "down", registry, on_fault=on_fault,
                 switch=switch.name)
-            channel.install_fault_filters(to_controller=up, to_switch=down)
+            switch.agent.channel.install_fault_filters(to_controller=up,
+                                                       to_switch=down)
         if spec.ageout is not None:
             switch.agent.force_buffer_ageout(
                 spec.ageout, interval=spec.ageout_interval)

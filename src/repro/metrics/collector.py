@@ -264,7 +264,7 @@ class MetricsSuite:
             packet_ins_per_flow=self.delay_tracker.packet_ins_per_flow(),
             completed_flows=self.delay_tracker.completed_flows,
             total_flows=self.delay_tracker.total_flows,
-            packets_dropped=sum(s.datapath.packets_dropped
+            packets_dropped=sum(s.datapath.packets_dropped.value
                                 for s in self.switches),
             flows_abandoned=sum(s.mechanism.flows_abandoned
                                 for s in self.switches),

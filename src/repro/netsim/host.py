@@ -63,11 +63,5 @@ class Host:
         for hook in self._receive_hooks:
             hook(self.sim.now, packet)
 
-    def reset_accounting(self) -> None:
-        """Clear receive records (between experiment repetitions)."""
-        self.received.clear()
-        self.bytes_received = 0
-        self.packets_sent = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host({self.name!r}, mac={self.mac}, ip={self.ip})"

@@ -51,9 +51,7 @@ class Link:
         self._outbound: Optional[Callable[[float, Any], None]] = None
         #: When the transmitter finishes the last item sent so far.
         self._free_at = sim.now
-        #: Transmit time booked in the accounting window: every item
-        #: sent since the last reset, plus the remainder a reset found
-        #: still in flight.
+        #: Transmit time booked for every item sent so far.
         self._booked = 0.0
         self._accounting_start = sim.now
         #: Cumulative bytes and items accepted for transmission.
@@ -122,7 +120,7 @@ class Link:
         self._receiver(item)
 
     def utilization_percent(self) -> float:
-        """Share of the accounting window spent transmitting, in percent.
+        """Share of the time since creation spent transmitting, in percent.
 
         Counts the elapsed part of every booked transmission, the frame
         in flight included: booked time minus what still lies ahead of
@@ -135,18 +133,6 @@ class Link:
         ahead = self._free_at - now
         busy = self._booked - ahead if ahead > 0 else self._booked
         return 100.0 * busy / wall
-
-    def reset_accounting(self) -> None:
-        """Restart byte counters and the utilization window.
-
-        Transmit time still ahead of the clock carries into the new
-        window, where it elapses.
-        """
-        self.bytes_sent = 0
-        self.items_sent = 0
-        now = self.sim._now
-        self._booked = max(0.0, self._free_at - now)
-        self._accounting_start = now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Link({self.name!r}, {self.bandwidth_bps / 1e6:.0f}Mbps, "
@@ -169,11 +155,6 @@ class DuplexLink:
         """Attach both ends: forward delivers to one, reverse to the other."""
         self.forward.connect(forward_receiver)
         self.reverse.connect(reverse_receiver)
-
-    def reset_accounting(self) -> None:
-        """Restart accounting on both directions."""
-        self.forward.reset_accounting()
-        self.reverse.reset_accounting()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DuplexLink({self.name!r})"

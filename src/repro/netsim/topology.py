@@ -97,11 +97,6 @@ class Topology:
         """Iterate ((a, b), cable) pairs."""
         return iter(self._cables.items())
 
-    def reset_accounting(self) -> None:
-        """Restart accounting on every cable."""
-        for cable in self._cables.values():
-            cable.reset_accounting()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Topology(nodes={sorted(self._nodes)}, "
                 f"cables={sorted(self._cables)})")

@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`SpanRecorder`, :class:`SpanRecord`, :class:`Span`,
+* :class:`SpanRecorder`, :class:`SpanRecord`,
   :func:`validate_nesting` — sim-time span tracing primitives.
 * :class:`MetricsRegistry`, :class:`Counter`, :class:`Gauge`,
   :class:`Histogram`, :class:`MetricsSnapshot` — named metrics with
@@ -49,7 +49,7 @@ from .flowtrace import (CAT_CHANNEL, CAT_CONTROLLER, CAT_FAULT, CAT_FLOW,
                         SPAN_SWITCH_APPLY, SPAN_SWITCH_MISS)
 from .registry import (DELAY_BUCKETS_S, Counter, Gauge, Histogram,
                        HistogramData, MetricsRegistry, MetricsSnapshot)
-from .spans import Span, SpanRecord, SpanRecorder, validate_nesting
+from .spans import SpanRecord, SpanRecorder, validate_nesting
 
 __all__ = [
     "ObsCollector", "ObsConfig", "RunObservation", "RunObserver",
@@ -71,5 +71,5 @@ __all__ = [
     "SPAN_SWITCH_MISS",
     "DELAY_BUCKETS_S", "Counter", "Gauge", "Histogram", "HistogramData",
     "MetricsRegistry", "MetricsSnapshot",
-    "Span", "SpanRecord", "SpanRecorder", "validate_nesting",
+    "SpanRecord", "SpanRecorder", "validate_nesting",
 ]

@@ -153,7 +153,7 @@ class RunObserver:
         if self.config.trace:
             switches = testbed.switches
             multi = len(switches) > 1
-            mechanism = self.label or testbed.mechanism.name
+            mechanism = self.label or switches[0].mechanism.name
             self.tracers = []
             for switch in switches:
                 tracer = FlowSetupTracer(

@@ -133,7 +133,8 @@ class ConservationMonitor(RunMonitor):
         violations: List[MonitorViolation] = []
         pool = getattr(testbed, "pool", None)
         pooled_occupancy = 0
-        for mechanism in testbed.mechanisms:
+        for switch in testbed.switches:
+            mechanism = switch.mechanism
             buffer = mechanism.buffer
             if pool is not None and buffer.pool is pool:
                 pooled_occupancy += mechanism.occupancy(now)
@@ -294,7 +295,8 @@ class HealthMonitor:
             events_delta=scheduled - self._last_events,
             heap_depth=sim.pending_count())
         self._last_events = scheduled
-        for mechanism in testbed.mechanisms:
+        for switch in testbed.switches:
+            mechanism = switch.mechanism
             if mechanism.partition is not None:
                 record.buffer_units[mechanism.partition] = \
                     mechanism.units_in_use

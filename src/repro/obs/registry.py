@@ -3,10 +3,8 @@
 The registry replaces the ad-hoc integer counters that used to live on
 the switch agent, datapath, controller and packet buffer: each component
 now owns :class:`Counter`/:class:`Gauge` objects (created standalone or
-through a shared :class:`MetricsRegistry`).  The agent, datapath and
-controller still expose their old integer attributes as properties
-reading the metric's value; the packet buffer's callers read its
-metrics directly.
+through a shared :class:`MetricsRegistry`) as public attributes, and
+callers read the metric's value (``agent.packet_ins_sent.value``).
 
 Snapshots (:class:`MetricsSnapshot`) are plain picklable data: the
 parallel engine ships one per task back to the parent and merges them on
@@ -61,10 +59,6 @@ class Counter:
         """Add ``amount`` (>= 0) to the count."""
         self.value += amount
 
-    def reset(self) -> None:
-        """Zero the count (accounting-window restarts)."""
-        self.value = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}{dict(self.labels)} = {self.value})"
 
@@ -88,10 +82,6 @@ class Gauge:
         """Keep the largest reading seen (peak gauges)."""
         if value > self.value:
             self.value = value
-
-    def reset(self, value: float = 0.0) -> None:
-        """Restart the gauge at ``value``."""
-        self.value = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}{dict(self.labels)} = {self.value})"
@@ -125,12 +115,6 @@ class Histogram:
         self.counts[_bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-
-    def reset(self) -> None:
-        """Zero every bucket."""
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.sum = 0.0
-        self.count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Histogram({self.name}{dict(self.labels)}, "

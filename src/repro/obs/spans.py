@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Record kinds.
 KIND_SPAN = "span"
@@ -61,98 +61,32 @@ class SpanRecord:
         return f"{head} {self.category:<12} {self.name:<24} {parts}"
 
 
-class Span:
-    """Handle for a live (not yet closed) span."""
-
-    __slots__ = ("_recorder", "record")
-
-    def __init__(self, recorder: "SpanRecorder", record: SpanRecord):
-        self._recorder = recorder
-        self.record = record
-
-    @property
-    def span_id(self) -> int:
-        """The underlying record's id (usable as a ``parent`` ref)."""
-        return self.record.span_id
-
-    def child(self, name: str, *, t: Optional[float] = None,
-              category: Optional[str] = None, **attrs: Any) -> "Span":
-        """Open a nested span under this one."""
-        return self._recorder.begin(
-            name, t=t,
-            category=category if category is not None
-            else self.record.category,
-            track=self.record.track, parent=self.record.span_id, **attrs)
-
-    def end(self, t: Optional[float] = None, **attrs: Any) -> SpanRecord:
-        """Close the span at ``t`` (default: the recorder's clock)."""
-        if self.record.end is not None:
-            raise ValueError(f"span {self.record.name!r} already closed")
-        self.record.end = self._recorder._time(t)
-        if attrs:
-            self.record.attrs.update(attrs)
-        self._recorder._open -= 1
-        return self.record
-
-
 class SpanRecorder:
     """Collector of :class:`SpanRecord` entries with a capacity cap.
 
-    ``clock`` supplies the default timestamp (typically
-    ``lambda: sim.now``); explicit ``t=`` arguments override it.  When
+    Every record carries the simulated time its caller passes.  When
     ``max_spans`` is reached new records are counted in :attr:`dropped`
     instead of stored, so a runaway trace cannot exhaust memory.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 enabled: bool = True, max_spans: Optional[int] = None):
-        self.clock = clock
+    def __init__(self, enabled: bool = True,
+                 max_spans: Optional[int] = None):
         self.enabled = enabled
         self.max_spans = max_spans
         self.records: List[SpanRecord] = []
         #: Records rejected because ``max_spans`` was reached.
         self.dropped = 0
-        #: Optional live sink called with each accepted record.
-        self.on_record: Optional[Callable[[SpanRecord], None]] = None
         self._ids = itertools.count(1)
-        self._open = 0
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _time(self, t: Optional[float]) -> float:
-        if t is not None:
-            return t
-        return self.clock() if self.clock is not None else 0.0
-
     def _admit(self, record: SpanRecord) -> Optional[SpanRecord]:
         if self.max_spans is not None and len(self.records) >= self.max_spans:
             self.dropped += 1
             return None
         self.records.append(record)
-        if self.on_record is not None:
-            self.on_record(record)
         return record
-
-    def begin(self, name: str, *, t: Optional[float] = None,
-              category: str = "", track: str = "",
-              parent: Optional[int] = None, **attrs: Any) -> Span:
-        """Open a live span; close it via the returned handle.
-
-        Always returns a usable handle; when disabled or over capacity
-        the record is simply never stored.
-        """
-        record = SpanRecord(name=name, category=category,
-                            start=self._time(t), end=None,
-                            span_id=next(self._ids), parent_id=parent,
-                            track=track, attrs=dict(attrs))
-        if self.enabled and self._admit(record) is not None:
-            self._open += 1
-            return Span(self, record)
-        # Detached handle: end() mutates a record nobody retained.
-        span = Span(self, record)
-        self._open += 1     # balanced by Span.end's decrement
-        return span
 
     def add_span(self, name: str, start: float, end: float, *,
                  category: str = "", track: str = "",
@@ -176,32 +110,17 @@ class SpanRecorder:
                             attrs=dict(attrs))
         return self._admit(record)
 
-    def instant(self, name: str, *, t: Optional[float] = None,
-                category: str = "", track: str = "",
-                parent: Optional[int] = None,
+    def instant(self, name: str, *, t: float, category: str = "",
+                track: str = "", parent: Optional[int] = None,
                 **attrs: Any) -> Optional[SpanRecord]:
-        """Record a point event (zero duration)."""
+        """Record a point event (zero duration) at ``t``."""
         if not self.enabled:
             return None
-        now = self._time(t)
-        record = SpanRecord(name=name, category=category, start=now,
-                            end=now, span_id=next(self._ids),
-                            parent_id=parent, track=track,
-                            kind=KIND_INSTANT, attrs=dict(attrs))
+        record = SpanRecord(name=name, category=category, start=t, end=t,
+                            span_id=next(self._ids), parent_id=parent,
+                            track=track, kind=KIND_INSTANT,
+                            attrs=dict(attrs))
         return self._admit(record)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def open_spans(self) -> int:
-        """Live spans begun but not yet ended."""
-        return self._open
-
-    def clear(self) -> None:
-        """Drop every collected record and reset the drop counter."""
-        self.records.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.records)

@@ -126,9 +126,3 @@ class ControlChannel:
 
     def _dispatch_to_switch(self, message: OFMessage) -> None:
         self._switch_handler(message)
-
-    def reset_accounting(self) -> None:
-        """Restart message counters and cable accounting."""
-        self.to_controller_count = 0
-        self.to_switch_count = 0
-        self.cable.reset_accounting()

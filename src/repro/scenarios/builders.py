@@ -1,10 +1,10 @@
 """Scenario builders: shape name → fully wired :class:`Testbed`.
 
-Each builder owns the wiring of one topology shape and registers itself
-under the shape name; :func:`build_scenario` dispatches a
-:class:`~repro.scenarios.spec.ScenarioSpec` to the right one.  Adding a
-topology is one decorated function — the runner, parallel engine, cache,
-observers and CLI all consume the spec and the returned
+Each builder owns the wiring of one topology shape;
+:func:`build_scenario` dispatches a
+:class:`~repro.scenarios.spec.ScenarioSpec` to the one its shape names
+(:data:`~repro.scenarios.spec.SHAPES`).  The runner, parallel engine,
+cache, observers and CLI all consume the spec and the returned
 :class:`~repro.scenarios.testbed.Testbed` protocol, never the builder.
 
 The ``single`` builder reproduces the paper's Fig. 1 testbed with the
@@ -16,7 +16,7 @@ pins this).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List
 
 from ..bufferpool import SCOPE_PORT, build_pool
 from ..controllersim import Controller, HostLocator, ReactiveForwardingApp
@@ -39,29 +39,6 @@ PORT_HOST2 = 2
 #: Port conventions on every line switch: 1 faces host1, 2 faces host2.
 PORT_TOWARD_HOST1 = 1
 PORT_TOWARD_HOST2 = 2
-
-#: Builder signature: (spec, buffer_config, workload, calibration, seed,
-#: sampling_interval) -> Testbed.  The calibration arrives resolved.
-ScenarioBuilder = Callable[..., Testbed]
-
-_BUILDERS: Dict[str, ScenarioBuilder] = {}
-
-
-def register_builder(shape: str) -> Callable[[ScenarioBuilder],
-                                             ScenarioBuilder]:
-    """Register a builder for ``shape`` (decorator).  Names are unique."""
-    def decorate(builder: ScenarioBuilder) -> ScenarioBuilder:
-        if shape in _BUILDERS:
-            raise ValueError(f"builder for shape {shape!r} already "
-                             f"registered ({_BUILDERS[shape].__name__})")
-        _BUILDERS[shape] = builder
-        return builder
-    return decorate
-
-
-def available_shapes() -> Tuple[str, ...]:
-    """Registered topology shapes, sorted."""
-    return tuple(sorted(_BUILDERS))
 
 
 def _resolve_calibration(spec: ScenarioSpec, calibration):
@@ -116,22 +93,15 @@ def build_scenario(spec: ScenarioSpec, buffer_config: BufferConfig,
     the spec's named calibration when given — the runner threads its own
     argument through here unchanged.
     """
-    try:
-        builder = _BUILDERS[spec.shape]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario shape {spec.shape!r}; "
-            f"registered: {list(available_shapes())}") from None
     cal = _resolve_calibration(spec, calibration)
-    return builder(spec, buffer_config, workload, cal, seed,
-                   sampling_interval)
+    return _BUILDERS[spec.shape](spec, buffer_config, workload, cal, seed,
+                                 sampling_interval)
 
 
 # ---------------------------------------------------------------------------
 # single — the paper's Fig. 1 testbed
 # ---------------------------------------------------------------------------
 
-@register_builder("single")
 def build_single(spec: ScenarioSpec, buffer_config: BufferConfig,
                  workload: Workload, cal, seed: int,
                  sampling_interval: float) -> Testbed:
@@ -192,17 +162,14 @@ def build_single(spec: ScenarioSpec, buffer_config: BufferConfig,
 
     return Testbed(sim=sim, topology=topo, hosts=[host1, host2],
                    switches=[switch], controller=controller,
-                   channels=[channel], control_cables=[cable_ctrl],
-                   mechanisms=[mechanism], pktgens=[pktgen],
-                   metrics=metrics, rng=rng, registry=registry, spec=spec,
-                   pool=pool)
+                   pktgens=[pktgen], metrics=metrics, rng=rng,
+                   registry=registry, spec=spec, pool=pool)
 
 
 # ---------------------------------------------------------------------------
 # line — host1 — s1 — ... — sN — host2, one shared controller
 # ---------------------------------------------------------------------------
 
-@register_builder("line")
 def build_line(spec: ScenarioSpec, buffer_config: BufferConfig,
                workload: Workload, cal, seed: int,
                sampling_interval: float) -> Testbed:
@@ -238,9 +205,7 @@ def build_line(spec: ScenarioSpec, buffer_config: BufferConfig,
                                     ports_per_switch=2, registry=registry)
 
     switches: List[Switch] = []
-    channels: List[ControlChannel] = []
     control_cables = []
-    mechanisms = []
     for index, name in enumerate(switch_names):
         dpid = index + 1
         ctrl_cable = topo.add_cable(name, "controller",
@@ -269,9 +234,7 @@ def build_line(spec: ScenarioSpec, buffer_config: BufferConfig,
         locator.provision(PORT_TOWARD_HOST2, mac=HOST2_MAC, ip=HOST2_IP,
                           datapath_id=dpid)
         switches.append(topo.replace_node(name, switch))
-        channels.append(channel)
         control_cables.append(ctrl_cable)
-        mechanisms.append(mechanism)
 
     host1.attach(data_cables[0].forward)
     data_cables[0].reverse.connect(host1.receive)
@@ -286,10 +249,8 @@ def build_line(spec: ScenarioSpec, buffer_config: BufferConfig,
 
     return Testbed(sim=sim, topology=topo, hosts=[host1, host2],
                    switches=switches, controller=controller,
-                   channels=channels, control_cables=control_cables,
-                   mechanisms=mechanisms, pktgens=[pktgen],
-                   metrics=metrics, rng=rng, registry=registry, spec=spec,
-                   pool=pool)
+                   pktgens=[pktgen], metrics=metrics, rng=rng,
+                   registry=registry, spec=spec, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +290,6 @@ def shard_workload(workload: Workload, n_shards: int) -> List[Workload]:
     return shards
 
 
-@register_builder("fanin")
 def build_fanin(spec: ScenarioSpec, buffer_config: BufferConfig,
                 workload: Workload, cal, seed: int,
                 sampling_interval: float) -> Testbed:
@@ -411,10 +371,13 @@ def build_fanin(spec: ScenarioSpec, buffer_config: BufferConfig,
 
     return Testbed(sim=sim, topology=topo, hosts=sources + [host2],
                    switches=[switch], controller=controller,
-                   channels=[channel], control_cables=[cable_ctrl],
-                   mechanisms=[mechanism], pktgens=pktgens,
-                   metrics=metrics, rng=rng, registry=registry, spec=spec,
-                   pool=pool)
+                   pktgens=pktgens, metrics=metrics, rng=rng,
+                   registry=registry, spec=spec, pool=pool)
+
+
+#: One builder per shape in :data:`~repro.scenarios.spec.SHAPES`.
+_BUILDERS = {"single": build_single, "line": build_line,
+             "fanin": build_fanin}
 
 
 def build_testbed(buffer_config: BufferConfig, workload: Workload,

@@ -28,6 +28,10 @@ from ..bufferpool.spec import PoolSpec, pool_cache_token
 from ..engine.spec import PACKET, EngineSpec
 from ..shard.spec import OFF, ShardSpec
 
+#: Every topology shape, one builder each in
+#: :mod:`repro.scenarios.builders`.
+SHAPES = ("single", "line", "fanin")
+
 #: Override payload: ((datapath_id, ((field, value), ...)), ...).
 SwitchOverrides = Tuple[Tuple[int, Tuple[Tuple[str, object], ...]], ...]
 
@@ -36,21 +40,21 @@ SwitchOverrides = Tuple[Tuple[int, Tuple[Tuple[str, object], ...]], ...]
 class ScenarioSpec:
     """One topology scenario, hashable and picklable.
 
-    ``calibration`` names a registered calibration factory (resolved
-    lazily by the builder registry so an explicit
+    ``calibration`` names a calibration factory (resolved lazily by
+    the builder so an explicit
     :class:`~repro.experiments.calibration.TestbedCalibration` object
     passed to ``build_scenario`` always wins).  ``switch_overrides``
     replaces individual :class:`~repro.switchsim.SwitchConfig` fields on
     specific datapaths, e.g. a slower middle switch on a line.
     """
 
-    #: Topology shape; must name a registered builder.
+    #: Topology shape, one of :data:`SHAPES`.
     shape: str = "single"
     #: Switches on the data path (``line`` length; 1 for the others).
     n_switches: int = 1
     #: Traffic-source hosts (``fanin`` width; 1 for the others).
     n_sources: int = 1
-    #: Named calibration, resolved by the builder registry.
+    #: Named calibration, resolved by the builder.
     calibration: str = "default"
     #: Per-datapath SwitchConfig field replacements, canonicalized.
     switch_overrides: SwitchOverrides = field(default=())
@@ -67,15 +71,23 @@ class ScenarioSpec:
     shard: ShardSpec = OFF
 
     def __post_init__(self) -> None:
-        if not self.shape or not isinstance(self.shape, str):
-            raise ValueError(f"shape must be a non-empty string, "
-                             f"got {self.shape!r}")
+        if self.shape not in SHAPES:
+            raise ValueError(f"unknown scenario shape {self.shape!r}; "
+                             f"registered: {sorted(SHAPES)}")
         if self.n_switches < 1:
             raise ValueError(
                 f"need at least one switch, got {self.n_switches}")
         if self.n_sources < 1:
             raise ValueError(
                 f"need at least one source host, got {self.n_sources}")
+        # A size the shape does not read would name and cache a second
+        # spec for the same testbed.
+        if self.shape != "line" and self.n_switches != 1:
+            raise ValueError(f"shape {self.shape!r} has one switch, "
+                             f"got n_switches={self.n_switches}")
+        if self.shape != "fanin" and self.n_sources != 1:
+            raise ValueError(f"shape {self.shape!r} has one source host, "
+                             f"got n_sources={self.n_sources}")
         # Cross-axis checks run at construction, so a combination that
         # cannot run fails when the spec is built (through ``with_*`` in
         # either order), at the CLI, and not inside every sweep task.
@@ -94,6 +106,11 @@ class ScenarioSpec:
         canonical = tuple(sorted(
             (int(dpid), tuple(sorted((str(k), v) for k, v in fields)))
             for dpid, fields in self.switch_overrides))
+        for dpid, _fields in canonical:
+            if not 1 <= dpid <= self.n_switches:
+                raise ValueError(
+                    f"override for datapath {dpid}, but the shape's "
+                    f"datapaths are 1..{self.n_switches}")
         object.__setattr__(self, "switch_overrides", canonical)
 
     @property

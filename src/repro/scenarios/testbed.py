@@ -1,13 +1,13 @@
 """The common testbed bundle every scenario builder returns.
 
 One :class:`Testbed` shape serves every topology: components that can
-multiply (switches, hosts, control channels, packet generators) are
-lists, and the historical single-switch attribute surface (``switch``,
-``host1``, ``pktgen``, ...) is preserved as properties so existing
-harness code, tests and examples keep working unchanged.  The runner
+multiply (hosts, switches, packet generators) are lists, and the
+testbed holds only what no switch holds itself.  A switch's buffer
+mechanism is ``switch.mechanism``, its control channel
+``switch.agent.channel`` and that channel's cable
+``switch.agent.channel.cable``.  The runner
 (:func:`repro.experiments.runner.run_once`), the metrics suite and the
-observers (:mod:`repro.obs`) all consume this protocol and nothing else
-— which is what makes a new topology a one-builder plugin.
+observers (:mod:`repro.obs`) all consume this protocol and nothing else.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..controllersim import Controller
-    from ..core import BufferMechanism
     from ..metrics import MetricsSuite
-    from ..netsim import DuplexLink, Host, Topology
+    from ..netsim import Host, Topology
     from ..obs.registry import MetricsRegistry
-    from ..openflow import ControlChannel
     from ..simkit import RandomStreams, Simulator
     from ..switchsim import Switch
     from ..trafficgen import PacketGenerator
@@ -44,9 +42,6 @@ class Testbed:
     hosts: List["Host"]
     switches: List["Switch"]
     controller: "Controller"
-    channels: List["ControlChannel"]
-    control_cables: List["DuplexLink"]
-    mechanisms: List["BufferMechanism"]
     pktgens: List["PacketGenerator"]
     metrics: "MetricsSuite"
     rng: "RandomStreams"
@@ -61,49 +56,12 @@ class Testbed:
     pool: Optional[Any] = field(default=None)
 
     # ------------------------------------------------------------------
-    # Single-switch compatibility surface
-    # ------------------------------------------------------------------
-    @property
-    def host1(self) -> "Host":
-        """The (first) traffic-source host."""
-        return self.hosts[0]
-
-    @property
-    def host2(self) -> "Host":
-        """The egress host."""
-        return self.hosts[-1]
-
-    @property
-    def switch(self) -> "Switch":
-        """The first switch on the data path."""
-        return self.switches[0]
-
-    @property
-    def channel(self) -> "ControlChannel":
-        """The first switch's control channel."""
-        return self.channels[0]
-
-    @property
-    def control_cable(self) -> "DuplexLink":
-        """The first switch's control cable."""
-        return self.control_cables[0]
-
-    @property
-    def mechanism(self) -> "BufferMechanism":
-        """The first switch's buffer mechanism."""
-        return self.mechanisms[0]
-
-    @property
-    def pktgen(self) -> "PacketGenerator":
-        """The (first) packet generator."""
-        return self.pktgens[0]
-
-    # ------------------------------------------------------------------
     # Path-wide accounting
     # ------------------------------------------------------------------
     def packet_ins_per_switch(self) -> List[int]:
         """Requests each switch generated, in path order."""
-        return [switch.agent.packet_ins_sent for switch in self.switches]
+        return [switch.agent.packet_ins_sent.value
+                for switch in self.switches]
 
     def total_packet_ins(self) -> int:
         """Requests across the whole path."""

@@ -82,7 +82,7 @@ def extract_state(context) -> Dict[str, Any]:
             continue
         buffer = switch.mechanism.buffer
         counters[switch.name] = {
-            "dropped": switch.datapath.packets_dropped,
+            "dropped": switch.datapath.packets_dropped.value,
             "abandoned": switch.mechanism.flows_abandoned,
             "peak": buffer.peak_units.value,
             "rejections": buffer.full_rejections.value,
@@ -174,7 +174,7 @@ def graft_states(parent_testbed, plan: PartitionPlan,
             sampler.series = series
         for name, counts in state["counters"].items():
             switch = switches[name]
-            switch.datapath._dropped.value = counts["dropped"]
+            switch.datapath.packets_dropped.value = counts["dropped"]
             switch.mechanism.flows_abandoned = counts["abandoned"]
             buffer = switch.mechanism.buffer
             buffer.peak_units.value = counts["peak"]

@@ -74,11 +74,11 @@ class ServiceStation:
         #: Wall-clock profiler attribution label (repro.obs.profile):
         #: stations are generic, so the instance name tells them apart.
         self.profile_component = f"station:{name}"
-        #: Total server-seconds spent serving jobs since creation/reset.
+        #: Total server-seconds spent serving jobs since creation.
         self.busy_time = 0.0
-        #: Jobs fully served since creation/reset.
+        #: Jobs fully served since creation.
         self.jobs_completed = 0
-        #: Jobs ever submitted since creation/reset.
+        #: Jobs ever submitted since creation.
         self.jobs_submitted = 0
         #: Sum of sojourn times, for mean-latency reporting.
         self.total_sojourn = 0.0
@@ -143,11 +143,10 @@ class ServiceStation:
         return len(self._queue) + self._busy
 
     def utilization_percent(self) -> float:
-        """Summed per-core utilization in percent since the last reset.
+        """Summed per-core utilization in percent since creation.
 
         With 4 servers all busy the station reads 400 %, matching how the
-        paper reports multi-core CPU usage from ``top``.  The window opens
-        at the last :meth:`reset_accounting` (or creation).  Only completed
+        paper reports multi-core CPU usage from ``top``.  Only completed
         jobs count: a job's whole service is booked when it finishes, so
         a job still in service adds nothing yet — the convention
         :class:`~repro.metrics.UtilizationSampler` relies on.
@@ -162,15 +161,6 @@ class ServiceStation:
         if self.jobs_completed == 0:
             return 0.0
         return self.total_sojourn / self.jobs_completed
-
-    def reset_accounting(self) -> None:
-        """Restart the utilization window at the current instant."""
-        self.busy_time = 0.0
-        self.jobs_completed = 0
-        self.jobs_submitted = 0
-        self.total_sojourn = 0.0
-        self.max_queue_length = 0
-        self._accounting_start = self.sim.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ServiceStation({self.name!r}, servers={self.servers}, "

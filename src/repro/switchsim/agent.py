@@ -64,31 +64,30 @@ class OpenFlowAgent:
         #: single-server station, as on a real OpenFlow connection.  Its
         #: busy time counts toward switch usage.
         self.apply_station = ServiceStation(sim, "ofconn-apply", servers=1)
-        # Registry-backed counters; the legacy integer attributes are
-        # read-only property views over these.
+        # Registry counters, read as ``agent.packet_ins_sent.value``.
         registry = registry if registry is not None else MetricsRegistry()
         # Kept for lazily-labelled counters (per-partition buffer
         # rejections can only be named when a rejection happens).
         self._registry = registry
         self._metric_labels = dict(metric_labels)
         counter = lambda name: registry.counter(name, **metric_labels)
-        self._packet_ins_sent = counter("switch_packet_ins_sent_total")
-        self._retries_sent = counter("switch_packet_in_retries_total")
-        self._flow_mods_applied = counter("switch_flow_mods_applied_total")
-        self._packet_outs_applied = counter("switch_packet_outs_applied_total")
-        self._errors_sent = counter("switch_errors_sent_total")
-        self._flow_removed_sent = counter("switch_flow_removed_sent_total")
-        self._buffer_ageout_drops = counter("switch_buffer_ageout_drops_total")
-        self._misses_dropped_disconnected = counter(
+        self.packet_ins_sent = counter("switch_packet_ins_sent_total")
+        self.retries_sent = counter("switch_packet_in_retries_total")
+        self.flow_mods_applied = counter("switch_flow_mods_applied_total")
+        self.packet_outs_applied = counter("switch_packet_outs_applied_total")
+        self.errors_sent = counter("switch_errors_sent_total")
+        self.flow_removed_sent = counter("switch_flow_removed_sent_total")
+        self.buffer_ageout_drops = counter("switch_buffer_ageout_drops_total")
+        self.misses_dropped_disconnected = counter(
             "switch_misses_dropped_disconnected_total")
-        self._misses_flooded_disconnected = counter(
+        self.misses_flooded_disconnected = counter(
             "switch_misses_flooded_disconnected_total")
         # The per-flow-setup counters bump through preresolved bound
         # methods; the rest are cold enough to go through the attribute.
-        self._packet_ins_sent_inc = self._packet_ins_sent.inc
-        self._retries_sent_inc = self._retries_sent.inc
-        self._flow_mods_applied_inc = self._flow_mods_applied.inc
-        self._packet_outs_applied_inc = self._packet_outs_applied.inc
+        self._packet_ins_sent_inc = self.packet_ins_sent.inc
+        self._retries_sent_inc = self.retries_sent.inc
+        self._flow_mods_applied_inc = self.flow_mods_applied.inc
+        self._packet_outs_applied_inc = self.packet_outs_applied.inc
         channel.bind_switch(self.handle_controller_message)
         datapath.bind_agent(self)
         events.on("flow_expired", self._on_flow_gone)
@@ -107,43 +106,6 @@ class OpenFlowAgent:
             self._probe_handle = sim.schedule(
                 config.connection_probe_interval, self._connection_probe)
 
-    # -- legacy counter attributes (views over the registry metrics) -----
-    @property
-    def packet_ins_sent(self) -> int:
-        return self._packet_ins_sent.value
-
-    @property
-    def retries_sent(self) -> int:
-        return self._retries_sent.value
-
-    @property
-    def flow_mods_applied(self) -> int:
-        return self._flow_mods_applied.value
-
-    @property
-    def packet_outs_applied(self) -> int:
-        return self._packet_outs_applied.value
-
-    @property
-    def errors_sent(self) -> int:
-        return self._errors_sent.value
-
-    @property
-    def flow_removed_sent(self) -> int:
-        return self._flow_removed_sent.value
-
-    @property
-    def buffer_ageout_drops(self) -> int:
-        return self._buffer_ageout_drops.value
-
-    @property
-    def misses_dropped_disconnected(self) -> int:
-        return self._misses_dropped_disconnected.value
-
-    @property
-    def misses_flooded_disconnected(self) -> int:
-        return self._misses_flooded_disconnected.value
-
     # ------------------------------------------------------------------
     # Miss path (switch -> controller)
     # ------------------------------------------------------------------
@@ -153,10 +115,10 @@ class OpenFlowAgent:
             # The spec's connection-interruption behaviour: fail-secure
             # drops misses; fail-standalone degrades to flooding.
             if self.config.fail_mode == "standalone":
-                self._misses_flooded_disconnected.inc()
+                self.misses_flooded_disconnected.inc()
                 self.datapath.flood(packet, in_port)
             else:
-                self._misses_dropped_disconnected.inc()
+                self.misses_dropped_disconnected.inc()
                 self.datapath.drop(packet,
                                    "fail-secure: controller unreachable")
             return
@@ -358,7 +320,7 @@ class OpenFlowAgent:
         reason = 1 if (entry.hard_timeout > 0
                        and time - entry.installed_at
                        >= entry.hard_timeout) else 0
-        self._flow_removed_sent.inc()
+        self.flow_removed_sent.inc()
         self.channel.send_to_controller(FlowRemoved(
             match=entry.match, cookie=entry.cookie,
             priority=entry.priority, reason=reason,
@@ -388,7 +350,7 @@ class OpenFlowAgent:
         cutoff = self.sim.now - self.config.buffer_ageout
         expired = self.mechanism.buffer.expire_older_than(cutoff,
                                                           now=self.sim.now)
-        self._buffer_ageout_drops.inc(len(expired))
+        self.buffer_ageout_drops.inc(len(expired))
         for buffer_id in expired:
             self.events.emit("buffer_aged_out", self.sim.now, buffer_id)
         if self._ageout_handle is None:
@@ -428,7 +390,7 @@ class OpenFlowAgent:
     def _forward_released(self, actions: tuple, packets: tuple,
                           unknown: bool, message: OFMessage) -> None:
         if unknown:
-            self._errors_sent.inc()
+            self.errors_sent.inc()
             self.channel.send_to_controller(ErrorMsg(
                 error_type=ErrorType.BUFFER_UNKNOWN,
                 in_reply_to=message.xid))

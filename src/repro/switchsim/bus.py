@@ -66,9 +66,3 @@ class AsicCpuBus:
     def utilization_percent(self) -> float:
         """Share of time the bus spent transferring, in percent."""
         return self.station.utilization_percent()
-
-    def reset_accounting(self) -> None:
-        """Restart counters and the utilization window."""
-        self.bytes_up = 0
-        self.bytes_down = 0
-        self.station.reset_accounting()

@@ -61,7 +61,3 @@ class SwitchCpu:
     def backlog(self) -> int:
         """Jobs queued or in service."""
         return self.station.backlog
-
-    def reset_accounting(self) -> None:
-        """Restart the usage window."""
-        self.station.reset_accounting()

@@ -50,38 +50,23 @@ class Datapath:
         self.cache = MicroflowCache(config.microflow_cache_capacity)
         self.ports: Dict[int, SwitchPort] = {}
         self._agent: Optional["OpenFlowAgent"] = None
-        # Registry-backed counters; the legacy integer attributes below
-        # are read-only property views over these.
+        # Registry counters: packets transmitted out a port, packets
+        # that missed every table entry, packets discarded by any path.
         registry = registry if registry is not None else MetricsRegistry()
-        self._forwarded = registry.counter("switch_packets_forwarded_total",
-                                           **metric_labels)
-        self._missed = registry.counter("switch_table_misses_total",
-                                        **metric_labels)
-        self._dropped = registry.counter("switch_packets_dropped_total",
-                                         **metric_labels)
+        self.packets_forwarded = registry.counter(
+            "switch_packets_forwarded_total", **metric_labels)
+        self.packets_missed = registry.counter(
+            "switch_table_misses_total", **metric_labels)
+        self.packets_dropped = registry.counter(
+            "switch_packets_dropped_total", **metric_labels)
         # Per-packet call sites bump counters through preresolved bound
         # methods — one call, no attribute chain.
-        self._forwarded_inc = self._forwarded.inc
-        self._missed_inc = self._missed.inc
-        self._dropped_inc = self._dropped.inc
+        self._forwarded_inc = self.packets_forwarded.inc
+        self._missed_inc = self.packets_missed.inc
+        self._dropped_inc = self.packets_dropped.inc
         self._emit = events.emit
         self._sweep_handle = sim.schedule(config.expiry_sweep_interval,
                                           self._expiry_sweep)
-
-    @property
-    def packets_forwarded(self) -> int:
-        """Packets transmitted out a port."""
-        return self._forwarded.value
-
-    @property
-    def packets_missed(self) -> int:
-        """Packets that missed every table entry."""
-        return self._missed.value
-
-    @property
-    def packets_dropped(self) -> int:
-        """Packets discarded by any path."""
-        return self._dropped.value
 
     def bind_agent(self, agent: "OpenFlowAgent") -> None:
         """Attach the OpenFlow agent that handles table misses."""
@@ -141,7 +126,7 @@ class Datapath:
             self._missed_inc()
             self._emit("table_miss", self.sim._now, packet, in_port)
             if self._agent is None:
-                self._drop(packet, "no agent bound")
+                self.drop(packet, "no agent bound")
             else:
                 self._agent.handle_miss(packet, in_port)
 
@@ -156,10 +141,10 @@ class Datapath:
                 self.egress(packet, out_port)
                 forwarded = True
             elif isinstance(action, DropAction):
-                self._drop(packet, "drop action")
+                self.drop(packet, "drop action")
                 return
         if not forwarded:
-            self._drop(packet, "no output action")
+            self.drop(packet, "no output action")
 
     # ------------------------------------------------------------------
     # Egress path
@@ -173,7 +158,7 @@ class Datapath:
         packet, out_port = payload
         port = self.ports.get(out_port)
         if port is None or not port.has_egress:
-            self._drop(packet, f"unknown port {out_port}")
+            self.drop(packet, f"unknown port {out_port}")
             return
         now = self.sim._now
         packet.switch_out_at = now
@@ -194,7 +179,7 @@ class Datapath:
         """
         if count <= 0:
             return
-        self._forwarded.inc(count)
+        self.packets_forwarded.inc(count)
         if self.cache.enabled:
             self.cache.credit_aggregate(count)
         self._emit("aggregate_forward", self.sim._now, count, wire_bytes)
@@ -230,9 +215,6 @@ class Datapath:
         """Discard ``packet``, counting it and notifying listeners."""
         self._dropped_inc()
         self._emit("packet_drop", self.sim._now, packet, reason)
-
-    # Internal alias kept for the pipeline's own call sites.
-    _drop = drop
 
     # ------------------------------------------------------------------
     # Housekeeping

@@ -71,14 +71,6 @@ class SwitchPort:
         """The attached egress link, if any."""
         return self._egress_link
 
-    def reset_accounting(self) -> None:
-        """Zero the port counters."""
-        self.rx_packets = 0
-        self.rx_bytes = 0
-        self.tx_packets = 0
-        self.tx_bytes = 0
-        self.tx_drops = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SwitchPort({self.port_no}, rx={self.rx_packets}, "
                 f"tx={self.tx_packets})")

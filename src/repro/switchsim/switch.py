@@ -98,19 +98,6 @@ class Switch:
         """Buffer units unavailable at ``now``."""
         return self.mechanism.occupancy(now)
 
-    @property
-    def flow_table(self):
-        """The datapath's flow table (convenience accessor)."""
-        return self.datapath.table
-
-    def reset_accounting(self) -> None:
-        """Restart CPU/bus/port accounting windows."""
-        self.cpu.reset_accounting()
-        self.agent.apply_station.reset_accounting()
-        self.bus.reset_accounting()
-        for port in self.datapath.ports.values():
-            port.reset_accounting()
-
     def shutdown(self) -> None:
         """Cancel periodic work and mechanism timers (end of run)."""
         self.datapath.shutdown()

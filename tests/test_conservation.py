@@ -23,16 +23,17 @@ _CONFIGS = [no_buffer(), buffer_16(), buffer_256(), flow_buffer_256()]
 
 def _drain(testbed, horizon=3.0):
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=horizon)
     testbed.shutdown()
 
 
 def _accounted(testbed) -> int:
-    delivered = (len(testbed.host2.received)
-                 + len(testbed.host1.received))
-    dropped = testbed.switch.datapath.packets_dropped
-    buffered = testbed.mechanism.packets_stored
+    host1, host2 = testbed.hosts
+    switch = testbed.switches[0]
+    delivered = len(host2.received) + len(host1.received)
+    dropped = switch.datapath.packets_dropped.value
+    buffered = switch.mechanism.packets_stored
     return delivered + dropped + buffered
 
 
@@ -43,7 +44,7 @@ def test_every_packet_accounted_workload_a(config):
                                    rng=RandomStreams(20))
     testbed = build_testbed(config, workload, seed=20)
     _drain(testbed)
-    assert testbed.pktgen.packets_sent == 80
+    assert testbed.pktgens[0].packets_sent == 80
     assert _accounted(testbed) == 80
 
 
@@ -73,13 +74,14 @@ def test_dead_controller_conserves_via_buffer_and_ageout():
     workload = single_packet_flows(mbps(30), n_flows=10,
                                    rng=RandomStreams(23))
     testbed = build_testbed(config, workload, seed=23)
-    testbed.channel.bind_controller(lambda m: None)
-    testbed.pktgen.start(at=0.02)
+    switch = testbed.switches[0]
+    switch.agent.channel.bind_controller(lambda m: None)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=0.3)       # before age-out: all buffered
-    assert testbed.mechanism.packets_stored == 10
+    assert switch.mechanism.packets_stored == 10
     testbed.sim.run(until=3.0)       # age-out fired
-    assert testbed.mechanism.packets_stored == 0
-    assert testbed.switch.agent.buffer_ageout_drops == 10
+    assert switch.mechanism.packets_stored == 0
+    assert switch.agent.buffer_ageout_drops.value == 10
     testbed.shutdown()
 
 
@@ -100,5 +102,5 @@ def test_conservation_property(mechanism, capacity, rate, n_flows, seed):
     _drain(testbed, horizon=2.0)
     assert _accounted(testbed) == n_flows
     # And nothing is duplicated either: host2 never sees a packet twice.
-    uids = [p.uid for p in testbed.host2.received]
+    uids = [p.uid for p in testbed.hosts[-1].received]
     assert len(uids) == len(set(uids))

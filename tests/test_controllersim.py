@@ -133,9 +133,9 @@ def test_controller_replies_to_packet_in(sim):
     sim.run(until=1.0)
     kinds = [type(m) for m in to_switch]
     assert FlowMod in kinds and PacketOut in kinds
-    assert controller.packet_ins_handled == 1
-    assert controller.flow_mods_sent == 1
-    assert controller.packet_outs_sent == 1
+    assert controller.packet_ins_handled.value == 1
+    assert controller.flow_mods_sent.value == 1
+    assert controller.packet_outs_sent.value == 1
 
 
 def test_controller_flow_mod_sent_before_packet_out(sim):
@@ -184,7 +184,7 @@ def test_controller_counts_errors(sim):
     controller, channel, to_switch = _controller(sim)
     channel.send_to_controller(ErrorMsg())
     sim.run(until=1.0)
-    assert controller.errors_received == 1
+    assert controller.errors_received.value == 1
 
 
 def test_controller_handshake_sends_hello_and_features(sim):

@@ -22,7 +22,7 @@ def _polling_testbed(n_flows=6, period=0.2, workload=None, seed=30):
     testbed = build_testbed(buffer_256(), workload, seed=seed)
     poller = StatsPoller(testbed.sim, testbed.controller, period=period)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     poller.start()
     return testbed, poller
 
@@ -54,7 +54,7 @@ def test_poller_tracks_hit_counters():
 def test_poller_counts_timeouts_with_dead_switch():
     testbed, poller = _polling_testbed(period=0.2)
     # Sever the switch side: stats requests vanish into the void.
-    testbed.channel.bind_switch(lambda message: None)
+    testbed.switches[0].agent.channel.bind_switch(lambda message: None)
     testbed.sim.run(until=3.0)   # each cycle: 0.2s sleep + 0.5s timeout
     assert poller.timeouts >= 3
     assert poller.latest_rule_count(1) is None
@@ -100,7 +100,7 @@ def test_poller_optionally_polls_port_stats():
     poller = StatsPoller(testbed.sim, testbed.controller, period=0.3,
                          poll_ports=True)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     poller.start()
     testbed.sim.run(until=1.5)
     series = poller.port_tx_bytes[1]
@@ -134,14 +134,15 @@ def _recorded_poll(case, until, reply_timeout=0.5):
     controller.request_flow_stats = recording_request
     controller.events.on("flow_stats", lambda time, _reply, dpid:
                          timeline.append(("reply", time, dpid)))
+    channel = testbed.switches[0].agent.channel
     if case == "dead":
-        testbed.channel.bind_switch(lambda message: None)
+        channel.bind_switch(lambda message: None)
     elif case == "delayed":
-        testbed.channel.install_fault_filters(
+        channel.install_fault_filters(
             to_switch=lambda message, deliver: sim.schedule(
                 0.15, deliver, message))
     controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     poller.start()
     sim.run(until=until)
     poller.stop()

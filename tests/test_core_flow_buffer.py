@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,7 +111,7 @@ def test_cap_refusals_keep_the_conservation_law():
                                       max_packets_per_flow=2)
 
     class Testbed:
-        mechanisms = (mechanism,)
+        switches = (SimpleNamespace(mechanism=mechanism),)
         pool = None
 
     for seq in range(3):

@@ -18,19 +18,19 @@ from repro.trafficgen import single_packet_flows
 
 def test_build_testbed_wires_everything(small_workload_a):
     testbed = build_testbed(buffer_256(), small_workload_a)
-    assert isinstance(testbed.mechanism, PacketGranularityBuffer)
-    assert set(testbed.switch.datapath.ports) == {PORT_HOST1, PORT_HOST2}
-    assert testbed.topology.node("ovs") is testbed.switch
+    switch, = testbed.switches
+    assert isinstance(switch.mechanism, PacketGranularityBuffer)
+    assert set(switch.datapath.ports) == {PORT_HOST1, PORT_HOST2}
+    assert testbed.topology.node("ovs") is switch
     assert testbed.topology.node("controller") is testbed.controller
     assert testbed.metrics.delay_tracker.total_flows == 40
 
 
 def test_build_testbed_mechanism_selection(small_workload_a):
-    assert isinstance(build_testbed(no_buffer(), small_workload_a).mechanism,
-                      NoBuffer)
-    assert isinstance(
-        build_testbed(flow_buffer_256(), small_workload_a).mechanism,
-        FlowGranularityBuffer)
+    for config, mechanism in ((no_buffer(), NoBuffer),
+                              (flow_buffer_256(), FlowGranularityBuffer)):
+        testbed = build_testbed(config, small_workload_a)
+        assert isinstance(testbed.switches[0].mechanism, mechanism)
 
 
 def test_run_once_completes_all_flows(small_workload_a):
@@ -92,9 +92,9 @@ def test_packets_arrive_at_host2():
                                    rng=RandomStreams(1))
     testbed = build_testbed(buffer_256(), workload)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
-    assert len(testbed.host2.received) == 10
+    assert len(testbed.hosts[-1].received) == 10
     testbed.shutdown()
 
 
@@ -113,10 +113,10 @@ def test_event_recorder_sees_every_protocol_event(small_workload_a):
     recorder = EventRecorder()
     recorder.attach(testbed)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     switch = Counter(kind for _time, kind, _uid
-                     in recorder.streams[testbed.switch.name])
+                     in recorder.streams[testbed.switches[0].name])
     controller = Counter(kind for _time, kind, _uid
                          in recorder.streams["controller"])
     assert switch["table_miss"] == 40

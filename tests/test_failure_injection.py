@@ -35,14 +35,16 @@ def test_silent_controller_triggers_flow_granularity_retries():
     config = BufferConfig(mechanism="flow-granularity", capacity=64,
                           retry_timeout=0.05, max_retries=3)
     testbed = _testbed(config, n_flows=4)
-    mute = _MuteController(testbed.channel)   # replaces the real handler
-    testbed.pktgen.start(at=0.01)
+    agent = testbed.switches[0].agent
+    mute = _MuteController(agent.channel)   # replaces the real handler
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=1.0)
     packet_ins = [m for m in mute.received if isinstance(m, PacketIn)]
     retries = [m for m in packet_ins if m.is_retry]
     # 4 initial requests + 3 retries each.
     assert len(packet_ins) == 4 + 12
     assert len(retries) == 12
+    assert agent.retries_sent.value == 12
     testbed.shutdown()
 
 
@@ -50,10 +52,11 @@ def test_silent_controller_eventually_frees_buffer_units():
     config = BufferConfig(mechanism="flow-granularity", capacity=64,
                           retry_timeout=0.02, max_retries=2)
     testbed = _testbed(config, n_flows=4)
-    _MuteController(testbed.channel)
-    testbed.pktgen.start(at=0.01)
+    switch = testbed.switches[0]
+    _MuteController(switch.agent.channel)
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=2.0)
-    mechanism = testbed.mechanism
+    mechanism = switch.mechanism
     assert isinstance(mechanism, FlowGranularityBuffer)
     assert mechanism.flows_abandoned == 4
     assert mechanism.units_in_use == 0        # nothing pinned forever
@@ -65,8 +68,8 @@ def test_packet_buffer_overflow_falls_back_to_full_frames():
                           reclaim_delay=10.0)   # units never come back
     testbed = _testbed(config, n_flows=8, rate=80)
     received = []
-    testbed.channel.bind_controller(received.append)
-    testbed.pktgen.start(at=0.01)
+    testbed.switches[0].agent.channel.bind_controller(received.append)
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=1.0)
     packet_ins = [m for m in received if isinstance(m, PacketIn)]
     assert len(packet_ins) == 8
@@ -80,21 +83,22 @@ def test_packet_buffer_overflow_falls_back_to_full_frames():
 
 def test_stale_packet_out_yields_error_not_crash():
     testbed = _testbed(buffer_256(), n_flows=2)
+    agent = testbed.switches[0].agent
     received = []
-    testbed.channel.bind_controller(received.append)
-    testbed.pktgen.start(at=0.01)
+    agent.channel.bind_controller(received.append)
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=0.5)
     (first_packet_in, *_rest) = [m for m in received
                                  if isinstance(m, PacketIn)]
     # Release once (valid), then replay the same packet_out (stale).
     for _ in range(2):
-        testbed.channel.send_to_switch(
+        agent.channel.send_to_switch(
             PacketOut(actions=(OutputAction(2),),
                       buffer_id=first_packet_in.buffer_id, in_port=1))
         testbed.sim.run(until=testbed.sim.now + 0.2)
     errors = [m for m in received if isinstance(m, ErrorMsg)]
     assert len(errors) == 1
-    assert testbed.switch.agent.errors_sent == 1
+    assert agent.errors_sent.value == 1
     testbed.shutdown()
 
 
@@ -102,20 +106,21 @@ def test_flow_granularity_survives_duplicate_release():
     config = BufferConfig(mechanism="flow-granularity", capacity=256,
                           retry_timeout=10.0)   # keep flows pending
     testbed = _testbed(config, n_flows=2)
+    agent = testbed.switches[0].agent
     received = []
-    testbed.channel.bind_controller(received.append)
-    testbed.pktgen.start(at=0.01)
+    agent.channel.bind_controller(received.append)
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=0.5)
     packet_ins = [m for m in received if isinstance(m, PacketIn)]
     for message in packet_ins:
         for _ in range(2):   # duplicate packet_outs for every flow
-            testbed.channel.send_to_switch(
+            agent.channel.send_to_switch(
                 PacketOut(actions=(OutputAction(2),),
                           buffer_id=message.buffer_id, in_port=1))
     testbed.sim.run(until=testbed.sim.now + 0.5)
     # One delivery per flow despite duplicates; duplicates become errors.
-    assert len(testbed.host2.received) == 2
-    assert testbed.switch.agent.errors_sent == 2
+    assert len(testbed.hosts[-1].received) == 2
+    assert agent.errors_sent.value == 2
     testbed.shutdown()
 
 
@@ -129,13 +134,13 @@ def test_unknown_destination_is_flooded_not_dropped():
         object.__setattr__(packet.eth, "dst_mac", "00:00:00:00:00:99")
     testbed = build_testbed(buffer_256(), workload, seed=5)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     assert testbed.controller.app.floods == 3
     # Flood goes out every port except the ingress -> host2 sees them.
-    assert len(testbed.host2.received) == 3
+    assert len(testbed.hosts[-1].received) == 3
     # No rule is installed for floods.
-    assert len(testbed.switch.flow_table) == 0
+    assert len(testbed.switches[0].datapath.table) == 0
     testbed.shutdown()
 
 
@@ -151,9 +156,10 @@ def test_flow_table_pressure_evicts_but_keeps_forwarding():
     testbed = build_testbed(buffer_256(), workload, calibration=calibration,
                             seed=6)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=2.0)
-    assert len(testbed.host2.received) == 20
-    assert len(testbed.switch.flow_table) <= 4
-    assert testbed.switch.flow_table.evictions >= 16
+    assert len(testbed.hosts[-1].received) == 20
+    table = testbed.switches[0].datapath.table
+    assert len(table) <= 4
+    assert table.evictions >= 16
     testbed.shutdown()

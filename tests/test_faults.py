@@ -217,11 +217,11 @@ def test_fault_events_and_registry_counters():
                             seed=8)
     install_faults(testbed, loss_fault(0.5))
     events = []
-    testbed.switch.events.on(
+    testbed.switches[0].events.on(
         "fault_injected",
         lambda t, kind, direction, message: events.append((kind, direction)))
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     dropped = sum(1 for kind, _ in events if kind == "dropped")
     assert dropped > 0
@@ -237,8 +237,9 @@ def test_null_spec_installs_nothing():
     testbed = build_testbed(buffer_256(), _workload(n_flows=2), seed=8)
     install_faults(testbed, None)
     install_faults(testbed, NO_FAULTS)
-    assert testbed.channel._fault_to_controller is None
-    assert testbed.channel._fault_to_switch is None
+    channel = testbed.switches[0].agent.channel
+    assert channel._fault_to_controller is None
+    assert channel._fault_to_switch is None
     testbed.shutdown()
 
 
@@ -247,24 +248,25 @@ def test_duplicated_packet_out_yields_buffer_unknown_error():
     copy of each packet_out names an already-released unit and must
     surface as a BUFFER_UNKNOWN ErrorMsg, not a crash."""
     testbed = build_testbed(buffer_256(), _workload(n_flows=2), seed=12)
+    agent = testbed.switches[0].agent
     received = []
-    testbed.channel.bind_controller(received.append)
+    agent.channel.bind_controller(received.append)
     install_faults(testbed, FaultSpec(dup_down=1.0))
-    testbed.pktgen.start(at=0.01)
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=0.5)
     packet_ins = [m for m in received if isinstance(m, PacketIn)]
     assert len(packet_ins) == 2
     for message in packet_ins:
-        testbed.channel.send_to_switch(
+        agent.channel.send_to_switch(
             PacketOut(actions=(OutputAction(2),),
                       buffer_id=message.buffer_id, in_port=1))
     testbed.sim.run(until=1.0)
     # Each packet_out arrived twice; the copy hit a freed unit.
-    assert len(testbed.host2.received) == 2
+    assert len(testbed.hosts[-1].received) == 2
     errors = [m for m in received if isinstance(m, ErrorMsg)]
     assert len(errors) == 2
     assert all(e.error_type is ErrorType.BUFFER_UNKNOWN for e in errors)
-    assert testbed.switch.agent.errors_sent == 2
+    assert agent.errors_sent.value == 2
     testbed.shutdown()
 
 
@@ -279,18 +281,19 @@ def test_stall_window_forces_disconnect_then_keepalive_reconnect():
     testbed = build_testbed(buffer_256(), _workload(n_flows=1), seed=13,
                             calibration=calibration)
     install_faults(testbed, FaultSpec(stall_windows=((1.0, 2.5),)))
+    switch = testbed.switches[0]
     disconnects, reconnects = [], []
-    testbed.switch.events.on("controller_disconnected",
-                             lambda t: disconnects.append(t))
-    testbed.switch.events.on("controller_reconnected",
-                             lambda t: reconnects.append(t))
+    switch.events.on("controller_disconnected",
+                     lambda t: disconnects.append(t))
+    switch.events.on("controller_reconnected",
+                     lambda t: reconnects.append(t))
     testbed.controller.start_handshake()
     testbed.sim.run(until=4.0)
     assert len(disconnects) == 1
     assert 1.2 <= disconnects[0] <= 2.0       # timeout into the stall
     assert len(reconnects) == 1
     assert 2.5 <= reconnects[0] <= 3.0        # first probe after the window
-    assert testbed.switch.agent.connected
+    assert switch.agent.connected
     testbed.shutdown()
 
 
@@ -301,14 +304,14 @@ def test_forced_ageout_expires_units_and_late_timer_is_clean():
     config = BufferConfig(mechanism="flow-granularity", capacity=64,
                           retry_timeout=1.0, max_retries=2)
     testbed = build_testbed(config, _workload(n_flows=3), seed=14)
-    testbed.channel.bind_controller(lambda message: None)   # mute
+    switch = testbed.switches[0]
+    switch.agent.channel.bind_controller(lambda message: None)   # mute
     install_faults(testbed, FaultSpec(ageout=0.05, ageout_interval=0.02))
     aged = []
-    testbed.switch.events.on("buffer_aged_out",
-                             lambda t, bid: aged.append(bid))
-    testbed.pktgen.start(at=0.01)
+    switch.events.on("buffer_aged_out", lambda t, bid: aged.append(bid))
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=2.0)     # past the 1.0 s retry timers
-    mechanism = testbed.mechanism
+    mechanism = switch.mechanism
     assert len(aged) == 3                      # every unit force-expired
     assert mechanism.units_in_use == 0
     assert mechanism.flows_abandoned == 0      # ageout, not retry give-up
@@ -327,8 +330,8 @@ def test_forced_rearm_from_ageout_listener_keeps_one_sweep_chain():
     config = BufferConfig(mechanism="flow-granularity", capacity=64,
                           retry_timeout=10.0, max_retries=1)
     testbed = build_testbed(config, _workload(n_flows=1), seed=16)
-    testbed.channel.bind_controller(lambda message: None)   # mute
-    agent = testbed.switch.agent
+    agent = testbed.switches[0].agent
+    agent.channel.bind_controller(lambda message: None)   # mute
     sweeps = []
     inner = agent._ageout_sweep
 
@@ -344,8 +347,8 @@ def test_forced_rearm_from_ageout_listener_keeps_one_sweep_chain():
             forced.append(time)
             agent.force_buffer_ageout(0.05, interval=0.025)
 
-    testbed.switch.events.on("buffer_aged_out", rearm_under_pressure)
-    testbed.pktgen.start(at=0.01)
+    testbed.switches[0].events.on("buffer_aged_out", rearm_under_pressure)
+    testbed.pktgens[0].start(at=0.01)
     agent.force_buffer_ageout(0.04, interval=0.02)
     testbed.sim.run(until=1.0)
     assert forced, "the ageout listener never fired"
@@ -364,10 +367,11 @@ def test_retry_exhaustion_counts_drops_not_releases():
     config = BufferConfig(mechanism="flow-granularity", capacity=64,
                           retry_timeout=0.02, max_retries=2)
     testbed = build_testbed(config, _workload(n_flows=3), seed=15)
-    testbed.channel.bind_controller(lambda message: None)   # mute
-    testbed.pktgen.start(at=0.01)
+    switch = testbed.switches[0]
+    switch.agent.channel.bind_controller(lambda message: None)   # mute
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=1.0)
-    mechanism = testbed.mechanism
+    mechanism = switch.mechanism
     assert mechanism.flows_abandoned == 3
     assert mechanism.buffer.released.value == 0      # the bug inflated this
     assert mechanism.buffer.abandoned.value == 3

@@ -41,35 +41,37 @@ def _learning_testbed():
 def test_unknown_destination_floods_then_reverse_gets_a_rule():
     testbed = _learning_testbed()
     sim = testbed.sim
+    host1, host2 = testbed.hosts
+    switch = testbed.switches[0]
 
     # Forward: host1 -> host2.  Destination unknown -> flooded, no rule.
-    sim.schedule(0.02, testbed.host1.send, _forward_packet())
+    sim.schedule(0.02, host1.send, _forward_packet())
     sim.run(until=0.5)
-    assert len(testbed.host2.received) == 1
+    assert len(host2.received) == 1
     assert testbed.controller.app.floods == 1
-    assert len(testbed.switch.flow_table) == 0
+    assert len(switch.datapath.table) == 0
 
     # Reverse: host2 -> host1.  host1 was learned from the first
     # packet_in, so this one gets a real rule (no flood).
-    sim.schedule(0.0, testbed.host2.send, _reverse_packet())
+    sim.schedule(0.0, host2.send, _reverse_packet())
     sim.run(until=1.0)
-    assert len(testbed.host1.received) == 1
+    assert len(host1.received) == 1
     assert testbed.controller.app.floods == 1        # unchanged
-    assert len(testbed.switch.flow_table) == 1
+    assert len(switch.datapath.table) == 1
 
     # And subsequent reverse traffic is pure fast path.
-    packet_ins_before = testbed.switch.agent.packet_ins_sent
-    sim.schedule(0.0, testbed.host2.send, _reverse_packet())
+    packet_ins_before = switch.agent.packet_ins_sent.value
+    sim.schedule(0.0, host2.send, _reverse_packet())
     sim.run(until=1.5)
-    assert len(testbed.host1.received) == 2
-    assert testbed.switch.agent.packet_ins_sent == packet_ins_before
+    assert len(host1.received) == 2
+    assert switch.agent.packet_ins_sent.value == packet_ins_before
     testbed.shutdown()
 
 
 def test_learned_locations_are_per_source_port():
     testbed = _learning_testbed()
     sim = testbed.sim
-    sim.schedule(0.02, testbed.host1.send, _forward_packet())
+    sim.schedule(0.02, testbed.hosts[0].send, _forward_packet())
     sim.run(until=0.5)
     locator = testbed.controller.app.locator
     assert locator.locate(ip=HOST1_IP, datapath_id=1) == 1

@@ -25,7 +25,7 @@ def _run_testbed(n_flows=10, rate=40, seed=80):
                                    rng=RandomStreams(seed))
     testbed = build_testbed(buffer_256(), workload, seed=seed)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     return testbed, workload
 
@@ -57,7 +57,7 @@ def test_snapshot_usage_is_windowed_mean():
     assert (active.switch_usage_percent
             > idle.switch_usage_percent)
     assert idle.switch_usage_percent == pytest.approx(
-        testbed.switch.config.baseline_usage_percent, abs=1.0)
+        testbed.switches[0].config.baseline_usage_percent, abs=1.0)
     testbed.shutdown()
 
 
@@ -94,10 +94,10 @@ def test_every_shape_has_one_probe_layout(shape):
     for probes in (metrics.captures_up, metrics.captures_down,
                    metrics.switch_samplers, metrics.buffer_samplers):
         assert len(probes) == len(testbed.switches)
-    for capture, cable in zip(metrics.captures_up, testbed.control_cables):
-        assert capture.link is cable.forward
-    for capture, cable in zip(metrics.captures_down, testbed.control_cables):
-        assert capture.link is cable.reverse
+    for capture, switch in zip(metrics.captures_up, testbed.switches):
+        assert capture.link is switch.agent.channel.cable.forward
+    for capture, switch in zip(metrics.captures_down, testbed.switches):
+        assert capture.link is switch.agent.channel.cable.reverse
     testbed.shutdown()
 
 

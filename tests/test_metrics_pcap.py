@@ -57,7 +57,7 @@ def test_pcap_from_testbed_data_link():
     cable = testbed.topology.cable("host2", "ovs")
     writer = PcapWriter(cable.reverse)      # switch -> host2 direction
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     stream = io.BytesIO()
     assert writer.dump(stream) == 5
@@ -74,9 +74,10 @@ def test_pcap_skips_bare_control_messages():
     workload = single_packet_flows(mbps(30), n_flows=3,
                                    rng=RandomStreams(34))
     testbed = build_testbed(buffer_256(), workload, seed=34)
-    writer = PcapWriter(testbed.control_cable.reverse)  # to switch
+    cable = testbed.switches[0].agent.channel.cable
+    writer = PcapWriter(cable.reverse)      # to switch
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     # flow_mods have no frame; buffered packet_outs have no frame either.
     assert writer.skipped > 0
@@ -105,9 +106,10 @@ def test_control_pcap_captures_dissectable_openflow():
     workload = single_packet_flows(mbps(30), n_flows=4,
                                    rng=RandomStreams(35))
     testbed = build_testbed(buffer_256(), workload, seed=35)
-    writer = ControlPcapWriter(testbed.control_cable.forward)
+    cable = testbed.switches[0].agent.channel.cable
+    writer = ControlPcapWriter(cable.forward)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     stream = io.BytesIO()
     count = writer.dump(stream)

@@ -17,7 +17,7 @@ def _run(config, n_switches=2, n_flows=20, rate=30, seed=8,
     testbed = build_scenario(line_scenario(n_switches), config, workload,
                              seed=seed)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=until)
     return testbed
 
@@ -29,7 +29,7 @@ def test_build_validation():
 
 def test_packets_traverse_the_whole_line():
     testbed = _run(buffer_256(), n_switches=3, n_flows=15)
-    assert len(testbed.host2.received) == 15
+    assert len(testbed.hosts[-1].received) == 15
     testbed.shutdown()
 
 
@@ -45,14 +45,14 @@ def test_every_switch_requests_every_new_flow():
 def test_rules_installed_on_every_switch():
     testbed = _run(buffer_256(), n_switches=2, n_flows=10)
     for switch in testbed.switches:
-        assert len(switch.flow_table) == 10
+        assert len(switch.datapath.table) == 10
     testbed.shutdown()
 
 
 def test_single_switch_line_matches_basic_testbed_accounting():
     testbed = _run(buffer_256(), n_switches=1, n_flows=10)
     assert testbed.packet_ins_per_switch() == [10]
-    assert len(testbed.host2.received) == 10
+    assert len(testbed.hosts[-1].received) == 10
     testbed.shutdown()
 
 
@@ -84,11 +84,11 @@ def test_flow_granularity_on_a_line():
     testbed = build_scenario(line_scenario(2), flow_buffer_256(), workload,
                              seed=9)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=3.0)
     # One request per flow per switch, even with 8 packets per flow.
     assert testbed.packet_ins_per_switch() == [10, 10]
-    assert len(testbed.host2.received) == 80
+    assert len(testbed.hosts[-1].received) == 80
     testbed.shutdown()
 
 

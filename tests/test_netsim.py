@@ -89,8 +89,8 @@ def test_link_utilization_and_reset(sim):
     link.send("x", 1_000_000)                      # 1 second of tx
     sim.run(until=2.0)
     assert link.utilization_percent() == pytest.approx(50.0)
-    link.reset_accounting()
-    assert link.bytes_sent == 0
+    # Counters run from creation: nothing restarts a window.
+    assert link.bytes_sent == 1_000_000 and link.items_sent == 1
 
 
 def test_link_utilization_counts_the_frame_in_flight(sim):
@@ -99,13 +99,9 @@ def test_link_utilization_counts_the_frame_in_flight(sim):
     link.send("x", 1_000_000)                      # busy from 0 s to 1 s
     sim.run(until=0.25)
     readings = [link.utilization_percent()]
-    # The 0.75 s still to transmit carries into the new window.
-    link.reset_accounting()
-    sim.run(until=0.5)
-    readings.append(link.utilization_percent())
     sim.run(until=2.0)
     readings.append(link.utilization_percent())
-    assert readings == [100.0, 100.0, pytest.approx(0.75 / 1.75 * 100.0)]
+    assert readings == [100.0, pytest.approx(50.0)]
     assert all(0.0 <= reading <= 100.0 for reading in readings)
 
 
@@ -276,14 +272,6 @@ def test_host_send_unattached_raises(sim):
     host = Host(sim, "h", "00:00:00:00:00:01", "10.0.0.1")
     with pytest.raises(RuntimeError):
         host.send(_packet())
-
-
-def test_host_reset_accounting(sim):
-    host = Host(sim, "h", "00:00:00:00:00:02", "10.0.0.2")
-    host.receive(_packet())
-    host.reset_accounting()
-    assert host.received == []
-    assert host.bytes_received == 0
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_flow_granularity_store_counters_reach_the_registry():
     workload = workload_b_factory(n_flows=20)(mbps(40), RandomStreams(3))
     run_once(flow_buffer_256(), workload, seed=3, obs=observer,
              on_testbed=lambda testbed: stores.append(
-                 testbed.mechanisms[0].buffer))
+                 testbed.switches[0].mechanism.buffer))
     buffer, = stores
     snapshot = observer.observation.metrics
     key = (("switch", "ovs"),)

@@ -73,7 +73,7 @@ def test_seeded_corruption_fires_exactly_one_violation():
     the offending partition — while every later beat still shows the
     persistent 'violated' verdict."""
     def corrupt(testbed):
-        mechanism = testbed.mechanisms[0]
+        mechanism = testbed.switches[0].mechanism
         testbed.sim.schedule(0.100, mechanism.buffer.released.inc)
 
     observation = _observed_run(ObsConfig(monitor=True), monkey=corrupt,
@@ -141,7 +141,7 @@ def test_mm1_envelope_needs_enough_completions():
 
     class FakeTestbed:
         metrics = FakeMetrics()
-        mechanisms = ()
+        switches = ()
 
     assert monitor.check(FakeTestbed(), now=1.0) == []
 
@@ -151,7 +151,7 @@ def test_health_monitor_detach_cancels_pending_beat():
 
     class FakeTestbed:
         sim = Simulator()
-        mechanisms = ()
+        switches = ()
         pool = None
         metrics = None
 
@@ -176,7 +176,7 @@ def test_heartbeat_heap_depth_is_the_live_queue():
 
     class FakeTestbed:
         sim = Simulator()
-        mechanisms = ()
+        switches = ()
         pool = None
         metrics = None
 

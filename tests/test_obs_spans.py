@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
-                       MetricsSnapshot, SpanRecorder, validate_nesting)
+                       MetricsSnapshot, SpanRecord, SpanRecorder,
+                       validate_nesting)
 from repro.obs.spans import KIND_INSTANT, KIND_SPAN
 
 
@@ -13,52 +14,14 @@ from repro.obs.spans import KIND_INSTANT, KIND_SPAN
 # SpanRecorder
 # ---------------------------------------------------------------------------
 
-def test_begin_end_records_interval_with_attrs():
-    recorder = SpanRecorder()
-    span = recorder.begin("setup", t=1.0, category="flow", track="flow-1",
-                          flow_id=1)
-    child = span.child("stage", t=1.25)
-    child.end(t=1.5)
-    span.end(t=2.0, mechanism="buffer-16")
-    assert len(recorder) == 2
-    root, stage = recorder.records
-    assert root.name == "setup" and root.duration == 1.0
-    assert root.attrs == {"flow_id": 1, "mechanism": "buffer-16"}
-    assert stage.parent_id == root.span_id
-    assert stage.category == "flow" and stage.track == "flow-1"
-    assert root.kind == KIND_SPAN and root.closed
-
-
-def test_clock_supplies_default_timestamps():
-    now = [0.5]
-    recorder = SpanRecorder(clock=lambda: now[0])
-    span = recorder.begin("s")
-    now[0] = 0.75
-    record = span.end()
-    assert record.start == 0.5 and record.end == 0.75
-
-
-def test_open_spans_tracks_live_handles():
-    recorder = SpanRecorder()
-    a = recorder.begin("a", t=0.0)
-    b = recorder.begin("b", t=0.0)
-    assert recorder.open_spans == 2
-    a.end(t=1.0)
-    b.end(t=1.0)
-    assert recorder.open_spans == 0
-
-
-def test_double_end_rejected():
-    span = SpanRecorder().begin("once", t=0.0)
-    span.end(t=1.0)
-    with pytest.raises(ValueError, match="already closed"):
-        span.end(t=2.0)
-
-
 def test_add_span_retroactive_and_rejects_negative_duration():
     recorder = SpanRecorder()
-    record = recorder.add_span("whole", 1.0, 3.0, category="flow")
+    record = recorder.add_span("whole", 1.0, 3.0, category="flow",
+                               track="flow-1", flow_id=1)
     assert record is not None and record.duration == 2.0
+    assert record.kind == KIND_SPAN and record.closed
+    assert record.category == "flow" and record.track == "flow-1"
+    assert record.attrs == {"flow_id": 1}
     with pytest.raises(ValueError, match="ends before it starts"):
         recorder.add_span("backwards", 3.0, 1.0)
 
@@ -73,8 +36,6 @@ def test_instant_is_closed_zero_duration():
 
 def test_disabled_recorder_stores_nothing_but_handles_work():
     recorder = SpanRecorder(enabled=False)
-    span = recorder.begin("s", t=0.0)
-    span.end(t=1.0)                      # must not raise
     assert recorder.instant("i", t=0.0) is None
     assert recorder.add_span("a", 0.0, 1.0) is None
     assert len(recorder) == 0 and recorder.dropped == 0
@@ -84,19 +45,9 @@ def test_max_spans_cap_counts_drops_and_clear_resets():
     recorder = SpanRecorder(max_spans=2)
     for n in range(5):
         recorder.instant(f"e{n}", t=float(n))
-    assert len(recorder) == 2
-    assert recorder.dropped == 3
-    recorder.clear()
-    assert len(recorder) == 0 and recorder.dropped == 0
-
-
-def test_on_record_live_sink_sees_accepted_records_only():
-    recorder = SpanRecorder(max_spans=1)
-    seen = []
-    recorder.on_record = seen.append
-    recorder.instant("kept", t=0.0)
-    recorder.instant("dropped", t=1.0)
-    assert [r.name for r in seen] == ["kept"]
+    recorder.add_span("late", 5.0, 6.0)
+    assert [r.name for r in recorder.records] == ["e0", "e1"]
+    assert recorder.dropped == 4
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +63,11 @@ def test_validate_nesting_accepts_well_formed_tree():
 
 
 def test_validate_nesting_flags_unclosed_span():
-    recorder = SpanRecorder()
-    recorder.begin("open", t=0.0)        # never ended
-    problems = validate_nesting(recorder.records)
+    # A record read back from a trace file may lack its end.
+    record = SpanRecord(name="open", category="", start=0.0, end=None,
+                        span_id=1)
+    assert not record.closed and record.duration is None
+    problems = validate_nesting([record])
     assert problems and "never closed" in problems[0]
 
 
@@ -145,8 +98,6 @@ def test_counter_inc_and_reset():
     counter.inc()
     counter.inc(4)
     assert counter.value == 5
-    counter.reset()
-    assert counter.value == 0
     assert counter.labels == (("switch", "ovs"),)
 
 
@@ -156,8 +107,6 @@ def test_gauge_set_and_track_max():
     gauge.track_max(7)
     gauge.track_max(5)
     assert gauge.value == 7
-    gauge.reset(2)
-    assert gauge.value == 2
 
 
 def test_histogram_bucket_placement_is_upper_bound_inclusive():

@@ -80,15 +80,6 @@ def test_large_messages_take_longer_on_the_wire(sim):
     assert big_latency > small_latency
 
 
-def test_reset_accounting(sim):
-    channel, cable, to_controller, _ = _channel(sim)
-    channel.send_to_controller(Hello())
-    sim.run(until=1.0)
-    channel.reset_accounting()
-    assert channel.to_controller_count == 0
-    assert cable.forward.bytes_sent == 0
-
-
 def test_negative_overhead_rejected(sim):
     cable = DuplexLink(sim, "ctrl", mbps(100))
     with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ def _live_testbed(config=None, n_flows=5, rate=20, seed=12,
     testbed = build_testbed(config or buffer_256(), workload, seed=seed,
                             calibration=calibration)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=run_until)
     return testbed
 
@@ -35,7 +35,7 @@ def test_set_config_changes_miss_send_len():
     testbed = _live_testbed(n_flows=0 or 1)
     testbed.controller.set_miss_send_len(64)
     testbed.sim.run(until=testbed.sim.now + 0.1)
-    assert testbed.mechanism.miss_send_len == 64
+    assert testbed.switches[0].mechanism.miss_send_len == 64
     testbed.shutdown()
 
 
@@ -43,10 +43,11 @@ def test_set_config_affects_subsequent_packet_ins():
     workload = single_packet_flows(mbps(20), n_flows=4,
                                    rng=RandomStreams(13))
     testbed = build_testbed(buffer_256(), workload, seed=13)
+    channel = testbed.switches[0].agent.channel
     received = []
-    testbed.channel.bind_controller(received.append)
-    testbed.channel.send_to_switch(SetConfig(miss_send_len=60))
-    testbed.pktgen.start(at=0.05)
+    channel.bind_controller(received.append)
+    channel.send_to_switch(SetConfig(miss_send_len=60))
+    testbed.pktgens[0].start(at=0.05)
     testbed.sim.run(until=1.0)
     packet_ins = [m for m in received if isinstance(m, PacketIn)]
     assert packet_ins and all(m.data_len == 60 for m in packet_ins)
@@ -59,11 +60,12 @@ def test_get_config_round_trip():
     testbed.controller.events.on  # (controller keeps config replies internal)
     # Observe at the channel level instead.
     original_handler = testbed.controller.handle_message
-    testbed.channel.bind_controller(
+    channel = testbed.switches[0].agent.channel
+    channel.bind_controller(
         lambda m: (replies.append(m) if isinstance(m, GetConfigReply)
-                   else original_handler(m, testbed.channel, 1)))
+                   else original_handler(m, channel, 1)))
     request = GetConfigRequest()
-    testbed.channel.send_to_switch(request)
+    channel.send_to_switch(request)
     testbed.sim.run(until=testbed.sim.now + 0.1)
     (reply,) = replies
     assert reply.miss_send_len == 128
@@ -89,7 +91,7 @@ def test_flow_removed_sent_on_idle_expiry():
                             run_until=0.1)
     # Patch is unnecessary: install our own flagged rule directly.
     from repro.openflow import FlowMod, OutputAction
-    testbed.channel.send_to_switch(FlowMod(
+    testbed.switches[0].agent.channel.send_to_switch(FlowMod(
         match=Match(ip_src="10.50.0.1"), actions=(OutputAction(2),),
         idle_timeout=0.2, send_flow_removed=True))
     removed = []
@@ -100,8 +102,8 @@ def test_flow_removed_sent_on_idle_expiry():
     message, dpid = removed[0]
     assert dpid == 1
     assert message.reason == 0              # idle
-    assert testbed.controller.flow_removed_received == 1
-    assert testbed.switch.agent.flow_removed_sent == 1
+    assert testbed.controller.flow_removed_received.value == 1
+    assert testbed.switches[0].agent.flow_removed_sent.value == 1
     testbed.shutdown()
 
 
@@ -116,7 +118,8 @@ def test_flow_removed_sent_when_expiry_is_found_before_the_sweep(finder):
         controller=ControllerConfig())
     testbed = _live_testbed(n_flows=1, calibration=calibration,
                             run_until=0.1)
-    testbed.channel.send_to_switch(FlowMod(
+    switch = testbed.switches[0]
+    switch.agent.channel.send_to_switch(FlowMod(
         match=Match(ip_src="10.52.0.1"), actions=(OutputAction(2),),
         idle_timeout=0.2, send_flow_removed=True))
     removed = []
@@ -125,24 +128,24 @@ def test_flow_removed_sent_when_expiry_is_found_before_the_sweep(finder):
     testbed.sim.run(until=0.5)              # expired, not yet swept
     assert not removed
     if finder == "packet":
-        testbed.switch.datapath.ingress(udp_packet(
+        switch.datapath.ingress(udp_packet(
             "00:00:00:00:00:01", "00:00:00:00:00:02", "10.52.0.1",
             "10.0.0.2", 1000, 2000), 1)
     else:
-        testbed.channel.send_to_switch(FlowMod(
+        switch.agent.channel.send_to_switch(FlowMod(
             match=Match(ip_src="10.99.0.1"),
             command=FlowModCommand.DELETE))
     testbed.sim.run(until=2.0)
     assert [m.match for m in removed] == [Match(ip_src="10.52.0.1")]
     assert removed[0].reason == 0           # idle
-    assert testbed.switch.agent.flow_removed_sent == 1
+    assert switch.agent.flow_removed_sent.value == 1
     testbed.shutdown()
 
 
 def test_flow_removed_reports_hard_timeout_reason():
     from repro.openflow import FlowMod, OutputAction
     testbed = _live_testbed(n_flows=1, run_until=0.1)
-    testbed.channel.send_to_switch(FlowMod(
+    testbed.switches[0].agent.channel.send_to_switch(FlowMod(
         match=Match(ip_src="10.51.0.1"), actions=(OutputAction(2),),
         hard_timeout=0.2, send_flow_removed=True))
     removed = []
@@ -161,8 +164,8 @@ def test_unflagged_rules_expire_silently():
     testbed = _live_testbed(n_flows=3, calibration=calibration,
                             run_until=2.0)
     # The reactive app doesn't set the flag; rules expired with no notice.
-    assert len(testbed.switch.flow_table) == 0
-    assert testbed.controller.flow_removed_received == 0
+    assert len(testbed.switches[0].datapath.table) == 0
+    assert testbed.controller.flow_removed_received.value == 0
     testbed.shutdown()
 
 
@@ -201,7 +204,7 @@ def test_flow_stats_counts_hits():
     workload = recurring_flows(mbps(10), n_flows=3, rounds=4)
     testbed = build_testbed(buffer_256(), workload, seed=14)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=2.0)
     testbed.controller.request_flow_stats()
     testbed.sim.run(until=testbed.sim.now + 0.2)
@@ -224,11 +227,12 @@ def test_dead_controller_buffer_ages_out():
                                    rng=RandomStreams(15))
     testbed = build_testbed(buffer_256(), workload, seed=15,
                             calibration=calibration)
-    testbed.channel.bind_controller(lambda m: None)   # dead controller
-    testbed.pktgen.start(at=0.01)
+    switch = testbed.switches[0]
+    switch.agent.channel.bind_controller(lambda m: None)   # dead controller
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=2.0)
-    assert testbed.switch.agent.buffer_ageout_drops == 4
-    assert testbed.mechanism.units_in_use == 0
+    assert switch.agent.buffer_ageout_drops.value == 4
+    assert switch.mechanism.units_in_use == 0
     testbed.shutdown()
 
 
@@ -240,10 +244,11 @@ def test_ageout_disabled_keeps_buffered_packets():
                                    rng=RandomStreams(16))
     testbed = build_testbed(buffer_256(), workload, seed=16,
                             calibration=calibration)
-    testbed.channel.bind_controller(lambda m: None)
-    testbed.pktgen.start(at=0.01)
+    switch = testbed.switches[0]
+    switch.agent.channel.bind_controller(lambda m: None)
+    testbed.pktgens[0].start(at=0.01)
     testbed.sim.run(until=2.0)
-    assert testbed.mechanism.units_in_use == 4
+    assert switch.mechanism.units_in_use == 4
     testbed.shutdown()
 
 

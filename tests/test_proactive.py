@@ -21,7 +21,7 @@ def _proactive_testbed(n_flows=20, rate=50, seed=40):
     provisioner = ProactiveProvisioner(testbed.controller, routes)
     provisioner.provision()
     testbed.sim.run(until=0.01)      # rules land before traffic
-    testbed.pktgen.start(at=0.0)
+    testbed.pktgens[0].start(at=0.0)
     testbed.sim.run(until=2.0)
     return testbed, provisioner
 
@@ -38,8 +38,8 @@ def test_destination_routes_structure():
 def test_proactive_rules_eliminate_packet_ins():
     testbed, provisioner = _proactive_testbed()
     assert provisioner.rules_pushed == 2
-    assert testbed.switch.agent.packet_ins_sent == 0
-    assert len(testbed.host2.received) == 20
+    assert testbed.switches[0].agent.packet_ins_sent.value == 0
+    assert len(testbed.hosts[-1].received) == 20
     testbed.shutdown()
 
 
@@ -55,7 +55,7 @@ def test_proactive_control_traffic_is_constant():
 
 def test_proactive_gives_up_per_flow_counters():
     testbed, _ = _proactive_testbed()
-    entries = testbed.switch.flow_table.entries()
+    entries = testbed.switches[0].datapath.table.entries()
     assert len(entries) == 2                 # coarse rules only
     to_host2 = next(e for e in entries if e.match.ip_dst == HOST2_IP)
     assert to_host2.packet_count == 20       # every flow lumped together

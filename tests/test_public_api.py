@@ -102,3 +102,99 @@ def test_workload_schedule_on_sends_through_host():
     sim.run()
     assert len(sent) == 5
     assert all(p.created_at >= 0.25 for p in sent)
+
+
+_AGENT_COUNTERS = {
+    "packet_ins_sent": "switch_packet_ins_sent_total",
+    "retries_sent": "switch_packet_in_retries_total",
+    "flow_mods_applied": "switch_flow_mods_applied_total",
+    "packet_outs_applied": "switch_packet_outs_applied_total",
+    "errors_sent": "switch_errors_sent_total",
+    "flow_removed_sent": "switch_flow_removed_sent_total",
+    "buffer_ageout_drops": "switch_buffer_ageout_drops_total",
+    "misses_dropped_disconnected": "switch_misses_dropped_disconnected_total",
+    "misses_flooded_disconnected": "switch_misses_flooded_disconnected_total",
+}
+_DATAPATH_COUNTERS = {
+    "packets_forwarded": "switch_packets_forwarded_total",
+    "packets_missed": "switch_table_misses_total",
+    "packets_dropped": "switch_packets_dropped_total",
+}
+_CONTROLLER_COUNTERS = {
+    "packet_ins_handled": "controller_packet_ins_handled_total",
+    "flow_mods_sent": "controller_flow_mods_sent_total",
+    "packet_outs_sent": "controller_packet_outs_sent_total",
+    "errors_received": "controller_errors_received_total",
+    "flow_removed_received": "controller_flow_removed_received_total",
+}
+
+
+def test_testbed_holds_only_what_no_switch_holds():
+    """No single-switch aliases and no lists that repeat what each
+    switch holds (its mechanism, channel and control cable)."""
+    import dataclasses
+    from repro.scenarios import Testbed
+    assert {f.name for f in dataclasses.fields(Testbed)} == {
+        "sim", "topology", "hosts", "switches", "controller", "pktgens",
+        "metrics", "rng", "registry", "spec", "pool"}
+    assert not [name for name, value in vars(Testbed).items()
+                if isinstance(value, property)]
+    for name in ("host1", "host2", "switch", "channel", "control_cable",
+                 "mechanism", "pktgen", "mechanisms", "channels",
+                 "control_cables"):
+        assert not hasattr(Testbed, name), name
+
+
+def test_component_counters_are_their_registry_metrics():
+    """Agent, datapath and controller counters are the registry's own
+    ``Counter`` objects, each named after its metric: one name per count,
+    no integer view beside it."""
+    from repro.core import BufferConfig
+    from repro.experiments import build_testbed
+    from repro.obs import Counter
+    from repro.simkit import RandomStreams, mbps
+    from repro.trafficgen import single_packet_flows
+    workload = single_packet_flows(mbps(20), n_flows=2,
+                                   rng=RandomStreams(0))
+    testbed = build_testbed(BufferConfig(mechanism="flow-granularity"),
+                            workload)
+    switch = testbed.switches[0]
+    for owner, counters, labels in (
+            (switch.agent, _AGENT_COUNTERS, {"switch": "ovs"}),
+            (switch.datapath, _DATAPATH_COUNTERS, {"switch": "ovs"}),
+            (testbed.controller, _CONTROLLER_COUNTERS,
+             {"controller": "floodlight"})):
+        for attr, metric in counters.items():
+            counter = getattr(owner, attr)
+            assert type(counter) is Counter, attr
+            assert counter.name == metric
+            assert testbed.registry.get(metric, **labels) is counter
+    assert not hasattr(switch, "flow_table")
+    assert not hasattr(switch.datapath, "_drop")
+    assert not hasattr(switch.mechanism, "retries_sent")
+    testbed.shutdown()
+
+
+def test_dead_reset_and_registry_surfaces_are_gone():
+    """The accounting-reset chain, the span recorder's live-span API and
+    the builder registry have no callers and are deleted."""
+    import repro.obs
+    import repro.scenarios
+    from repro.controllersim import Controller
+    from repro.netsim import DuplexLink, Host, Link, Topology
+    from repro.obs import Counter, Gauge, Histogram, SpanRecorder
+    from repro.openflow import ControlChannel
+    from repro.simkit import ServiceStation
+    from repro.switchsim import AsicCpuBus, Switch, SwitchCpu, SwitchPort
+    for cls in (ServiceStation, Link, DuplexLink, Topology, Host,
+                SwitchPort, SwitchCpu, AsicCpuBus, Switch, Controller,
+                ControlChannel):
+        assert not hasattr(cls, "reset_accounting"), cls.__name__
+    for cls in (Counter, Gauge, Histogram):
+        assert not hasattr(cls, "reset"), cls.__name__
+    recorder = SpanRecorder()
+    for name in ("begin", "open_spans", "clear", "on_record", "clock"):
+        assert not hasattr(recorder, name), name
+    assert not hasattr(repro.obs, "Span")
+    for name in ("register_builder", "available_shapes"):
+        assert not hasattr(repro.scenarios, name), name

@@ -22,10 +22,10 @@ from repro.experiments.figures import workload_a_factory
 from repro.faults import FaultSpec
 from repro.parallel import ResultCache, SweepJob
 from repro.parallel.cache import CACHE_SCHEMA, task_key
-from repro.scenarios import (SINGLE, ScenarioSpec, build_scenario,
+from repro.scenarios import (SHAPES, SINGLE, ScenarioSpec, build_scenario,
                              fanin_scenario, line_scenario, parse_scenario,
                              shard_workload, single_scenario)
-from repro.scenarios.builders import available_shapes, register_builder
+from repro.scenarios.builders import _BUILDERS
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import single_packet_flows
 
@@ -63,6 +63,33 @@ def test_spec_validation():
         fanin_scenario(0)
     with pytest.raises(ValueError):
         ScenarioSpec(shape="")
+
+
+@pytest.mark.parametrize("shape, n_switches, n_sources", [
+    ("single", 3, 1), ("single", 1, 2), ("line", 2, 4), ("fanin", 3, 2)])
+def test_spec_rejects_sizes_its_shape_ignores(shape, n_switches, n_sources):
+    """A size the builder never reads would name and cache a second spec
+    for the same testbed."""
+    with pytest.raises(ValueError, match="has one"):
+        ScenarioSpec(shape=shape, n_switches=n_switches,
+                     n_sources=n_sources)
+
+
+@pytest.mark.parametrize("shape, n_switches, dpid", [
+    ("line", 2, 5), ("line", 2, 0), ("single", 1, 2), ("fanin", 1, 2)])
+def test_spec_rejects_overrides_for_missing_datapaths(shape, n_switches,
+                                                      dpid):
+    with pytest.raises(ValueError, match=f"datapath {dpid}"):
+        ScenarioSpec(shape=shape, n_switches=n_switches,
+                     n_sources=2 if shape == "fanin" else 1,
+                     switch_overrides=((dpid, (("cpu_cores", 2),)),))
+
+
+def test_spec_rejects_unknown_shape_at_construction():
+    with pytest.raises(ValueError,
+                       match=r"unknown scenario shape 'nope'; registered: "
+                             r"\['fanin', 'line', 'single'\]"):
+        ScenarioSpec(shape="nope")
 
 
 def test_spec_is_frozen_and_hashable():
@@ -104,14 +131,7 @@ def test_cache_tokens_distinguish_topologies():
 # ---------------------------------------------------------------------------
 
 def test_registered_shapes():
-    assert set(available_shapes()) >= {"single", "line", "fanin"}
-
-
-def test_duplicate_builder_registration_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        @register_builder("single")
-        def clone(*args):
-            """Never installed."""
+    assert set(SHAPES) == set(_BUILDERS) == {"single", "line", "fanin"}
 
 
 def test_unknown_shape_raises_with_known_list():
@@ -197,7 +217,7 @@ def test_line_testbed_exposes_per_switch_accounting():
     try:
         assert [s.name for s in testbed.switches] == ["s1", "s2"]
         assert [s.datapath_id for s in testbed.switches] == [1, 2]
-        assert len(testbed.control_cables) == 2
+        assert len({s.agent.channel.cable for s in testbed.switches}) == 2
         assert len(testbed.topology) == 2 + 2 + 1   # hosts+switches+ctrl
     finally:
         testbed.shutdown()

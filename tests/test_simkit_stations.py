@@ -109,17 +109,6 @@ def test_mean_sojourn_empty_is_zero(sim):
     assert station.mean_sojourn() == 0.0
 
 
-def test_reset_accounting(sim):
-    station = ServiceStation(sim, "s")
-    station.submit(None, 1.0)
-    sim.run(until=2.0)
-    station.reset_accounting()
-    sim.run(until=4.0)
-    assert station.busy_time == 0.0
-    assert station.utilization_percent() == 0.0
-    assert station.jobs_completed == 0
-
-
 def test_job_unstarted_timing_raises(sim):
     station = ServiceStation(sim, "s", servers=1)
     station.submit("a", 5.0)

@@ -98,14 +98,14 @@ def test_miss_generates_packet_in(sim):
     assert len(packet_ins) == 1
     assert packet_ins[0].in_port == 1
     assert packet_ins[0].is_buffered
-    assert switch.datapath.packets_missed == 1
+    assert switch.datapath.packets_missed.value == 1
 
 
 def test_installed_rule_forwards_without_controller(sim):
     switch, channel, received, delivered, cables = _harness(sim)
     packet = _packet()
     entry_match = Match.exact_from_packet(packet, in_port=1)
-    switch.flow_table.insert(
+    switch.datapath.table.insert(
         __import__("repro.openflow", fromlist=["FlowEntry"]).FlowEntry(
             match=entry_match, actions=(OutputAction(2),)), now=0.0)
     cables[0].forward.send(packet, 1000)
@@ -125,8 +125,8 @@ def test_flow_mod_then_matching_traffic(sim):
                        actions=(OutputAction(2),))
     channel.send_to_switch(flow_mod)
     sim.run(until=sim.now + 1.0)
-    assert switch.agent.flow_mods_applied == 1
-    assert len(switch.flow_table) == 1
+    assert switch.agent.flow_mods_applied.value == 1
+    assert len(switch.datapath.table) == 1
     cables[0].forward.send(packet, 1000)
     sim.run(until=sim.now + 1.0)
     assert delivered[2] == [packet]
@@ -169,7 +169,7 @@ def test_unknown_buffer_id_triggers_error_message(sim):
     sim.run(until=sim.now + 1.0)
     errors = [m for m in received if isinstance(m, ErrorMsg)]
     assert len(errors) == 1
-    assert switch.agent.errors_sent == 1
+    assert switch.agent.errors_sent.value == 1
 
 
 def test_flood_action_replicates_to_other_ports(sim):
@@ -277,14 +277,14 @@ def test_flow_mod_delete_removes_rules(sim):
         channel.send_to_switch(FlowMod(match=Match(ip_src=f"10.7.0.{i}"),
                                        actions=(OutputAction(2),)))
     sim.run(until=sim.now + 1.0)
-    assert len(switch.flow_table) == 3
+    assert len(switch.datapath.table) == 3
     deleted = []
     switch.events.on("flows_deleted",
                      lambda t, match, count: deleted.append(count))
     channel.send_to_switch(FlowMod(match=Match(),
                                    command=FlowModCommand.DELETE))
     sim.run(until=sim.now + 1.0)
-    assert len(switch.flow_table) == 0
+    assert len(switch.datapath.table) == 0
     assert deleted == [3]
 
 
@@ -299,9 +299,9 @@ def test_flow_mod_delete_strict_requires_priority(sim):
                                    command=FlowModCommand.DELETE_STRICT,
                                    priority=8))
     sim.run(until=sim.now + 1.0)
-    assert len(switch.flow_table) == 1      # priority mismatch: kept
+    assert len(switch.datapath.table) == 1  # priority mismatch: kept
     channel.send_to_switch(FlowMod(match=Match(ip_src="10.8.0.1"),
                                    command=FlowModCommand.DELETE_STRICT,
                                    priority=7))
     sim.run(until=sim.now + 1.0)
-    assert len(switch.flow_table) == 0
+    assert len(switch.datapath.table) == 0

@@ -130,16 +130,16 @@ def test_repeat_traffic_hits_the_cache():
     testbed = build_testbed(buffer_256(), workload,
                             calibration=_cached_calibration(), seed=95)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=2.0)
-    cache = testbed.switch.datapath.cache
+    datapath = testbed.switches[0].datapath
     # Round 1 misses everywhere; round 2 misses the cache (rules were
     # installed after the probe) but hits the table and populates the
     # cache; rounds 3-6 hit the cache.
-    assert cache.hits >= 4 * 3
-    assert len(testbed.host2.received) == 24
+    assert datapath.cache.hits >= 4 * 3
+    assert len(testbed.hosts[-1].received) == 24
     # The table's own lookup counter stops growing once the cache serves.
-    assert testbed.switch.flow_table.lookups < 24
+    assert datapath.table.lookups < 24
     testbed.shutdown()
 
 
@@ -150,10 +150,10 @@ def test_cache_reduces_datapath_cpu():
                                 calibration=_cached_calibration(capacity),
                                 seed=96)
         testbed.controller.start_handshake()
-        testbed.pktgen.start(at=0.02)
+        testbed.pktgens[0].start(at=0.02)
         testbed.sim.run(until=2.0)
-        busy = testbed.switch.cpu.station.busy_time
-        delivered = len(testbed.host2.received)
+        busy = testbed.switches[0].cpu.station.busy_time
+        delivered = len(testbed.hosts[-1].received)
         testbed.shutdown()
         return busy, delivered
 
@@ -170,19 +170,21 @@ def test_rule_deletion_never_leaves_stale_fast_path():
     testbed = build_testbed(buffer_256(), workload,
                             calibration=_cached_calibration(), seed=97)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
-    assert len(testbed.host2.received) == 3
+    host1, host2 = testbed.hosts
+    agent = testbed.switches[0].agent
+    assert len(host2.received) == 3
     # Delete everything; the cached decision must be invalidated.
-    testbed.channel.send_to_switch(FlowMod(match=Match(),
-                                           command=FlowModCommand.DELETE))
+    agent.channel.send_to_switch(FlowMod(match=Match(),
+                                         command=FlowModCommand.DELETE))
     testbed.sim.run(until=1.5)
-    packet_ins_before = testbed.switch.agent.packet_ins_sent
+    packet_ins_before = agent.packet_ins_sent.value
     replay = recurring_flows(mbps(20), n_flows=1, rounds=1)
     from repro.trafficgen import PacketGenerator
-    PacketGenerator(testbed.sim, testbed.host1, replay).start()
+    PacketGenerator(testbed.sim, host1, replay).start()
     testbed.sim.run(until=2.5)
     # The packet went back through the miss path (a new packet_in).
-    assert testbed.switch.agent.packet_ins_sent == packet_ins_before + 1
-    assert len(testbed.host2.received) == 4
+    assert agent.packet_ins_sent.value == packet_ins_before + 1
+    assert len(host2.received) == 4
     testbed.shutdown()

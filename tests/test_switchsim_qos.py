@@ -146,7 +146,7 @@ def test_attach_scheduler_to_switch_port(sim):
     scheduler = attach_scheduler(port2, sim)
 
     packet = _packet(dscp=46)
-    switch.flow_table.insert(
+    switch.datapath.table.insert(
         FlowEntry(match=Match.exact_from_packet(packet, in_port=1),
                   actions=(OutputAction(2),)), now=0.0)
     h1.forward.send(packet, packet.wire_len)

@@ -63,10 +63,11 @@ def test_every_control_message_encodes_and_decodes(config):
             seen["count"] += 1
             _codec_check(item, failures)
 
-    testbed.control_cable.forward.add_tap(tap)
-    testbed.control_cable.reverse.add_tap(tap)
+    cable = testbed.switches[0].agent.channel.cable
+    cable.forward.add_tap(tap)
+    cable.reverse.add_tap(tap)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     testbed.shutdown()
 
@@ -85,10 +86,11 @@ def test_workload_b_messages_encode_too():
         if isinstance(item, OFMessage):
             _codec_check(item, failures)
 
-    testbed.control_cable.forward.add_tap(tap)
-    testbed.control_cable.reverse.add_tap(tap)
+    cable = testbed.switches[0].agent.channel.cable
+    cable.forward.add_tap(tap)
+    cable.reverse.add_tap(tap)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=2.0)
     testbed.shutdown()
     assert failures == []
@@ -108,9 +110,9 @@ def test_wire_size_equals_capture_accounting():
             encoded_bytes["total"] += len(encode_message(item))
             encoded_bytes["count"] += 1
 
-    testbed.control_cable.forward.add_tap(tap)
+    testbed.switches[0].agent.channel.cable.forward.add_tap(tap)
     testbed.controller.start_handshake()
-    testbed.pktgen.start(at=0.02)
+    testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
     captured = testbed.metrics.capture_up.bytes_total
     expected = (encoded_bytes["total"]
