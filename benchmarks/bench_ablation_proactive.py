@@ -36,7 +36,7 @@ def _run_proactive():
         "control_kb": (testbed.metrics.capture_up.bytes_total
                        + testbed.metrics.capture_down.bytes_total) / 1000,
         "rules": len(testbed.switches[0].datapath.table),
-        "delivered": len(testbed.hosts[-1].received),
+        "delivered": testbed.hosts[-1].packets_received,
     }
     testbed.shutdown()
     return stats

@@ -33,7 +33,7 @@ def run(config, n_switches):
     testbed.sim.run(until=3.0)
     stats = (testbed.total_packet_ins(),
              testbed.total_control_bytes() / 1000.0,
-             len(testbed.hosts[-1].received))
+             testbed.hosts[-1].packets_received)
     testbed.shutdown()
     return stats
 

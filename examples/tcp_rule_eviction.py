@@ -44,6 +44,10 @@ def main() -> None:
         workload = tcp_eviction_scenario(mbps(RATE_MBPS),
                                          idle_gap=IDLE_GAP)
         testbed = build_testbed(config, workload, calibration=calibration)
+        # Switch egress times of the packets delivered to host2.
+        egress_times = []
+        testbed.hosts[-1].add_receive_hook(
+            lambda _time, pkt: egress_times.append(pkt.switch_out_at))
         testbed.controller.start_handshake()
         settle = 0.02
         testbed.pktgens[0].start(at=settle)
@@ -53,12 +57,10 @@ def main() -> None:
         # Burst forwarding delay: first burst segment sent -> last burst
         # segment delivered to host2.
         burst_start = settle + workload.burst_start
-        deliveries = [t for t, p in
-                      ((pkt.switch_out_at, pkt)
-                       for pkt in testbed.hosts[-1].received)
+        deliveries = [t for t in egress_times
                       if t is not None and t >= burst_start]
         burst_delay = max(deliveries) - burst_start if deliveries else 0.0
-        delivered = len(testbed.hosts[-1].received)
+        delivered = testbed.hosts[-1].packets_received
         print(f"{config.label:<16} {packet_ins:>10d} "
               f"{ctrl_bytes / 1000:>7.1f}K {to_msec(burst_delay):>13.2f}ms "
               f"{delivered:>4d}/{workload.n_packets}")

@@ -73,7 +73,7 @@ def main() -> None:
 
     agent = testbed.switches[0].agent
     print(f"\nTotals: {agent.packet_ins_sent.value} packet_in for "
-          f"{len(testbed.hosts[-1].received)} delivered packets "
+          f"{testbed.hosts[-1].packets_received} delivered packets "
           f"(Algorithm 1 buffered the rest; Algorithm 2 released them "
           f"together).")
     testbed.shutdown()

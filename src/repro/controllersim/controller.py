@@ -185,6 +185,13 @@ class Controller:
         if self._echo_handle is not None:
             self._echo_handle.cancel()
 
+    def unwire(self) -> None:
+        """Drop listeners, the station's callbacks and the channel list
+        (end of run); counters and the latest stats replies stay."""
+        self.events.clear()
+        self.station.unwire()
+        self._channels.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Controller({self.name!r}, "
                 f"handled={self.packet_ins_handled.value})")

@@ -279,8 +279,9 @@ class FlowGranularityBuffer(BufferMechanism):
         self._retry_sender: Optional[RetrySender] = None
         self.flows_abandoned = 0
 
-    def set_retry_sender(self, sender: RetrySender) -> None:
-        """Install the agent callback used for timeout re-requests."""
+    def set_retry_sender(self, sender: Optional[RetrySender]) -> None:
+        """Install the agent callback used for timeout re-requests
+        (``None`` drops it at the end of a run)."""
         self._retry_sender = sender
 
     # ------------------------------------------------------------------

@@ -42,11 +42,6 @@ def derive_seed(base_seed: int, rate_mbps: float, rep: int) -> int:
     return base_seed * 100_003 + int(rate_mbps) * 1_009 + rep
 
 
-_INCOMPLETE_WARNING = (
-    "run_once: flows were still incomplete when the extend budget ran "
-    "out; the snapshot's `incomplete` flag is set and delay statistics "
-    "cover completed flows only (this warning is shown once)")
-
 #: ``run_once``'s run shape: seconds of handshake before traffic,
 #: seconds of drain after the last send, and how many 100 ms extensions
 #: a run may take while flows still complete.  Sweep tasks run at these
@@ -78,9 +73,11 @@ def run_once(buffer_config: BufferConfig, workload: Workload,
     land after the last send.  If flows are still incomplete at the
     nominal deadline (deep queues at high rates), the run is extended in
     100 ms steps while progress is being made, up to ``max_extends``
-    times; exhausting that budget with flows still incomplete bumps the
+    times.  A run that still ends incomplete emits a warning naming its
+    scenario, seed and completed flows, and whether the extensions ran
+    out or one completed no flow; running out also bumps the
     ``run.incomplete_extends_exhausted`` counter on the testbed registry
-    (visible in observed runs' metric snapshots) and emits a warning.
+    (visible in observed runs' metric snapshots).
 
     ``obs`` attaches a :class:`repro.obs.RunObserver` to the testbed's
     event emitters before traffic and snapshots its registry at the end;
@@ -188,7 +185,8 @@ def finish_run(testbed, workload: Workload, advance: Callable[[float], int],
     # component, so its peak lands on the snapshot here.
     if testbed.pool is not None:
         snapshot.pool_peak_units = testbed.pool.peak_occupancy
-    if (snapshot.incomplete and extends >= max_extends
+    exhausted = extends >= max_extends
+    if (snapshot.incomplete and exhausted
             and testbed.registry is not None):
         # Structured counterpart of the warning below: observed runs see
         # it in their metric snapshots / Prometheus export.
@@ -197,7 +195,15 @@ def finish_run(testbed, workload: Workload, advance: Callable[[float], int],
         obs.finish(testbed, snapshot)
     testbed.shutdown()
     if snapshot.incomplete:
-        warnings.warn(_INCOMPLETE_WARNING, RuntimeWarning, stacklevel=3)
+        reason = (f"its {max_extends} extensions of 100 ms ran out"
+                  if exhausted else
+                  "no flow completed in its last 100 ms extension")
+        warnings.warn(
+            f"run_once: scenario {testbed.spec.name} seed "
+            f"{testbed.rng.root_seed} ended incomplete, "
+            f"{snapshot.completed_flows} of {snapshot.total_flows} flows "
+            f"complete, because {reason}; its delay statistics cover the "
+            f"completed flows only", RuntimeWarning, stacklevel=3)
     return snapshot
 
 

@@ -1,9 +1,9 @@
 """One-stop metric collection for a testbed run.
 
 :class:`MetricsSuite` wires captures, samplers and the delay tracker to
-a testbed's switches, controller and control cables, and condenses
-everything into a :class:`RunMetrics` snapshot — the row format every
-figure harness consumes.
+a testbed's switches, their control cables and the controller, and
+condenses everything into a :class:`RunMetrics` snapshot — the row
+format every figure harness consumes.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..controllersim import Controller
-from ..netsim import DuplexLink
 from ..simkit import Simulator, to_mbps
 from ..switchsim import Switch
 from ..trafficgen import FlowSpec
@@ -141,26 +140,24 @@ class MetricsSuite:
     """
 
     def __init__(self, sim: Simulator, switches: List[Switch],
-                 controller: Controller, control_cables: List[DuplexLink],
-                 flows: Dict[int, FlowSpec],
+                 controller: Controller, flows: Dict[int, FlowSpec],
                  sampling_interval: float = 0.020):
         if not switches:
             raise ValueError("need at least one switch")
-        if len(switches) != len(control_cables):
-            raise ValueError(
-                f"{len(switches)} switch(es) but "
-                f"{len(control_cables)} control cable(s)")
         self.sim = sim
         self.switches = list(switches)
         self.controller = controller
         # Probe construction order fixes the sequence numbers of the
-        # samplers' periodic events; keep it.
+        # samplers' periodic events; keep it.  Each switch's control
+        # cable carries its channel: forward up, reverse down.
         self.captures_up = [
-            LinkCapture(cable.forward, name=f"{switch.name}-ctrl-up")
-            for switch, cable in zip(switches, control_cables)]
+            LinkCapture(switch.agent.channel.cable.forward,
+                        name=f"{switch.name}-ctrl-up")
+            for switch in switches]
         self.captures_down = [
-            LinkCapture(cable.reverse, name=f"{switch.name}-ctrl-down")
-            for switch, cable in zip(switches, control_cables)]
+            LinkCapture(switch.agent.channel.cable.reverse,
+                        name=f"{switch.name}-ctrl-down")
+            for switch in switches]
         self.capture_up = AggregateCapture(self.captures_up, name="ctrl-up")
         self.capture_down = AggregateCapture(self.captures_down,
                                              name="ctrl-down")

@@ -2,8 +2,10 @@
 
 A :class:`Host` owns one NIC-like attachment to a link pair: it can send
 packets toward the switch and receives packets delivered by the switch.
-Receive bookkeeping (timestamps, per-flow arrival records) is what the
-metrics layer reads to compute flow-setup and flow-forwarding delays.
+It counts what it sends and receives and keeps no packet; a receive
+hook sees each delivered packet as it arrives.  (The metrics layer
+measures flow-setup and forwarding delays at the switches' event
+emitters, not here.)
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ class Host:
         self.ip = ip
         self._tx_link: Optional[Link] = None
         self._receive_hooks: list[ReceiveHook] = []
-        #: All packets received, in arrival order.
-        self.received: list[Packet] = []
+        self.packets_received = 0
         self.bytes_received = 0
         self.packets_sent = 0
 
@@ -58,7 +59,7 @@ class Host:
 
     def receive(self, packet: Packet) -> None:
         """Delivery callback wired to the inbound link."""
-        self.received.append(packet)
+        self.packets_received += 1
         self.bytes_received += packet.wire_len
         for hook in self._receive_hooks:
             hook(self.sim.now, packet)

@@ -76,6 +76,17 @@ class Link:
         """
         self._idle_listeners.append(listener)
 
+    def unwire(self) -> None:
+        """Drop the receiver, taps, idle listeners and shard seam.
+
+        The end of a run: each of these is a callback into a component
+        that holds this link, so the pair would otherwise form a
+        reference cycle.  Byte and item counters stay readable.
+        """
+        self._receiver = self._outbound = None
+        self._taps.clear()
+        self._idle_listeners.clear()
+
     def send(self, item: Any, size_bytes: int) -> None:
         """Queue ``item`` for transmission; delivery is asynchronous."""
         if self._receiver is None:

@@ -272,12 +272,17 @@ class HealthMonitor:
                                           priority=PRIORITY_LATE)
 
     def detach(self) -> None:
-        """Stop beating (cancels the pending heartbeat event)."""
+        """Stop beating (cancels the pending heartbeat event).
+
+        The ``on_beat`` hook goes too: it is typically a bound method of
+        the observer that holds this monitor.
+        """
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
         self._testbed = None
         self._sim = None
+        self.on_beat = None
 
     @property
     def attached(self) -> bool:

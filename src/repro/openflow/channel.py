@@ -82,6 +82,11 @@ class ControlChannel:
         if to_switch is not None:
             self._fault_to_switch = to_switch
 
+    def unwire(self) -> None:
+        """Drop both handlers and both fault filters (end of run)."""
+        self._switch_handler = self._controller_handler = None
+        self._fault_to_controller = self._fault_to_switch = None
+
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------

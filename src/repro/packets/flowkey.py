@@ -24,6 +24,16 @@ _INTERN_MAX = 1 << 16
 _interned: dict = {}
 
 
+def _intern(values: tuple) -> "FiveTuple":
+    """The one key of these field values, interned while there is room."""
+    key = _interned.get(values)
+    if key is None:
+        key = FiveTuple(*values)
+        if len(_interned) < _INTERN_MAX:
+            _interned[values] = key
+    return key
+
+
 @dataclass(frozen=True)
 class FiveTuple:
     """The canonical (src_ip, src_port, dst_ip, dst_port, protocol) key."""
@@ -42,6 +52,13 @@ class FiveTuple:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Pickle the fields only: the cached hash is a string hash, which
+        # differs between interpreters with different hash seeds, so a
+        # loaded key rehashes (and re-interns) where it lands.
+        return (_intern, ((self.src_ip, self.src_port, self.dst_ip,
+                           self.dst_port, self.protocol),))
+
     @classmethod
     def from_packet(cls, packet: "Packet") -> Optional["FiveTuple"]:
         """Extract the 5-tuple, or ``None`` for non-IP / portless packets.
@@ -53,14 +70,8 @@ class FiveTuple:
         l4 = packet.l4
         if ip is None or l4 is None:
             return None
-        values = (ip.src_ip, l4.src_port, ip.dst_ip, l4.dst_port,
-                  ip.protocol)
-        key = _interned.get(values)
-        if key is None:
-            key = cls(*values)
-            if len(_interned) < _INTERN_MAX:
-                _interned[values] = key
-        return key
+        return _intern((ip.src_ip, l4.src_port, ip.dst_ip, l4.dst_port,
+                        ip.protocol))
 
     def reversed(self) -> "FiveTuple":
         """The key of the opposite direction of the same conversation."""

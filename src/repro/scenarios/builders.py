@@ -152,8 +152,7 @@ def build_single(spec: ScenarioSpec, buffer_config: BufferConfig,
     controller.attach_channel(channel, datapath_id=1)
 
     pktgen = PacketGenerator(sim, host1, workload)
-    metrics = MetricsSuite(sim, [switch], controller, [cable_ctrl],
-                           workload.flows,
+    metrics = MetricsSuite(sim, [switch], controller, workload.flows,
                            sampling_interval=sampling_interval)
 
     # Replace the placeholders now that the real objects exist.
@@ -205,7 +204,6 @@ def build_line(spec: ScenarioSpec, buffer_config: BufferConfig,
                                     ports_per_switch=2, registry=registry)
 
     switches: List[Switch] = []
-    control_cables = []
     for index, name in enumerate(switch_names):
         dpid = index + 1
         ctrl_cable = topo.add_cable(name, "controller",
@@ -234,7 +232,6 @@ def build_line(spec: ScenarioSpec, buffer_config: BufferConfig,
         locator.provision(PORT_TOWARD_HOST2, mac=HOST2_MAC, ip=HOST2_IP,
                           datapath_id=dpid)
         switches.append(topo.replace_node(name, switch))
-        control_cables.append(ctrl_cable)
 
     host1.attach(data_cables[0].forward)
     data_cables[0].reverse.connect(host1.receive)
@@ -243,8 +240,7 @@ def build_line(spec: ScenarioSpec, buffer_config: BufferConfig,
     topo.replace_node("controller", controller)
 
     pktgen = PacketGenerator(sim, host1, workload)
-    metrics = MetricsSuite(sim, switches, controller, control_cables,
-                           workload.flows,
+    metrics = MetricsSuite(sim, switches, controller, workload.flows,
                            sampling_interval=sampling_interval)
 
     return Testbed(sim=sim, topology=topo, hosts=[host1, host2],
@@ -362,8 +358,7 @@ def build_fanin(spec: ScenarioSpec, buffer_config: BufferConfig,
                for source, shard in zip(sources,
                                         shard_workload(workload,
                                                        n_sources))]
-    metrics = MetricsSuite(sim, [switch], controller, [cable_ctrl],
-                           workload.flows,
+    metrics = MetricsSuite(sim, [switch], controller, workload.flows,
                            sampling_interval=sampling_interval)
 
     topo.replace_node("ovs", switch)

@@ -76,8 +76,29 @@ class Testbed:
     # Lifecycle
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop samplers and periodic component work."""
+        """End the run: stop periodic work, then unwire what the build wired.
+
+        Every run ends here (:func:`repro.experiments.runner.finish_run`,
+        and each shard replica at collect).  The build wires components
+        to each other through callbacks — queued simulator calls, link
+        receivers and taps, channel handlers, emitter listeners — and
+        each callback closes a reference cycle.  Dropping them all
+        leaves a graph without cycles, so when the last holder lets go
+        of a finished testbed, reference counting frees it at once and
+        the cyclic collector never has to find it (DESIGN.md §23).
+        Counters, captures, delay records, series and tables stay
+        readable; running the simulator again only moves its clock.
+        """
         self.metrics.stop()
         for switch in self.switches:
             switch.shutdown()
         self.controller.shutdown()
+        self.sim.clear()
+        for _ends, cable in self.topology.cables():
+            cable.forward.unwire()
+            cable.reverse.unwire()
+        for switch in self.switches:
+            switch.unwire()
+        self.controller.unwire()
+        if self.pool is not None:
+            self.pool.events.clear()

@@ -106,7 +106,13 @@ class ScheduledCall:
 
 
 class Simulator:
-    """A discrete-event simulator with a float clock in seconds."""
+    """A discrete-event simulator with a float clock in seconds.
+
+    One simulator serves one run.  Its queue holds callbacks into the
+    run's components, which hold it in turn, so :meth:`clear` ends the
+    run by dropping everything queued (see
+    :meth:`repro.scenarios.Testbed.shutdown`).
+    """
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
@@ -431,6 +437,33 @@ class Simulator:
         """Cancel a batch of scheduled calls (e.g. on component shutdown)."""
         for call in calls:
             call.cancel()
+
+    def clear(self) -> None:
+        """Drop every queued call, the pooled handles and the profiler.
+
+        The end of a run (:meth:`repro.scenarios.Testbed.shutdown`).
+        Each queued handle loses its callback and arguments and reads
+        cancelled, so a later ``cancel()`` is a no-op: components keep
+        handles (a datapath's sweep, a sampler's tick), and a handle
+        whose callback is its holder's bound method would otherwise
+        keep that holder in a reference cycle.  Afterwards the
+        simulator refers to nothing a component built;
+        ``pending_count()`` reads 0, and the clock and
+        ``events_executed`` stay as they were.
+        """
+        for entry in self._heap:
+            call = entry[3]
+            call.fn = call.args = None
+            call.cancelled = True
+        for queue in self._ready:
+            for call in queue:
+                call.fn = call.args = None
+                call.cancelled = True
+            queue.clear()
+        self._heap.clear()
+        self._free.clear()
+        self._dead = 0
+        self._profiler = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Simulator(now={self._now:.9f}, "

@@ -124,6 +124,18 @@ class ServiceStation:
         if job.on_done is not None:
             job.on_done(job.payload)
 
+    def unwire(self) -> None:
+        """Drop the callbacks this station holds (end of run).
+
+        ``_finish_cb`` is the station's own bound method, and each
+        waiting job's ``on_done`` belongs to the component that
+        submitted it: both lead back here.  Counters and the queue
+        length stay readable.
+        """
+        self._finish_cb = None
+        for job in self._queue:
+            job.on_done = None
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

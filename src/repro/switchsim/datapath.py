@@ -227,3 +227,8 @@ class Datapath:
     def shutdown(self) -> None:
         """Cancel the periodic sweep (end of run)."""
         self._sweep_handle.cancel()
+
+    def unwire(self) -> None:
+        """Drop the agent and the table's expiry listener (end of run)."""
+        self._agent = None
+        self.table.on_expire = None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core import BufferMechanism
+from ..core import BufferMechanism, FlowGranularityBuffer
 from ..netsim import DuplexLink
 from ..obs.registry import MetricsRegistry, label_set
 from ..openflow import ControlChannel
@@ -103,6 +103,23 @@ class Switch:
         self.datapath.shutdown()
         self.agent.shutdown()
         self.mechanism.shutdown()
+
+    def unwire(self) -> None:
+        """Drop every callback the build wired into this switch.
+
+        The run's teardown (:meth:`repro.scenarios.Testbed.shutdown`):
+        listeners, the control channel's handlers, the datapath's agent,
+        the mechanism's retry sender and the stations' completion
+        callbacks all lead back into the switch.  Counters, tables and
+        buffers stay readable.
+        """
+        self.events.clear()
+        self.agent.channel.unwire()
+        self.datapath.unwire()
+        if isinstance(self.mechanism, FlowGranularityBuffer):
+            self.mechanism.set_retry_sender(None)
+        for station in self.cpu_stations + (self.bus.station,):
+            station.unwire()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Switch({self.name!r}, mechanism={self.mechanism.name}, "

@@ -94,7 +94,7 @@ def test_packets_arrive_at_host2():
     testbed.controller.start_handshake()
     testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)
-    assert len(testbed.hosts[-1].received) == 10
+    assert testbed.hosts[-1].packets_received == 10
     testbed.shutdown()
 
 

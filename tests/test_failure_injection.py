@@ -119,7 +119,7 @@ def test_flow_granularity_survives_duplicate_release():
                           buffer_id=message.buffer_id, in_port=1))
     testbed.sim.run(until=testbed.sim.now + 0.5)
     # One delivery per flow despite duplicates; duplicates become errors.
-    assert len(testbed.hosts[-1].received) == 2
+    assert testbed.hosts[-1].packets_received == 2
     assert agent.errors_sent.value == 2
     testbed.shutdown()
 
@@ -138,7 +138,7 @@ def test_unknown_destination_is_flooded_not_dropped():
     testbed.sim.run(until=1.0)
     assert testbed.controller.app.floods == 3
     # Flood goes out every port except the ingress -> host2 sees them.
-    assert len(testbed.hosts[-1].received) == 3
+    assert testbed.hosts[-1].packets_received == 3
     # No rule is installed for floods.
     assert len(testbed.switches[0].datapath.table) == 0
     testbed.shutdown()
@@ -158,7 +158,7 @@ def test_flow_table_pressure_evicts_but_keeps_forwarding():
     testbed.controller.start_handshake()
     testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=2.0)
-    assert len(testbed.hosts[-1].received) == 20
+    assert testbed.hosts[-1].packets_received == 20
     table = testbed.switches[0].datapath.table
     assert len(table) <= 4
     assert table.evictions >= 16

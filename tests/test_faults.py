@@ -262,7 +262,7 @@ def test_duplicated_packet_out_yields_buffer_unknown_error():
                       buffer_id=message.buffer_id, in_port=1))
     testbed.sim.run(until=1.0)
     # Each packet_out arrived twice; the copy hit a freed unit.
-    assert len(testbed.hosts[-1].received) == 2
+    assert testbed.hosts[-1].packets_received == 2
     errors = [m for m in received if isinstance(m, ErrorMsg)]
     assert len(errors) == 2
     assert all(e.error_type is ErrorType.BUFFER_UNKNOWN for e in errors)

@@ -47,7 +47,7 @@ def test_unknown_destination_floods_then_reverse_gets_a_rule():
     # Forward: host1 -> host2.  Destination unknown -> flooded, no rule.
     sim.schedule(0.02, host1.send, _forward_packet())
     sim.run(until=0.5)
-    assert len(host2.received) == 1
+    assert host2.packets_received == 1
     assert testbed.controller.app.floods == 1
     assert len(switch.datapath.table) == 0
 
@@ -55,7 +55,7 @@ def test_unknown_destination_floods_then_reverse_gets_a_rule():
     # packet_in, so this one gets a real rule (no flood).
     sim.schedule(0.0, host2.send, _reverse_packet())
     sim.run(until=1.0)
-    assert len(host1.received) == 1
+    assert host1.packets_received == 1
     assert testbed.controller.app.floods == 1        # unchanged
     assert len(switch.datapath.table) == 1
 
@@ -63,7 +63,7 @@ def test_unknown_destination_floods_then_reverse_gets_a_rule():
     packet_ins_before = switch.agent.packet_ins_sent.value
     sim.schedule(0.0, host2.send, _reverse_packet())
     sim.run(until=1.5)
-    assert len(host1.received) == 2
+    assert host1.packets_received == 2
     assert switch.agent.packet_ins_sent.value == packet_ins_before
     testbed.shutdown()
 

@@ -29,7 +29,7 @@ def test_build_validation():
 
 def test_packets_traverse_the_whole_line():
     testbed = _run(buffer_256(), n_switches=3, n_flows=15)
-    assert len(testbed.hosts[-1].received) == 15
+    assert testbed.hosts[-1].packets_received == 15
     testbed.shutdown()
 
 
@@ -52,7 +52,7 @@ def test_rules_installed_on_every_switch():
 def test_single_switch_line_matches_basic_testbed_accounting():
     testbed = _run(buffer_256(), n_switches=1, n_flows=10)
     assert testbed.packet_ins_per_switch() == [10]
-    assert len(testbed.hosts[-1].received) == 10
+    assert testbed.hosts[-1].packets_received == 10
     testbed.shutdown()
 
 
@@ -88,7 +88,7 @@ def test_flow_granularity_on_a_line():
     testbed.sim.run(until=3.0)
     # One request per flow per switch, even with 8 packets per flow.
     assert testbed.packet_ins_per_switch() == [10, 10]
-    assert len(testbed.hosts[-1].received) == 80
+    assert testbed.hosts[-1].packets_received == 80
     testbed.shutdown()
 
 

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -257,6 +263,65 @@ def test_five_tuple_is_hashable_and_stable():
     b = FiveTuple("10.0.0.1", 1, "10.0.0.2", 2, PROTO_UDP)
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def _under_hash_seed(seed: int, code: str, stdin: str = "") -> str:
+    """Run ``code`` in a fresh interpreter with ``PYTHONHASHSEED=seed``."""
+    import repro
+    path = [str(Path(repro.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-c", code], input=stdin,
+                            env=env, capture_output=True, text=True,
+                            timeout=60, check=True)
+    return result.stdout.strip()
+
+
+_PICKLE_CACHED_KEY_PACKET = """
+import pickle
+from repro.packets import udp_packet
+packet = udp_packet("00:00:00:00:00:01", "00:00:00:00:00:02",
+                    "10.0.0.1", "10.0.0.2", 1111, 2222)
+assert packet.five_tuple is not None      # caches the key on the packet
+print(pickle.dumps(packet, protocol=pickle.HIGHEST_PROTOCOL).hex())
+"""
+
+
+def test_packet_with_cached_key_pickles_identically_across_hash_seeds():
+    """The key pickles by value: no string hash rides along, so the
+    shard wire's bytes do not depend on the interpreter's hash seed."""
+    assert (_under_hash_seed(1, _PICKLE_CACHED_KEY_PACKET)
+            == _under_hash_seed(2, _PICKLE_CACHED_KEY_PACKET))
+
+
+_PICKLE_KEY = """
+import pickle
+from repro.packets import FiveTuple, PROTO_UDP
+print(pickle.dumps(FiveTuple("10.0.0.1", 1111, "10.0.0.2", 2222,
+                             PROTO_UDP)).hex())
+"""
+
+_FIND_LOADED_KEY = """
+import pickle, sys
+from repro.packets import FiveTuple, PROTO_UDP
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+local = FiveTuple("10.0.0.1", 1111, "10.0.0.2", 2222, PROTO_UDP)
+print(loaded == local, {local: "found"}.get(loaded))
+"""
+
+
+def test_key_pickled_under_one_hash_seed_is_found_under_another():
+    blob = _under_hash_seed(1, _PICKLE_KEY)
+    assert _under_hash_seed(2, _FIND_LOADED_KEY, stdin=blob) \
+        == "True found"
+
+
+def test_loaded_key_is_the_interned_one():
+    packet = udp_packet("00:00:00:00:00:01", "00:00:00:00:00:02",
+                        "10.0.0.1", "10.0.0.2", 1111, 2222)
+    assert pickle.loads(pickle.dumps(packet.five_tuple)) \
+        is packet.five_tuple
 
 
 @given(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))

@@ -39,7 +39,7 @@ def test_proactive_rules_eliminate_packet_ins():
     testbed, provisioner = _proactive_testbed()
     assert provisioner.rules_pushed == 2
     assert testbed.switches[0].agent.packet_ins_sent.value == 0
-    assert len(testbed.hosts[-1].received) == 20
+    assert testbed.hosts[-1].packets_received == 20
     testbed.shutdown()
 
 

@@ -369,17 +369,50 @@ def _verify_line_two():
         transport="inline").report
 
 
+_REPORT_IN_FRESH_INTERPRETER = """
+import json, sys
+sys.path.insert(0, {tests!r})
+from test_shard_transport import {run}
+report = {run}()
+print(json.dumps({{key: getattr(report, key) for key in {keys!r}}}))
+"""
+
+
 @pytest.mark.parametrize("run, expected", [
-    (_churn_run, dict(rounds=97, rounds_coalesced=5, messages=7012,
-                      horizon_stalls=3)),
-    (_verify_line_two, dict(rounds=1055, messages=218, horizon_stalls=3)),
+    ("_churn_run", dict(rounds=97, rounds_coalesced=5, messages=7012,
+                        horizon_stalls=3, bytes_total=3_668_402)),
+    ("_verify_line_two", dict(rounds=1055, messages=218, horizon_stalls=3,
+                              bytes_total=402_544)),
 ], ids=["line4_churn", "shard_verify_line2"])
 def test_round_structure_is_pinned(run, expected):
-    """Rounds, coalesced skips, messages and stalls as the per-message
-    wire produced them: a batch straddling a deadline must not move any
-    message to another advance."""
-    report = run()
-    assert {key: getattr(report, key) for key in expected} == expected
+    """Rounds, coalesced skips, messages, stalls and wire bytes as the
+    per-message wire produced them: a batch straddling a deadline must
+    not move any message to another advance.
+
+    The run gets a fresh interpreter: inline shards share the
+    process-wide xid, packet-uid and buffer-id counters, and pickle
+    sizes an int by its value, so in this process the bytes would
+    depend on how many runs came before.  The interpreter's hash seed
+    is left random: no byte may depend on it.
+    """
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    code = _REPORT_IN_FRESH_INTERPRETER.format(
+        tests=str(Path(__file__).resolve().parent), run=run,
+        keys=sorted(expected))
+    path = [str(Path(repro.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONHASHSEED="random",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300,
+                            check=True)
+    assert json.loads(result.stdout) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_repeat_traffic_hits_the_cache():
     # installed after the probe) but hits the table and populates the
     # cache; rounds 3-6 hit the cache.
     assert datapath.cache.hits >= 4 * 3
-    assert len(testbed.hosts[-1].received) == 24
+    assert testbed.hosts[-1].packets_received == 24
     # The table's own lookup counter stops growing once the cache serves.
     assert datapath.table.lookups < 24
     testbed.shutdown()
@@ -153,7 +153,7 @@ def test_cache_reduces_datapath_cpu():
         testbed.pktgens[0].start(at=0.02)
         testbed.sim.run(until=2.0)
         busy = testbed.switches[0].cpu.station.busy_time
-        delivered = len(testbed.hosts[-1].received)
+        delivered = testbed.hosts[-1].packets_received
         testbed.shutdown()
         return busy, delivered
 
@@ -174,7 +174,7 @@ def test_rule_deletion_never_leaves_stale_fast_path():
     testbed.sim.run(until=1.0)
     host1, host2 = testbed.hosts
     agent = testbed.switches[0].agent
-    assert len(host2.received) == 3
+    assert host2.packets_received == 3
     # Delete everything; the cached decision must be invalidated.
     agent.channel.send_to_switch(FlowMod(match=Match(),
                                          command=FlowModCommand.DELETE))
@@ -186,5 +186,5 @@ def test_rule_deletion_never_leaves_stale_fast_path():
     testbed.sim.run(until=2.5)
     # The packet went back through the miss path (a new packet_in).
     assert agent.packet_ins_sent.value == packet_ins_before + 1
-    assert len(host2.received) == 4
+    assert host2.packets_received == 4
     testbed.shutdown()
