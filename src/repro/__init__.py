@@ -17,7 +17,7 @@ The package layers, bottom-up:
   delay tracking.
 * :mod:`repro.scenarios` — declarative topology layer: a
   :class:`~repro.scenarios.ScenarioSpec` names a shape (``single``,
-  ``line:N``, ``fanin:K``) and a registry of builders wires it into a
+  ``line:N``, ``fanin:K``) and one wiring function builds it into a
   common :class:`~repro.scenarios.Testbed`.
 * :mod:`repro.bufferpool` — shared dynamic buffer pools: one unit
   budget arbitrated across per-switch/per-port partitions under

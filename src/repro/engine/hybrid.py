@@ -118,19 +118,13 @@ class HybridFlowDriver:
         # Observability: engine counters on the testbed registry (shared
         # across drivers through get-or-create).
         registry = testbed.registry
-        if registry is not None:
-            self._discrete_inc = registry.counter(
-                "hybrid_packets_discrete_total").inc
-            self._aggregated_inc = registry.counter(
-                "hybrid_packets_aggregated_total").inc
-            self._segments_inc = registry.counter(
-                "hybrid_segments_total").inc
-            self._flows_inc = registry.counter(
-                "hybrid_flows_aggregated_total").inc
-        else:
-            noop = lambda amount=1: None  # noqa: E731 - trivial sink
-            self._discrete_inc = self._aggregated_inc = noop
-            self._segments_inc = self._flows_inc = noop
+        self._discrete_inc = registry.counter(
+            "hybrid_packets_discrete_total").inc
+        self._aggregated_inc = registry.counter(
+            "hybrid_packets_aggregated_total").inc
+        self._segments_inc = registry.counter("hybrid_segments_total").inc
+        self._flows_inc = registry.counter(
+            "hybrid_flows_aggregated_total").inc
 
     # ------------------------------------------------------------------
     # Startup
@@ -346,8 +340,7 @@ def install_hybrid_drivers(testbed, calibration=None
     out, i.e. nothing ever splits a segment).
     """
     from ..scenarios.builders import _resolve_calibration
-    from ..scenarios.spec import SINGLE
-    spec = testbed.spec if testbed.spec is not None else SINGLE
+    spec = testbed.spec
     engine = spec.engine
     if not engine.is_hybrid:
         raise ValueError(f"scenario {spec.name!r} does not use the hybrid "

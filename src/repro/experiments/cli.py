@@ -58,8 +58,6 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser.add_argument("--scenario", metavar="SHAPE[:N]", default=None,
                         help="topology for the experiments: single, "
                              "line:N, or fanin:K (default: single)")
-    parser.add_argument("--switches", type=int, default=None, metavar="N",
-                        help="shorthand for --scenario line:N")
     parser.add_argument("--engine", metavar="MODE", default=None,
                         help="execution engine for the experiments: "
                              "'packet' (default; every packet is a "
@@ -87,13 +85,6 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                              "'dt:alpha=2,scope=port' or "
                              "'delay:target=0.008' (figsharing sweeps its "
                              "own pool grid and ignores this)")
-    parser.add_argument("--pool-policy", metavar="NAME", default=None,
-                        help="shorthand for --pool NAME with default knobs "
-                             "(static, dt, delay)")
-    parser.add_argument("--loss", type=float, default=None, metavar="P",
-                        help="inject symmetric control-channel loss with "
-                             "probability P into the benefits/mechanism "
-                             "experiments (shorthand for --fault loss=P)")
     parser.add_argument("--fault", metavar="SPEC", default=None,
                         help="inject control-plane faults into the "
                              "benefits/mechanism experiments; SPEC is "
@@ -176,31 +167,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    + ["figpath", "figresilience", "figsharing",
                       "headline", "quoted"])
 
-    if args.scenario is not None and args.switches is not None:
-        print("--scenario and --switches are mutually exclusive",
-              file=sys.stderr)
-        return 2
     scenario = None
-    if args.scenario is not None or args.switches is not None:
-        from ..scenarios import line_scenario, parse_scenario
+    if args.scenario is not None:
+        from ..scenarios import parse_scenario
         try:
-            scenario = (parse_scenario(args.scenario)
-                        if args.scenario is not None
-                        else line_scenario(args.switches))
+            scenario = parse_scenario(args.scenario)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
 
-    if args.pool is not None and args.pool_policy is not None:
-        print("--pool and --pool-policy are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.pool is not None or args.pool_policy is not None:
+    if args.pool is not None:
         from ..bufferpool import parse_pool
         from ..scenarios import single_scenario
         try:
-            pool_spec = parse_pool(args.pool if args.pool is not None
-                                   else args.pool_policy)
+            pool_spec = parse_pool(args.pool)
             scenario = (scenario if scenario is not None
                         else single_scenario()).with_pool(pool_spec)
         except ValueError as exc:
@@ -228,16 +208,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(str(exc), file=sys.stderr)
             return 2
 
-    if args.loss is not None and args.fault is not None:
-        print("--loss and --fault are mutually exclusive", file=sys.stderr)
-        return 2
     faults = None
-    if args.loss is not None or args.fault is not None:
-        from ..faults import loss_fault, parse_fault
+    if args.fault is not None:
+        from ..faults import parse_fault
         try:
-            faults = (parse_fault(args.fault)
-                      if args.fault is not None
-                      else loss_fault(args.loss))
+            faults = parse_fault(args.fault)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2

@@ -10,6 +10,7 @@ returns the figure-ready rows.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
@@ -186,8 +187,7 @@ def finish_run(testbed, workload: Workload, advance: Callable[[float], int],
     if testbed.pool is not None:
         snapshot.pool_peak_units = testbed.pool.peak_occupancy
     exhausted = extends >= max_extends
-    if (snapshot.incomplete and exhausted
-            and testbed.registry is not None):
+    if snapshot.incomplete and exhausted:
         # Structured counterpart of the warning below: observed runs see
         # it in their metric snapshots / Prometheus export.
         testbed.registry.counter("run.incomplete_extends_exhausted").inc()
@@ -198,12 +198,21 @@ def finish_run(testbed, workload: Workload, advance: Callable[[float], int],
         reason = (f"its {max_extends} extensions of 100 ms ran out"
                   if exhausted else
                   "no flow completed in its last 100 ms extension")
-        warnings.warn(
+        # Attributed to the run's caller (run_once's or
+        # execute_sharded's), as ``stacklevel=3`` would.  The text names
+        # its run, so the caller's ``__warningregistry__`` would keep one
+        # entry per incomplete run for the life of the process: each
+        # warning gets a throwaway registry instead.
+        caller = sys._getframe(2)
+        warnings.warn_explicit(
             f"run_once: scenario {testbed.spec.name} seed "
             f"{testbed.rng.root_seed} ended incomplete, "
             f"{snapshot.completed_flows} of {snapshot.total_flows} flows "
             f"complete, because {reason}; its delay statistics cover the "
-            f"completed flows only", RuntimeWarning, stacklevel=3)
+            f"completed flows only", RuntimeWarning,
+            caller.f_code.co_filename, caller.f_lineno,
+            module=caller.f_globals.get("__name__"), registry={},
+            module_globals=caller.f_globals)
     return snapshot
 
 

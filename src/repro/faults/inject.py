@@ -103,7 +103,7 @@ class DirectionInjector:
 def install_faults(testbed, spec: Optional[FaultSpec]) -> None:
     """Arm ``spec``'s faults on every control channel of ``testbed``.
 
-    Must run after the scenario builder and before traffic starts.  A
+    Must run after ``build_scenario`` and before traffic starts.  A
     ``None`` or null spec is a no-op — the testbed is left exactly as
     built, which is what keeps faultless sweeps bit-identical to the
     golden pre-faults results.
@@ -119,9 +119,7 @@ def install_faults(testbed, spec: Optional[FaultSpec]) -> None:
     """
     if spec is None or spec.is_null:
         return
-    from ..obs.registry import MetricsRegistry
-    registry = (testbed.registry if testbed.registry is not None
-                else MetricsRegistry())
+    registry = testbed.registry
     channel_faults = (
         spec.loss_up or spec.loss_down or spec.dup_up or spec.dup_down
         or spec.jitter_up or spec.jitter_down or spec.stall_windows)

@@ -3,7 +3,7 @@
 This is a thin registry — actual forwarding behaviour lives in the node
 objects themselves.  The experiment testbeds (paper Fig. 1: two hosts,
 one OVS, one Floodlight box; plus the line and fan-in extensions) are
-assembled by the :mod:`repro.scenarios` builders on top of this
+assembled by :func:`repro.scenarios.build_scenario` on top of this
 container.
 """
 

@@ -159,15 +159,14 @@ class RunObserver:
                 tracer = FlowSetupTracer(
                     self.recorder, mechanism=mechanism, switch=switch.name,
                     sample=self.config.trace_sample,
-                    datapath_id=(getattr(switch, "datapath_id", None)
-                                 if multi else None),
+                    datapath_id=switch.datapath_id if multi else None,
                     scope_tracks=multi)
                 tracer.attach(switch.events, testbed.controller.events)
                 self.tracers.append(tracer)
             self.tracer = self.tracers[0]
-            pool = getattr(testbed, "pool", None)
-            if pool is not None:
-                pool.events.on("pool_pressure", self._on_pool_pressure)
+            if testbed.pool is not None:
+                testbed.pool.events.on("pool_pressure",
+                                       self._on_pool_pressure)
         if self.config.profile:
             self.profiler = ComponentProfiler(
                 stride=self.config.profile_stride)
@@ -211,9 +210,7 @@ class RunObserver:
         into the observation), so the testbed can be shut down and the
         simulator reused without observation hooks lingering.
         """
-        registry = getattr(testbed, "registry", None)
-        snapshot = (registry.snapshot() if registry is not None
-                    else MetricsSnapshot())
+        snapshot = testbed.registry.snapshot()
         snapshot.merge(self._delay_histograms(run_metrics))
         if self.label:
             snapshot = snapshot.with_labels(run=self.label)

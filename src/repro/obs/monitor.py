@@ -131,7 +131,7 @@ class ConservationMonitor(RunMonitor):
 
     def check(self, testbed, now: float) -> List[MonitorViolation]:
         violations: List[MonitorViolation] = []
-        pool = getattr(testbed, "pool", None)
+        pool = testbed.pool
         pooled_occupancy = 0
         for switch in testbed.switches:
             mechanism = switch.mechanism
@@ -203,10 +203,7 @@ class MM1EnvelopeMonitor(RunMonitor):
     def check(self, testbed, now: float) -> List[MonitorViolation]:
         if self.utilization >= self.MAX_UTILIZATION:
             return []
-        tracker = getattr(testbed.metrics, "delay_tracker", None)
-        if tracker is None:
-            return []
-        delays = tracker.setup_delays()
+        delays = testbed.metrics.delay_tracker.setup_delays()
         if len(delays) < self.MIN_COMPLETED:
             return []
         mean = sum(delays) / len(delays)
@@ -305,9 +302,8 @@ class HealthMonitor:
             if mechanism.partition is not None:
                 record.buffer_units[mechanism.partition] = \
                     mechanism.units_in_use
-        pool = getattr(testbed, "pool", None)
-        if pool is not None:
-            record.pool_units = pool.total_occupancy(now)
+        if testbed.pool is not None:
+            record.pool_units = testbed.pool.total_occupancy(now)
         for monitor in self.monitors:
             found = monitor.check(testbed, now)
             record.verdicts[monitor.name] = ("violated" if found else "ok")

@@ -8,15 +8,17 @@ overrides.  Because it is immutable and canonical it can ride inside
 feed the result cache's content hash — two specs that differ in any way
 never share a cache entry (see :func:`ScenarioSpec.cache_token`).
 
-Shapes shipped here:
+Shapes shipped here, each K sources → s1 → … → sN → host2 under one
+shared controller:
 
-* ``single`` — the paper's Fig. 1 testbed: host1 — switch — host2.
-* ``line``  — host1 — s1 — ... — sN — host2, one shared controller
-  (the per-path control-overhead compounding study).
+* ``single`` — the paper's Fig. 1 testbed: host1 — switch — host2 (1×1).
+* ``line``  — host1 — s1 — ... — sN — host2 (N×1; the per-path
+  control-overhead compounding study).
 * ``fanin`` — k traffic-source hosts converging through one switch onto
-  one egress host (incast-style flow arrivals).
+  one egress host (1×K; incast-style flow arrivals).
 
-Builders for each shape live in :mod:`repro.scenarios.builders`.
+One function wires every shape:
+:func:`repro.scenarios.builders.build_scenario`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from ..bufferpool.spec import PoolSpec, pool_cache_token
 from ..engine.spec import PACKET, EngineSpec
 from ..shard.spec import OFF, ShardSpec
 
-#: Every topology shape, one builder each in
-#: :mod:`repro.scenarios.builders`.
+#: Every topology shape; :func:`~repro.scenarios.builders.build_scenario`
+#: wires each as K sources → N switches → host2.
 SHAPES = ("single", "line", "fanin")
 
 #: Override payload: ((datapath_id, ((field, value), ...)), ...).
@@ -41,7 +43,7 @@ class ScenarioSpec:
     """One topology scenario, hashable and picklable.
 
     ``calibration`` names a calibration factory (resolved lazily by
-    the builder so an explicit
+    :func:`~repro.scenarios.build_scenario`, so an explicit
     :class:`~repro.experiments.calibration.TestbedCalibration` object
     passed to ``build_scenario`` always wins).  ``switch_overrides``
     replaces individual :class:`~repro.switchsim.SwitchConfig` fields on
@@ -54,7 +56,7 @@ class ScenarioSpec:
     n_switches: int = 1
     #: Traffic-source hosts (``fanin`` width; 1 for the others).
     n_sources: int = 1
-    #: Named calibration, resolved by the builder.
+    #: Named calibration, resolved by ``build_scenario``.
     calibration: str = "default"
     #: Per-datapath SwitchConfig field replacements, canonicalized.
     switch_overrides: SwitchOverrides = field(default=())

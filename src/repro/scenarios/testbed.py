@@ -1,4 +1,4 @@
-"""The common testbed bundle every scenario builder returns.
+"""The common testbed bundle :func:`~repro.scenarios.build_scenario` returns.
 
 One :class:`Testbed` shape serves every topology: components that can
 multiply (hosts, switches, packet generators) are lists, and the
@@ -12,7 +12,7 @@ observers (:mod:`repro.obs`) all consume this protocol and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -47,13 +47,13 @@ class Testbed:
     rng: "RandomStreams"
     #: Shared registry holding every component's counters/gauges;
     #: ``repro.obs`` snapshots it at the end of a run.
-    registry: Optional["MetricsRegistry"] = None
-    #: The spec this testbed was built from (None for hand-wired ones).
-    spec: Optional["ScenarioSpec"] = field(default=None)
+    registry: "MetricsRegistry"
+    #: The spec this testbed was built from.
+    spec: "ScenarioSpec"
     #: The run's shared buffer pool (a
     #: :class:`~repro.bufferpool.SharedBufferPool`), or ``None`` when
     #: every switch keeps a private buffer.
-    pool: Optional[Any] = field(default=None)
+    pool: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Path-wide accounting

@@ -542,16 +542,15 @@ def execute_sharded(buffer_config, workload, calibration=None, seed=0,
         if record_events:
             report.events = merged_events(states)
         registry = parent.registry
-        if registry is not None:
-            registry.counter("shard.rounds_total").inc(report.rounds)
-            registry.counter("shard.messages_total").inc(report.messages)
-            registry.counter("shard.horizon_stalls_total").inc(
-                report.horizon_stalls)
-            registry.counter("shard.rounds_coalesced_total").inc(
-                report.rounds_coalesced)
-            registry.counter("shard.bytes_total").inc(report.bytes_total)
-            registry.gauge("shard.serialize_seconds").set(
-                report.serialize_seconds)
+        registry.counter("shard.rounds_total").inc(report.rounds)
+        registry.counter("shard.messages_total").inc(report.messages)
+        registry.counter("shard.horizon_stalls_total").inc(
+            report.horizon_stalls)
+        registry.counter("shard.rounds_coalesced_total").inc(
+            report.rounds_coalesced)
+        registry.counter("shard.bytes_total").inc(report.bytes_total)
+        registry.gauge("shard.serialize_seconds").set(
+            report.serialize_seconds)
 
     try:
         # Handles append one by one so a constructor failure mid-fleet

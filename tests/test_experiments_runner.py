@@ -242,6 +242,36 @@ def test_run_once_flags_incomplete_runs_and_warns():
     assert metrics.completed_flows < metrics.total_flows
 
 
+def test_incomplete_run_warnings_leave_no_registry_entries():
+    """Each incomplete run warns once, by name, and no number of them
+    grows the calling module's ``__warningregistry__``."""
+    import warnings
+
+    from repro.core import no_buffer
+    from repro.experiments import run_once
+    from repro.simkit import RandomStreams, mbps
+    from repro.trafficgen import single_packet_flows
+
+    def entries():
+        return set(globals().get("__warningregistry__", {})) - {"version"}
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        before = entries()
+        for seed in (5, 6):
+            workload = single_packet_flows(mbps(95), n_flows=100,
+                                           rng=RandomStreams(seed))
+            run_once(no_buffer(), workload, seed=seed, drain=0.0,
+                     max_extends=0)
+        after = entries()
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+    assert len(messages) == 2
+    for seed, message in zip((5, 6), messages):
+        assert f"scenario single seed {seed} ended incomplete" in message
+    assert after == before
+
+
 def test_run_once_complete_run_is_not_flagged():
     from repro.experiments import run_once
     from repro.simkit import RandomStreams, mbps
@@ -340,21 +370,16 @@ def test_cli_scenario_flag_runs_figure_on_line_topology(capsys):
     assert "fig2a" in capsys.readouterr().out
 
 
-def test_cli_switches_flag_is_line_shorthand(capsys):
-    import json
-    args = ["fig2a", "--rates", "20", "--reps", "1", "--flows", "15",
-            "--json"]
-    assert cli_main(args + ["--scenario", "line:2"]) == 0
-    via_scenario = json.loads(capsys.readouterr().out)
-    assert cli_main(args + ["--switches", "2"]) == 0
-    via_switches = json.loads(capsys.readouterr().out)
-    assert via_switches == via_scenario
-
-
-def test_cli_scenario_and_switches_are_mutually_exclusive(capsys):
-    code = cli_main(["fig2a", "--scenario", "line:2", "--switches", "3"])
-    assert code == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+@pytest.mark.parametrize("alias", [["--switches", "2"],
+                                   ["--pool-policy", "dt"],
+                                   ["--loss", "0.01"]])
+def test_cli_has_one_flag_per_run_axis(alias, capsys):
+    """--scenario, --pool and --fault have no shorthand spellings."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fig2a", "--rates", "20", "--reps", "1"] + alias)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(alias)}" \
+        in capsys.readouterr().err
 
 
 def test_cli_rejects_malformed_scenario(capsys):

@@ -54,8 +54,8 @@ def test_pcap_from_testbed_data_link():
     workload = single_packet_flows(mbps(30), n_flows=5,
                                    rng=RandomStreams(33))
     testbed = build_testbed(buffer_256(), workload, seed=33)
-    cable = testbed.topology.cable("host2", "ovs")
-    writer = PcapWriter(cable.reverse)      # switch -> host2 direction
+    cable = testbed.topology.cable("ovs", "host2")
+    writer = PcapWriter(cable.forward)      # switch -> host2 direction
     testbed.controller.start_handshake()
     testbed.pktgens[0].start(at=0.02)
     testbed.sim.run(until=1.0)

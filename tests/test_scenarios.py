@@ -1,4 +1,4 @@
-"""The scenario layer: specs, builders, and topology-agnostic sweeps.
+"""The scenario layer: specs, the one wiring, and topology-agnostic sweeps.
 
 The two acceptance bars of the refactor:
 
@@ -16,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import buffer_16, buffer_256
+from repro.core import buffer_16, buffer_256, flow_buffer_256, no_buffer
 from repro.experiments import run_once, run_path_experiment, sweep
 from repro.experiments.figures import workload_a_factory
 from repro.faults import FaultSpec
@@ -25,9 +25,9 @@ from repro.parallel.cache import CACHE_SCHEMA, task_key
 from repro.scenarios import (SHAPES, SINGLE, ScenarioSpec, build_scenario,
                              fanin_scenario, line_scenario, parse_scenario,
                              shard_workload, single_scenario)
-from repro.scenarios.builders import _BUILDERS
+from repro.shard import metrics_fingerprint
 from repro.simkit import RandomStreams, mbps
-from repro.trafficgen import single_packet_flows
+from repro.trafficgen import batched_multi_packet_flows, single_packet_flows
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +127,86 @@ def test_cache_tokens_distinguish_topologies():
 
 
 # ---------------------------------------------------------------------------
-# Builder registry
+# One wiring for every shape
 # ---------------------------------------------------------------------------
 
 def test_registered_shapes():
-    assert set(SHAPES) == set(_BUILDERS) == {"single", "line", "fanin"}
+    """Every name in SHAPES builds, through the one wiring."""
+    assert set(SHAPES) == {"single", "line", "fanin"}
+    for shape in SHAPES:
+        testbed = build_scenario(ScenarioSpec(shape=shape), buffer_16(),
+                                 _workload(n_flows=3))
+        try:
+            assert testbed.spec.shape == shape
+            assert len(testbed.switches) == len(testbed.hosts) - 1 == 1
+        finally:
+            testbed.shutdown()
+
+
+@pytest.mark.parametrize("name", ["single", "line:3", "fanin:3"])
+def test_one_wiring_rule(name):
+    """K sources -> s1 -> ... -> sN -> host2 on every shape: data cables
+    deliver toward host2 on ``forward``, switch 1 takes the sources on
+    ports 1..K and every other switch its upstream neighbour on port 1,
+    each switch reaches host2 on the next port, and every host location
+    is scoped to one datapath."""
+    testbed = build_scenario(parse_scenario(name), buffer_256(),
+                             _workload(n_flows=12), seed=9)
+    sources, host2 = testbed.hosts[:-1], testbed.hosts[-1]
+    locator = testbed.controller.app.locator
+    try:
+        for host in testbed.hosts:
+            assert locator.locate(mac=host.mac, ip=host.ip) is None
+        for index, switch in enumerate(testbed.switches):
+            n_in = len(sources) if index == 0 else 1
+            assert sorted(switch.datapath.ports) == list(range(1, n_in + 2))
+            for i, host in enumerate(sources):
+                assert locator.locate(
+                    ip=host.ip, datapath_id=switch.datapath_id) \
+                    == (i + 1 if index == 0 else 1)
+            assert locator.locate(ip=host2.ip,
+                                  datapath_id=switch.datapath_id) == n_in + 1
+
+        testbed.controller.start_handshake()
+        for pktgen in testbed.pktgens:
+            pktgen.start(at=0.02)
+        testbed.sim.run(until=1.0)
+        total = sum(host.packets_sent for host in sources)
+        assert total == 12 and host2.packets_received == total
+        hop = {host.name: 0 for host in sources}
+        hop.update((switch.name, index + 1)
+                   for index, switch in enumerate(testbed.switches))
+        hop[host2.name] = len(testbed.switches) + 1
+        for (a, b), cable in testbed.topology.cables():
+            if "controller" in (a, b):
+                continue
+            assert hop[b] == hop[a] + 1, (a, b)
+            assert cable.forward.items_sent > 0, (a, b)
+            assert cable.reverse.items_sent == 0, (a, b)
+        for index, switch in enumerate(testbed.switches):
+            ports = switch.datapath.ports
+            received = ([host.packets_sent for host in sources]
+                        if index == 0 else [total])
+            ingress = range(1, len(received) + 1)
+            assert [ports[p].rx_packets for p in ingress] == received
+            assert not any(ports[p].tx_packets for p in ingress)
+            assert ports[len(received) + 1].tx_packets == total
+    finally:
+        testbed.shutdown()
+
+
+@pytest.mark.parametrize("config", [no_buffer, buffer_256, flow_buffer_256])
+@pytest.mark.parametrize("rate", [20, 80])
+def test_size_one_shapes_run_the_fig1_testbed(config, rate):
+    """single, line:1 and fanin:1 are one 1x1 wiring: equal runs."""
+    workload = batched_multi_packet_flows(mbps(rate), n_flows=30,
+                                          packets_per_flow=4,
+                                          rng=RandomStreams(5))
+    fingerprints = [
+        metrics_fingerprint(run_once(config(), workload, seed=5,
+                                     scenario=parse_scenario(name)))
+        for name in ("single", "line:1", "fanin:1")]
+    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
 
 def test_unknown_shape_raises_with_known_list():
