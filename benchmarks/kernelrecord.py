@@ -56,11 +56,16 @@ OUTPUT_PATH = pathlib.Path(__file__).resolve().parent / "_output" / "BENCH_kerne
 #: each side is the best of 15 interleaved runs of the best-of-5 probe
 #: with both commits' ``simulator.py`` loaded in one interpreter
 #: (``kernel_pair.load_simulator``), 2 vCPUs, Python 3.11.7.
+#: ``station`` was re-based when a station job stopped being a ``Job``
+#: record: *before* is the commit that still allocated one per job,
+#: *after* the change, each the best of 20 interleaved best-of-3 runs
+#: with both commits' ``simulator.py`` and ``stations.py`` loaded in
+#: one interpreter (``kernel_pair.py``), 2 vCPUs, Python 3.11.7.
 BEFORE_SECONDS = {
     "event_loop": 0.025808,
     "event_loop_until": 0.011750,
     "zero_delay_dispatch": 0.038466,
-    "station": 0.029756,
+    "station": 0.017089,
     "pktbuf_private": 0.013748,
     "full_testbed": 0.092399,
     "workload_generation": 0.417841,

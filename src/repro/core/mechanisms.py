@@ -35,8 +35,19 @@ from .ops import NO_OPS, BufferOps
 #: (packet, buffer_id) -> None.
 RetrySender = Callable[[Packet, int], None]
 
+#: The ops each decision reports, built once and shared (``BufferOps``
+#: is frozen): a lookup alone, a packet unit opened, a packet unit
+#: released, a flow unit opened with its retry timer, and a packet
+#: appended to a flow's open unit.
+_LOOKUP_OPS = BufferOps(map_lookups=1)
+_STORE_OPS = BufferOps(stores=1, map_inserts=1)
+_RELEASE_OPS = BufferOps(map_lookups=1, releases=1, map_removes=1)
+_FLOW_OPEN_OPS = _LOOKUP_OPS + BufferOps(stores=1, map_inserts=1,
+                                         timer_ops=1)
+_FLOW_APPEND_OPS = _LOOKUP_OPS + BufferOps(stores=1)
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class MissDecision:
     """What the switch agent must do with one miss-match packet."""
 
@@ -59,7 +70,7 @@ class MissDecision:
     partition: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReleaseResult:
     """Outcome of processing a packet_out / flow_mod buffer reference."""
 
@@ -203,12 +214,12 @@ class PacketGranularityBuffer(BufferMechanism):
             return MissDecision(send_packet_in=True,
                                buffer_id=OFP_NO_BUFFER,
                                data_len=packet.wire_len, stored=False,
-                               ops=BufferOps(map_lookups=1),
+                               ops=_LOOKUP_OPS,
                                rejected=True, partition=exc.partition)
         data_len = packet.leading_bytes(self.miss_send_len)
         return MissDecision(send_packet_in=True, buffer_id=buffer_id,
                             data_len=data_len, stored=True,
-                            ops=BufferOps(stores=1, map_inserts=1))
+                            ops=_STORE_OPS)
 
     def on_packet_out(self, message: PacketOut, now: float) -> ReleaseResult:
         """Release exactly the one packet the buffer_id names."""
@@ -227,10 +238,9 @@ class PacketGranularityBuffer(BufferMechanism):
 
     def _release(self, buffer_id: int, now: float) -> ReleaseResult:
         packets = self.buffer.release(buffer_id, now)
-        ops = BufferOps(map_lookups=1, releases=1, map_removes=1)
         if not packets:
-            return ReleaseResult(unknown=True, ops=ops)
-        return ReleaseResult(packets=tuple(packets), ops=ops)
+            return ReleaseResult(unknown=True, ops=_RELEASE_OPS)
+        return ReleaseResult(packets=tuple(packets), ops=_RELEASE_OPS)
 
 
 @dataclass
@@ -298,7 +308,6 @@ class FlowGranularityBuffer(BufferMechanism):
                                data_len=packet.wire_len, stored=False)
 
         buffer_id = self.buffer.get_buffer_id(flow)   # line 5
-        lookup_ops = BufferOps(map_lookups=1)
 
         if buffer_id == -1:                           # line 6: first packet
             try:
@@ -309,14 +318,13 @@ class FlowGranularityBuffer(BufferMechanism):
                 return MissDecision(send_packet_in=True,
                                    buffer_id=OFP_NO_BUFFER,
                                    data_len=packet.wire_len, stored=False,
-                                   ops=lookup_ops,
+                                   ops=_LOOKUP_OPS,
                                    rejected=True, partition=exc.partition)
             self._arm_timer(buffer_id, packet)
-            ops = lookup_ops + BufferOps(stores=1, map_inserts=1,
-                                         timer_ops=1)
             data_len = packet.leading_bytes(self.miss_send_len)
             return MissDecision(send_packet_in=True, buffer_id=buffer_id,
-                                data_len=data_len, stored=True, ops=ops)
+                                data_len=data_len, stored=True,
+                                ops=_FLOW_OPEN_OPS)
 
         # line 10–11: subsequent packet of an already-pending flow.
         stored = self.buffer.append(buffer_id, packet)
@@ -328,10 +336,9 @@ class FlowGranularityBuffer(BufferMechanism):
             return MissDecision(send_packet_in=True,
                                buffer_id=OFP_NO_BUFFER,
                                data_len=packet.wire_len, stored=False,
-                               ops=lookup_ops)
+                               ops=_LOOKUP_OPS)
         return MissDecision(send_packet_in=False, buffer_id=buffer_id,
-                            data_len=0, stored=True,
-                            ops=lookup_ops + BufferOps(stores=1))
+                            data_len=0, stored=True, ops=_FLOW_APPEND_OPS)
 
     # ------------------------------------------------------------------
     # Algorithm 2 — forward each buffered packet
@@ -342,22 +349,23 @@ class FlowGranularityBuffer(BufferMechanism):
             if message.packet is None:
                 return ReleaseResult(unknown=True)
             return ReleaseResult(packets=(message.packet,))
-        self._disarm_timer(message.buffer_id)
-        packets = self.buffer.release(message.buffer_id, now)
-        ops = BufferOps(map_lookups=1, map_removes=1,
-                        releases=len(packets))
-        if not packets:
-            return ReleaseResult(unknown=True, ops=ops)
-        return ReleaseResult(packets=tuple(packets), ops=ops)
+        return self._drain(message.buffer_id, now)
 
     def on_flow_mod_release(self, message: FlowMod,
                             now: float) -> ReleaseResult:
         """A flow_mod naming the shared buffer_id drains the flow too."""
         if message.buffer_id == OFP_NO_BUFFER:
             return ReleaseResult()
-        return self.on_packet_out(
-            PacketOut(actions=message.actions, buffer_id=message.buffer_id),
-            now)
+        return self._drain(message.buffer_id, now)
+
+    def _drain(self, buffer_id: int, now: float) -> ReleaseResult:
+        self._disarm_timer(buffer_id)
+        packets = self.buffer.release(buffer_id, now)
+        ops = BufferOps(map_lookups=1, map_removes=1,
+                        releases=len(packets))
+        if not packets:
+            return ReleaseResult(unknown=True, ops=ops)
+        return ReleaseResult(packets=tuple(packets), ops=ops)
 
     # ------------------------------------------------------------------
     # Timeout re-request (Algorithm 1, lines 12–13)

@@ -17,8 +17,7 @@ from ..simkit import to_mbps
 
 def _kind_of(item: Any) -> str:
     """Capture classification: OpenFlow kind, or ``data`` for packets."""
-    kind = getattr(item, "kind", None)
-    return kind if isinstance(kind, str) else "data"
+    return getattr(item, "kind", "data")
 
 
 class LinkCapture:

@@ -98,31 +98,31 @@ class ControlChannel:
         """Switch-side send."""
         if self._controller_handler is None:
             raise RuntimeError("controller handler not bound")
-        message.sent_at = self.sim.now
+        message.sent_at = self.sim._now
         self.to_controller_count += 1
-        self.cable.forward.send(message, self.wire_size(message))
+        self.cable.forward.send(
+            message, message.wire_len + self.encapsulation_overhead)
 
     def send_to_switch(self, message: OFMessage) -> None:
         """Controller-side send."""
         if self._switch_handler is None:
             raise RuntimeError("switch handler not bound")
-        message.sent_at = self.sim.now
+        message.sent_at = self.sim._now
         self.to_switch_count += 1
-        self.cable.reverse.send(message, self.wire_size(message))
+        self.cable.reverse.send(
+            message, message.wire_len + self.encapsulation_overhead)
 
     def _deliver_to_controller(self, message: OFMessage) -> None:
-        assert self._controller_handler is not None
         if self._fault_to_controller is not None:
             self._fault_to_controller(message, self._dispatch_to_controller)
         else:
-            self._dispatch_to_controller(message)
+            self._controller_handler(message)
 
     def _deliver_to_switch(self, message: OFMessage) -> None:
-        assert self._switch_handler is not None
         if self._fault_to_switch is not None:
             self._fault_to_switch(message, self._dispatch_to_switch)
         else:
-            self._dispatch_to_switch(message)
+            self._switch_handler(message)
 
     def _dispatch_to_controller(self, message: OFMessage) -> None:
         # Re-read the handler at dispatch time: a jittered delivery may

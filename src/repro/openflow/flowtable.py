@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional, Tuple
 
@@ -46,15 +46,17 @@ from .match import Match
 #: Entry-id source (diagnostics; stable ordering for FIFO eviction).
 _entry_ids = itertools.count(1)
 
-#: Match field names in declaration order — the exact-key tuple layout.
-#: Resolved once; ``_exact_key_from_match`` used to walk dataclass
-#: ``fields()`` on every insert/remove.
-_MATCH_FIELDS = tuple(f.name for f in dc_fields(Match))
-
 
 def _exact_key_from_match(match: Match) -> Optional[tuple]:
-    """Hash key for a fully-exact match; ``None`` if any field wildcarded."""
-    values = tuple(getattr(match, name) for name in _MATCH_FIELDS)
+    """Hash key for a fully-exact match; ``None`` if any field wildcarded.
+
+    The fields in ``Match``'s declaration order, which is also the
+    layout of :meth:`Packet.exact_key`, so a rule's key equals the key
+    of every packet it matches exactly.
+    """
+    values = (match.in_port, match.eth_src, match.eth_dst, match.eth_type,
+              match.ip_src, match.ip_dst, match.ip_proto, match.tp_src,
+              match.tp_dst)
     if None in values:
         return None
     return values

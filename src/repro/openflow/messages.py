@@ -35,6 +35,14 @@ def next_xid() -> int:
 class OFMessage:
     """Common base: every message has an xid and a wire size."""
 
+    #: Short lowercase message name used in captures and traces, set
+    #: once per class (a class attribute, not a dataclass field).
+    kind = "ofmessage"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__.lower()
+
     xid: int = field(default_factory=next_xid, kw_only=True)
     #: Simulated send timestamp, stamped by the control channel.
     sent_at: Optional[float] = field(default=None, kw_only=True)
@@ -53,11 +61,6 @@ class OFMessage:
     def body_len(self) -> int:
         """Bytes after the common header; subclasses override."""
         return 0
-
-    @property
-    def kind(self) -> str:
-        """Short lowercase message name used in captures and traces."""
-        return type(self).__name__.lower()
 
 
 @dataclass

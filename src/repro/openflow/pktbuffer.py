@@ -30,10 +30,6 @@ from typing import Hashable, Optional
 from ..obs.registry import Counter, Gauge
 from ..packets import Packet
 
-#: Global buffer_id source; ids never repeat within a process, mirroring
-#: how real switches avoid immediately reusing ids of released units.
-_buffer_ids = itertools.count(1)
-
 
 class BufferFullError(Exception):
     """No free buffer unit is available.
@@ -111,6 +107,11 @@ class PacketBuffer:
         self.pool = pool
         self.partition = partition
         self.max_packets_per_flow = max_packets_per_flow
+        #: This store's buffer_id source, numbered from 1: ids never
+        #: repeat within one switch's store, mirroring how real switches
+        #: avoid reusing ids of released units, and a run's ids do not
+        #: depend on what ran before it in the process.
+        self._ids = itertools.count(1)
         #: buffer_id -> (packets, stored_at, key, partition): the key is
         #: ``None`` for unkeyed units, the partition (the ledger the unit
         #: counts against) ``None`` for private buffers.
@@ -210,7 +211,7 @@ class PacketBuffer:
                     capacity=self.pool.total_capacity,
                     occupancy=self.pool.occupancy_of(pid, now),
                     partition=pid, verdict=verdict.reason)
-        buffer_id = next(_buffer_ids)
+        buffer_id = next(self._ids)
         self._units[buffer_id] = ([packet], now, key, pid)
         if key is not None:
             self._unit_of[key] = buffer_id

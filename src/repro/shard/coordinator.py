@@ -305,7 +305,7 @@ class ShardRunReport:
     #: Hot-path wire bytes (pickled advances and replies), counted once
     #: per message on the coordinator's side.  Inline and fork runs send
     #: the same messages in the same batches, but not always the same
-    #: bytes: inline shards share the process-wide xid and buffer-id
+    #: bytes: inline shards share the process-wide xid and packet-uid
     #: counters, so those ints differ in value, and pickle sizes an int
     #: by its value.
     bytes_total: int = 0

@@ -4,8 +4,9 @@ Everything runs as callbacks on one clock.  Public surface:
 
 * :class:`Simulator` — the clock and event heap; ``schedule`` returns a
   cancellable :class:`ScheduledCall`.
-* :class:`ServiceStation`, :class:`Job` — FIFO queueing stations with
-  busy-time (CPU-utilization) accounting.
+* :class:`ServiceStation` — FIFO queueing stations with busy-time
+  (CPU-utilization) accounting; a job is the arguments of its
+  completion call, scheduled or waiting in the queue.
 * :class:`AggregateEvent`, :class:`ArithmeticTimes` — one scheduled
   completion standing for many packets (the hybrid engine's fast path).
 * :class:`EventEmitter` — synchronous named-event publish/subscribe.
@@ -19,7 +20,7 @@ from .errors import SchedulingError, SimkitError
 from .rng import RandomStreams
 from .simulator import (PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT,
                         ScheduledCall, Simulator)
-from .stations import Job, ServiceStation
+from .stations import ServiceStation
 from .units import (BITS_PER_BYTE, GBPS, KBPS, KBYTE, MBPS, MBYTE, MSEC,
                     USEC, bits, gbps, kbps, mbps, msec, to_mbps, to_msec,
                     transmission_delay, usec)
@@ -30,7 +31,7 @@ __all__ = [
     "RandomStreams",
     "ScheduledCall", "Simulator",
     "PRIORITY_LATE", "PRIORITY_NORMAL", "PRIORITY_URGENT",
-    "Job", "ServiceStation",
+    "ServiceStation",
     "SimkitError", "SchedulingError",
     "BITS_PER_BYTE", "KBPS", "MBPS", "GBPS", "USEC", "MSEC", "KBYTE",
     "MBYTE", "bits", "kbps", "mbps", "gbps", "usec", "msec", "to_mbps",

@@ -26,38 +26,13 @@ from .simulator import Simulator
 CompletionCallback = Callable[[Any], None]
 
 
-class Job:
-    """A unit of work submitted to a :class:`ServiceStation`."""
-
-    __slots__ = ("payload", "service_time", "on_done", "submitted_at",
-                 "started_at", "finished_at")
-
-    def __init__(self, payload: Any, service_time: float,
-                 on_done: Optional[CompletionCallback], submitted_at: float):
-        self.payload = payload
-        self.service_time = service_time
-        self.on_done = on_done
-        self.submitted_at = submitted_at
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-
-    @property
-    def queueing_delay(self) -> float:
-        """Time the job spent waiting before service began."""
-        if self.started_at is None:
-            raise ValueError("job has not started service")
-        return self.started_at - self.submitted_at
-
-    @property
-    def sojourn_time(self) -> float:
-        """Total time from submission to completion."""
-        if self.finished_at is None:
-            raise ValueError("job has not finished service")
-        return self.finished_at - self.submitted_at
-
-
 class ServiceStation:
-    """``servers`` identical FIFO servers with busy-time accounting."""
+    """``servers`` identical FIFO servers with busy-time accounting.
+
+    A job is the arguments of its completion call: a started job is one
+    scheduled ``_finish(payload, service_time, on_done)``, and a waiting
+    job is that ``(payload, service_time, on_done)`` tuple in the queue.
+    """
 
     def __init__(self, sim: Simulator, name: str, servers: int = 1):
         if servers < 1:
@@ -65,10 +40,10 @@ class ServiceStation:
         self.sim = sim
         self.name = name
         self.servers = servers
-        self._queue: Deque[Job] = deque()
+        self._queue: Deque[tuple] = deque()
         self._busy = 0
-        # Hot-path preresolution: submit/_start/_finish run once per job on
-        # every contended device, so skip the method/property lookups.
+        # Hot-path preresolution: submit/_finish run once per job on
+        # every contended device, so skip the method lookups.
         self._schedule = sim.schedule
         self._finish_cb = self._finish
         #: Wall-clock profiler attribution label (repro.obs.profile):
@@ -76,65 +51,46 @@ class ServiceStation:
         self.profile_component = f"station:{name}"
         #: Total server-seconds spent serving jobs since creation.
         self.busy_time = 0.0
-        #: Jobs fully served since creation.
-        self.jobs_completed = 0
-        #: Jobs ever submitted since creation.
-        self.jobs_submitted = 0
-        #: Sum of sojourn times, for mean-latency reporting.
-        self.total_sojourn = 0.0
         self._accounting_start = sim.now
-        #: Peak queue length observed (diagnostics / tests).
-        self.max_queue_length = 0
 
     # ------------------------------------------------------------------
     # Submission / dispatch
     # ------------------------------------------------------------------
     def submit(self, payload: Any, service_time: float,
-               on_done: Optional[CompletionCallback] = None) -> Job:
+               on_done: Optional[CompletionCallback] = None) -> None:
         """Queue ``payload`` for ``service_time`` seconds of work."""
         if service_time < 0:
             raise ValueError(f"service_time must be >= 0, got {service_time}")
-        job = Job(payload, service_time, on_done, self.sim._now)
-        self.jobs_submitted += 1
         if self._busy < self.servers:
             self._busy += 1
-            job.started_at = job.submitted_at
-            self._schedule(service_time, self._finish_cb, job)
+            self._schedule(service_time, self._finish_cb, payload,
+                           service_time, on_done)
         else:
-            queue = self._queue
-            queue.append(job)
-            if len(queue) > self.max_queue_length:
-                self.max_queue_length = len(queue)
-        return job
+            self._queue.append((payload, service_time, on_done))
 
-    def _start(self, job: Job) -> None:
-        self._busy += 1
-        job.started_at = self.sim._now
-        self._schedule(job.service_time, self._finish_cb, job)
-
-    def _finish(self, job: Job) -> None:
-        now = self.sim._now
-        job.finished_at = now
-        self._busy -= 1
-        self.busy_time += job.service_time
-        self.jobs_completed += 1
-        self.total_sojourn += now - job.submitted_at
+    def _finish(self, payload: Any, service_time: float,
+                on_done: Optional[CompletionCallback]) -> None:
+        self.busy_time += service_time
         if self._queue:
-            self._start(self._queue.popleft())
-        if job.on_done is not None:
-            job.on_done(job.payload)
+            # The freed server takes the next job before ``on_done``
+            # runs, so work ``on_done`` submits queues behind it.
+            job = self._queue.popleft()
+            self._schedule(job[1], self._finish_cb, *job)
+        else:
+            self._busy -= 1
+        if on_done is not None:
+            on_done(payload)
 
     def unwire(self) -> None:
         """Drop the callbacks this station holds (end of run).
 
         ``_finish_cb`` is the station's own bound method, and each
         waiting job's ``on_done`` belongs to the component that
-        submitted it: both lead back here.  Counters and the queue
-        length stay readable.
+        submitted it: both lead back here.  The waiting jobs go with
+        the queue; busy time stays readable.
         """
         self._finish_cb = None
-        for job in self._queue:
-            job.on_done = None
+        self._queue.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -167,12 +123,6 @@ class ServiceStation:
         if wall <= 0:
             return 0.0
         return 100.0 * self.busy_time / wall
-
-    def mean_sojourn(self) -> float:
-        """Average sojourn (wait + service) of completed jobs; 0 if none."""
-        if self.jobs_completed == 0:
-            return 0.0
-        return self.total_sojourn / self.jobs_completed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ServiceStation({self.name!r}, servers={self.servers}, "

@@ -37,26 +37,23 @@ class AsicCpuBus:
                     on_done: Optional[Callable[[Any], None]] = None,
                     payload: Any = None) -> None:
         """Move ``size_bytes`` from the ASIC to the CPU."""
+        if size_bytes <= 0:
+            raise ValueError(f"size must be positive, got {size_bytes}")
         self.bytes_up += size_bytes
-        self._transfer(size_bytes, on_done, payload)
+        self.station.submit(
+            payload, transmission_delay(size_bytes, self.bandwidth_bps),
+            on_done)
 
     def transfer_down(self, size_bytes: int,
                       on_done: Optional[Callable[[Any], None]] = None,
                       payload: Any = None) -> None:
         """Move ``size_bytes`` from the CPU to the ASIC."""
-        self.bytes_down += size_bytes
-        self._transfer(size_bytes, on_done, payload)
-
-    def _transfer(self, size_bytes: int,
-                  on_done: Optional[Callable[[Any], None]],
-                  payload: Any) -> None:
         if size_bytes <= 0:
             raise ValueError(f"size must be positive, got {size_bytes}")
-        service = transmission_delay(size_bytes, self.bandwidth_bps)
-        if on_done is None:
-            self.station.submit(payload, service)
-        else:
-            self.station.submit(payload, service, on_done)
+        self.bytes_down += size_bytes
+        self.station.submit(
+            payload, transmission_delay(size_bytes, self.bandwidth_bps),
+            on_done)
 
     @property
     def backlog(self) -> int:

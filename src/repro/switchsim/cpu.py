@@ -32,10 +32,7 @@ class SwitchCpu:
                 on_done: Optional[Callable[[Any], None]] = None,
                 payload: Any = None) -> None:
         """Run ``cost`` seconds of CPU work, then ``on_done(payload)``."""
-        if on_done is None:
-            self.station.submit(payload, cost)
-        else:
-            self.station.submit(payload, cost, on_done)
+        self.station.submit(payload, cost, on_done)
 
     def execute_datapath(self, cost: float,
                          on_done: Optional[Callable[[Any], None]] = None,
@@ -47,10 +44,10 @@ class SwitchCpu:
         the backlog grows, producing the concave switch-usage curve of
         Fig. 4.
         """
-        backlog = self.station.backlog
+        station = self.station
         floor = self.config.dp_batch_floor
-        effective = cost * (floor + (1.0 - floor) / (1.0 + backlog))
-        self.execute(effective, on_done, payload)
+        effective = cost * (floor + (1.0 - floor) / (1.0 + station.backlog))
+        station.submit(payload, effective, on_done)
 
     def usage_percent(self) -> float:
         """Reported CPU usage: baseline polling load + measured busy time."""

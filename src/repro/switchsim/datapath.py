@@ -229,6 +229,9 @@ class Datapath:
         self._sweep_handle.cancel()
 
     def unwire(self) -> None:
-        """Drop the agent and the table's expiry listener (end of run)."""
+        """Drop the agent, the table's expiry listener and each port's
+        ingress callback into :meth:`ingress` (end of run)."""
         self._agent = None
         self.table.on_expire = None
+        for port in self.ports.values():
+            port.unwire()

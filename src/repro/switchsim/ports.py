@@ -19,6 +19,8 @@ class SwitchPort:
         self.port_no = port_no
         self.name = name or f"port{port_no}"
         self._egress_link: Optional[Link] = None
+        #: Where arriving packets go, as ``deliver(packet, port_no)``.
+        self._deliver: Optional[Callable[[Packet, int], None]] = None
         #: Optional egress scheduler (see :mod:`repro.switchsim.qos`);
         #: when set, transmissions flow through its class queues.
         self._scheduler = None
@@ -36,13 +38,18 @@ class SwitchPort:
     def wire_ingress(self, link: Link,
                      deliver: Callable[[Packet, int], None]) -> None:
         """Deliver packets arriving on ``link`` to ``deliver(pkt, port_no)``."""
-        link.connect(lambda packet: self._ingress(packet, deliver))
+        self._deliver = deliver
+        link.connect(self._ingress)
 
-    def _ingress(self, packet: Packet,
-                 deliver: Callable[[Packet, int], None]) -> None:
+    def _ingress(self, packet: Packet) -> None:
         self.rx_packets += 1
         self.rx_bytes += packet.wire_len
-        deliver(packet, self.port_no)
+        self._deliver(packet, self.port_no)
+
+    def unwire(self) -> None:
+        """Drop the ingress callback (end of run): it leads back to the
+        datapath that holds this port."""
+        self._deliver = None
 
     def set_scheduler(self, scheduler) -> None:
         """Route egress through a QoS scheduler instead of plain FIFO."""

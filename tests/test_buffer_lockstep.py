@@ -26,6 +26,7 @@ stays outside the conservation law).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Deque
 
@@ -38,7 +39,6 @@ from repro.bufferpool import (SCOPE_PORT, SharedBufferPool, dt_pool,
                               static_pool)
 from repro.obs.registry import Counter, Gauge
 from repro.openflow import BufferFullError, PacketBuffer
-from repro.openflow.pktbuffer import _buffer_ids
 from repro.packets import udp_packet
 
 
@@ -51,6 +51,7 @@ class ReferencePacketBuffer:
         self.reclaim_delay = reclaim_delay
         self.pool = pool
         self.partition = partition
+        self._ids = itertools.count(1)
         self._units = {}
         self._stored_at = {}
         self._partition_of = {}
@@ -113,7 +114,7 @@ class ReferencePacketBuffer:
                     f"all {self.capacity} buffer units in use",
                     capacity=self.capacity, occupancy=self.occupancy(now),
                     verdict="exhausted")
-            buffer_id = next(_buffer_ids)
+            buffer_id = next(self._ids)
             self._units[buffer_id] = packet
             self._stored_at[buffer_id] = now
             self._buffered.inc()
@@ -129,7 +130,7 @@ class ReferencePacketBuffer:
                 capacity=self.pool.total_capacity,
                 occupancy=self.pool.occupancy_of(pid, now),
                 partition=pid, verdict=verdict.reason)
-        buffer_id = next(_buffer_ids)
+        buffer_id = next(self._ids)
         self._units[buffer_id] = packet
         self._stored_at[buffer_id] = now
         self._partition_of[buffer_id] = pid
@@ -182,6 +183,7 @@ class ReferenceFlowBuffer:
         self.max_packets_per_flow = max_packets_per_flow
         self.pool = pool
         self.partition = partition
+        self._ids = itertools.count(1)
         self._id_by_flow = {}
         self._flow_by_id = {}
         self._queues = {}
@@ -225,7 +227,7 @@ class ReferenceFlowBuffer:
                     capacity=self.pool.total_capacity,
                     occupancy=self.pool.occupancy_of(pid, now),
                     partition=pid, verdict=verdict.reason)
-        buffer_id = next(_buffer_ids)
+        buffer_id = next(self._ids)
         self._id_by_flow[flow] = buffer_id
         self._flow_by_id[buffer_id] = flow
         self._queues[buffer_id] = deque([packet])
@@ -372,6 +374,8 @@ class _Lockstep(RuleBasedStateMachine):
         return f"sw:p{port}" if self.per_port else None
 
     def _opened(self, new_id, ref_id):
+        # Each store numbers its own ids from 1.
+        assert new_id == ref_id
         assert new_id not in {n for n, _ in self.pairs}
         assert ref_id not in {r for _, r in self.pairs}
         self.pairs.append((new_id, ref_id))

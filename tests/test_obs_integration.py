@@ -92,6 +92,25 @@ def test_flow_granularity_store_counters_reach_the_registry():
         == buffer.peak_units.value > 0
 
 
+def test_trace_buffer_ids_do_not_depend_on_earlier_runs():
+    """Each switch's store numbers its buffer ids from 1, so a run's
+    ``buffer_id`` span attributes are the same whatever ran before it in
+    the process (a sweep worker makes a different number of runs before
+    each one, depending on the worker count)."""
+    def buffer_ids():
+        observer = RunObserver(ObsConfig())
+        workload = workload_a_factory(n_flows=_FLOWS)(mbps(20),
+                                                      RandomStreams(3))
+        run_once(buffer_16(), workload, seed=3, obs=observer)
+        return [span.attrs["buffer_id"]
+                for span in observer.observation.spans
+                if "buffer_id" in span.attrs]
+
+    first = buffer_ids()
+    assert first[0] == 1
+    assert buffer_ids() == first
+
+
 # ---------------------------------------------------------------------------
 # Parallel collection
 # ---------------------------------------------------------------------------

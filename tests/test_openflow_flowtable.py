@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.openflow import FlowEntry, FlowTable, Match, OutputAction
+from repro.openflow.flowtable import _exact_key_from_match
 from repro.packets import udp_packet
 
 
@@ -16,6 +19,20 @@ def _packet(i=0):
 def _exact_entry(packet, in_port=1, **kwargs):
     return FlowEntry(match=Match.exact_from_packet(packet, in_port=in_port),
                      actions=(OutputAction(2),), **kwargs)
+
+
+@pytest.mark.parametrize("in_port", [1, 7])
+def test_exact_key_of_a_match_is_the_packets_key(in_port):
+    packet = _packet(3)
+    match = Match.exact_from_packet(packet, in_port=in_port)
+    assert _exact_key_from_match(match) == packet.exact_key(in_port)
+
+
+@pytest.mark.parametrize("wildcard", [f.name for f in fields(Match)])
+def test_any_wildcarded_field_gives_no_exact_key(wildcard):
+    match = Match.exact_from_packet(_packet(3), in_port=1)
+    assert _exact_key_from_match(match) is not None
+    assert _exact_key_from_match(replace(match, **{wildcard: None})) is None
 
 
 def test_lookup_miss_on_empty_table():

@@ -194,7 +194,7 @@ def test_fork_transport_matches_inline():
     # Inline shards ride the fork path's own channel over a loopback, so
     # they run the same rounds and see the same event streams.  Their
     # wire bytes may differ: inline shards share the process's xid and
-    # buffer-id counters, and pickle sizes an int by its value.
+    # packet-uid counters, and pickle sizes an int by its value.
     def wire(report):
         return (report.rounds, report.messages, report.rounds_coalesced,
                 report.horizon_stalls)

@@ -390,9 +390,9 @@ def test_round_structure_is_pinned(run, expected):
     not move any message to another advance.
 
     The run gets a fresh interpreter: inline shards share the
-    process-wide xid, packet-uid and buffer-id counters, and pickle
-    sizes an int by its value, so in this process the bytes would
-    depend on how many runs came before.  The interpreter's hash seed
+    process-wide xid and packet-uid counters, and pickle sizes an int
+    by its value, so in this process the bytes would depend on how
+    many runs came before.  The interpreter's hash seed
     is left random: no byte may depend on it.
     """
     import json
