@@ -23,6 +23,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import time
 from typing import Callable, Dict, Optional, Tuple
 
@@ -130,6 +131,32 @@ def paired_ratio(base_fn: Callable[[], object],
     """
     base, probe = paired_best(base_fn, probe_fn, rounds)
     return probe / base
+
+
+def paired_median_ratio(base_fn: Callable[[], object],
+                        probe_fn: Callable[[], object],
+                        rounds: int = 21) -> float:
+    """Median of per-round ``probe/base`` wall-time ratios.
+
+    Each round times the two workloads back to back, alternating which
+    goes first, so a drift in host speed moves both sides of a round's
+    ratio together; the median then drops the rounds a burst of other
+    load hit.  :func:`paired_ratio`'s best-of-N takes each side's
+    minimum from different rounds, so one lucky round on one side moves
+    it: a budget gate on an unchanged kernel needs this one.
+    """
+    ratios = []
+    for index in range(rounds):
+        order = (base_fn, probe_fn) if index % 2 == 0 else (probe_fn,
+                                                            base_fn)
+        seconds = []
+        for fn in order:
+            t0 = time.perf_counter()
+            fn()
+            seconds.append(time.perf_counter() - t0)
+        base, probe = seconds if index % 2 == 0 else seconds[::-1]
+        ratios.append(probe / base)
+    return statistics.median(ratios)
 
 
 def _rates(name: str, seconds: float,

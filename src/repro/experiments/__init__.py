@@ -7,19 +7,15 @@ from .calibration import (CONTROL_LINK_RATE_BPS, DATA_LINK_RATE_BPS,
                           QUICK_REPETITIONS, TABLE_I, TestbedCalibration,
                           default_calibration, default_controller_config,
                           default_switch_config, format_table_1)
-from .export import (experiment_to_csv, resilience_to_csv,
-                     save_experiment_csv, save_resilience_csv,
-                     save_sharing_csv, sharing_to_csv, sweep_rows,
-                     sweep_to_csv)
+from .export import experiment_to_csv, save_experiment_csv, sweep_rows
 from .figures import (FIGURES, PATH_LENGTHS, RESILIENCE_LOSS_RATES,
                       RESILIENCE_RATE_MBPS, SCALE_DEVIATION_TOLERANCE,
                       SCALE_FLOW_COUNTS, SCALE_FLOW_RATE,
                       SCALE_PACKET_CAP, SCALE_PACKETS_PER_FLOW,
                       SHARING_ALPHAS, SHARING_CAPACITY, SHARING_FANIN,
                       SHARING_LOSS_RATES, SHARING_RATE_MBPS,
-                      ExperimentData, FigureSpec, PathExperimentData,
-                      ResilienceExperimentData, ScaleExperimentData,
-                      ScalePoint, SharingExperimentData, figure_series,
+                      ExperimentData, FigureSpec, ScaleExperimentData,
+                      ScalePoint, figure_series,
                       run_benefits_experiment, run_figscale_experiment,
                       run_figsharing_experiment, run_mechanism_experiment,
                       run_path_experiment, run_resilience_experiment,
@@ -27,10 +23,9 @@ from .figures import (FIGURES, PATH_LENGTHS, RESILIENCE_LOSS_RATES,
                       workload_a_factory, workload_b_factory)
 from .paper_data import (PAPER_QUOTED, QuotedComparison, QuotedValue,
                          compare_quoted, format_quoted)
-from .report import (format_experiment, format_figure, format_headlines,
-                     format_path_experiment, format_resilience_experiment,
-                     format_scale_experiment, format_sharing_experiment,
-                     headline_claims, headline_series)
+from .report import (format_figure, format_headlines,
+                     format_scale_experiment, format_sweep_table,
+                     headline_claims, headline_series, sweep_payload)
 from .runner import (RateAggregate, SweepResult, aggregate, derive_seed,
                      run_once, sweep)
 
@@ -41,17 +36,13 @@ __all__ = [
     "QUICK_RATE_SWEEP_MBPS", "FULL_REPETITIONS", "QUICK_REPETITIONS",
     "DATA_LINK_RATE_BPS", "CONTROL_LINK_RATE_BPS",
     "Testbed", "build_testbed", "PORT_HOST1", "PORT_HOST2",
-    "sweep_to_csv", "experiment_to_csv", "save_experiment_csv",
-    "sweep_rows", "resilience_to_csv", "save_resilience_csv",
-    "sharing_to_csv", "save_sharing_csv",
+    "experiment_to_csv", "save_experiment_csv", "sweep_rows",
     "run_once", "sweep", "aggregate", "derive_seed", "RateAggregate",
     "SweepResult",
     "FIGURES", "FigureSpec", "ExperimentData", "figure_series",
-    "PATH_LENGTHS", "PathExperimentData",
-    "RESILIENCE_LOSS_RATES", "RESILIENCE_RATE_MBPS",
-    "ResilienceExperimentData",
+    "PATH_LENGTHS", "RESILIENCE_LOSS_RATES", "RESILIENCE_RATE_MBPS",
     "SHARING_ALPHAS", "SHARING_CAPACITY", "SHARING_FANIN",
-    "SHARING_LOSS_RATES", "SHARING_RATE_MBPS", "SharingExperimentData",
+    "SHARING_LOSS_RATES", "SHARING_RATE_MBPS",
     "sharing_pool_specs",
     "SCALE_DEVIATION_TOLERANCE", "SCALE_FLOW_COUNTS", "SCALE_FLOW_RATE",
     "SCALE_PACKET_CAP", "SCALE_PACKETS_PER_FLOW",
@@ -60,9 +51,8 @@ __all__ = [
     "run_path_experiment", "run_resilience_experiment",
     "run_figsharing_experiment", "run_figscale_experiment",
     "workload_a_factory", "workload_b_factory",
-    "format_figure", "format_experiment", "format_headlines",
-    "format_path_experiment", "format_resilience_experiment",
-    "format_sharing_experiment", "format_scale_experiment",
+    "format_figure", "format_headlines", "format_sweep_table",
+    "sweep_payload", "format_scale_experiment",
     "headline_claims", "headline_series",
     "PAPER_QUOTED", "QuotedValue", "QuotedComparison", "compare_quoted",
     "format_quoted",

@@ -18,33 +18,110 @@ import math
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from .. import __version__
 from .calibration import format_table_1
-from .figures import (FIGURES, run_benefits_experiment,
+# The runners are read by name from this module's globals (_EXPERIMENTS).
+from .figures import (FIGURES, ExperimentData, run_benefits_experiment,
                       run_figscale_experiment, run_figsharing_experiment,
                       run_mechanism_experiment, run_path_experiment,
                       run_resilience_experiment)
-from .report import (format_figure, format_headlines,
-                     format_path_experiment, format_resilience_experiment,
-                     format_scale_experiment, format_sharing_experiment,
-                     headline_claims)
+from .report import (SWEEP_TABLES, format_figure, format_headlines,
+                     format_scale_experiment, format_sweep_table,
+                     headline_claims, sweep_payload)
 
-#: ``figscale`` is deliberately not part of ``all``: its top flow count
-#: is a wall-clock study (minutes at 10^6 flows), not a paper figure.
-_SPECIAL = ("table1", "headline", "quoted", "figpath", "figresilience",
-            "figsharing", "figscale", "all")
+#: The experiments each non-figure target reads (a figure reads its
+#: :class:`~repro.experiments.figures.FigureSpec`'s experiment).
+_TARGET_EXPERIMENTS = {
+    "table1": (), "headline": ("benefits", "mechanism"),
+    "quoted": ("benefits", "mechanism"),
+    **{table.target: (name,) for name, table in SWEEP_TABLES.items()},
+    "figscale": ("scale",)}
+#: ``all``, in output order.  ``figscale`` is deliberately not part of
+#: it: its top flow count is a wall-clock study (minutes at 10^6
+#: flows), not a paper figure.
+_ALL = ("table1", *FIGURES, "figpath", "figresilience", "figsharing",
+        "headline", "quoted")
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment the CLI can run, and the options it reads."""
+
+    #: Its runner's name in this module, looked up when it runs.
+    runner: str
+    #: What the progress line says is running.
+    banner: str
+    #: Each option (argparse dest) this experiment reads, with the runner
+    #: keyword it sets; ``None`` for one the CLI applies after the run.
+    reads: Dict[str, Optional[str]]
+    #: The runner's ``progress`` argument.
+    progress: object = True
+
+
+#: What every sweep experiment reads.
+_SWEEP_READS = {"reps": "repetitions", "full": "quick", "seed": "base_seed",
+                "workers": "workers", "no_cache": "cache",
+                "cache_dir": "cache", "trace_out": "obs",
+                "metrics_out": "obs", "trace_sample": "obs", "csv": None}
+#: What the paper's two experiments read besides: the run axes.
+_AXIS_READS = {"rates": "rates_mbps", "scenario": "scenario",
+               "pool": "scenario", "engine": "scenario",
+               "shard": "scenario", "fault": "faults"}
+
+
+def _scale_progress(line: str) -> None:
+    print(f"# {line}", file=sys.stderr)
+
+
+#: Every experiment, in run order.  The extension studies sweep their
+#: own axes, so they read no run-axis option; figscale times serial,
+#: uncached runs on its own workload grid.
+_EXPERIMENTS = {
+    "benefits": _Experiment(
+        "run_benefits_experiment", "benefits experiment (workload A)",
+        {**_SWEEP_READS, **_AXIS_READS, "flows": "n_flows"}),
+    "mechanism": _Experiment(
+        "run_mechanism_experiment", "mechanism experiment (workload B)",
+        {**_SWEEP_READS, **_AXIS_READS}),
+    "path": _Experiment(
+        "run_path_experiment",
+        "path-length experiment (workload B over line topologies)",
+        {**_SWEEP_READS, "rates": "rates_mbps"}),
+    "resilience": _Experiment(
+        "run_resilience_experiment",
+        "resilience experiment (workload A over a control-channel loss "
+        "sweep)", {**_SWEEP_READS, "flows": "n_flows"}),
+    "sharing": _Experiment(
+        "run_figsharing_experiment",
+        "buffer-sharing experiment (workload A over pool policies on "
+        "fanin)", {**_SWEEP_READS, "flows": "n_flows"}),
+    "scale": _Experiment(
+        "run_figscale_experiment",
+        "scale experiment (hybrid vs packet engine)",
+        {"scale_flows": "flow_counts", "scale_packet_cap": "packet_cap"},
+        progress=_scale_progress),
+}
+
+
+def _experiments_of(target: str) -> tuple:
+    if target in FIGURES:
+        return (FIGURES[target].experiment,)
+    return _TARGET_EXPERIMENTS[target]
 
 
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="repro-sdn-buffer",
         description="Regenerate tables/figures of 'Adopting SDN Switch "
-                    "Buffer' (ICDCS'17 / TCC'21) on the simulated testbed.")
+                    "Buffer' (ICDCS'17 / TCC'21) on the simulated testbed.",
+        epilog="An option that none of the requested targets reads "
+               "exits 2 before anything runs.")
     parser.add_argument("targets", nargs="+",
                         help=f"figure ids ({', '.join(FIGURES)}), or one of "
-                             f"{', '.join(_SPECIAL)}")
+                             f"{', '.join(_TARGET_EXPERIMENTS)}, all")
     parser.add_argument("--rates", type=float, nargs="+", default=None,
                         help="sending rates in Mbps (default: quick sweep)")
     parser.add_argument("--reps", type=int, default=None,
@@ -53,8 +130,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                         help="use the paper's full sweep (5-100 Mbps x 20 reps)")
     parser.add_argument("--flows", type=int, default=None,
                         help="override workload-A flow count (default 1000)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base RNG seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="base RNG seed (default 0)")
     parser.add_argument("--scenario", metavar="SHAPE[:N]", default=None,
                         help="topology for the experiments: single, "
                              "line:N, or fanin:K (default: single)")
@@ -63,8 +140,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                              "'packet' (default; every packet is a "
                              "discrete event) or 'hybrid' (table-hit "
                              "traffic advances analytically; optional "
-                             "burst gap as 'hybrid:SECONDS').  figscale "
-                             "always runs both engines and ignores this")
+                             "burst gap as 'hybrid:SECONDS')")
     parser.add_argument("--shard", metavar="MODE", default=None,
                         help="sharded execution: 'per-switch' runs each "
                              "switch partition in its own event loop "
@@ -83,15 +159,13 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                         help="share the switches' buffer units through one "
                              "pool; SPEC is policy[:key=value,...], e.g. "
                              "'dt:alpha=2,scope=port' or "
-                             "'delay:target=0.008' (figsharing sweeps its "
-                             "own pool grid and ignores this)")
+                             "'delay:target=0.008'")
     parser.add_argument("--fault", metavar="SPEC", default=None,
                         help="inject control-plane faults into the "
                              "benefits/mechanism experiments; SPEC is "
                              "comma-separated key=value, e.g. "
                              "'loss=0.01,jitter_down=0.002,"
-                             "stall=1.0:1.5' (figresilience sweeps its "
-                             "own loss grid and ignores this)")
+                             "stall=1.0:1.5'")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of tables")
     parser.add_argument("--chart", action="store_true",
@@ -114,7 +188,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write the merged metrics registry as "
                              "Prometheus exposition text")
-    parser.add_argument("--trace-sample", type=int, default=1, metavar="N",
+    parser.add_argument("--trace-sample", type=int, default=None,
+                        metavar="N",
                         help="trace every Nth flow (default 1 = all)")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
@@ -156,197 +231,71 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if problem is not None:
         print(problem, file=sys.stderr)
         return 2
-    targets = list(args.targets)
-    unknown = [t for t in targets if t not in FIGURES and t not in _SPECIAL]
+    unknown = [t for t in args.targets
+               if t not in FIGURES and t not in _TARGET_EXPERIMENTS
+               and t != "all"]
     if unknown:
         print(f"unknown targets: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    targets = list(_ALL if "all" in args.targets else args.targets)
+    names = [name for name in _EXPERIMENTS
+             if any(name in _experiments_of(t) for t in targets)]
+    unread = _unread_options(args, targets, names)
+    if unread:
+        print(f"{', '.join(unread)}: read by none of the requested "
+              f"targets ({' '.join(args.targets)})", file=sys.stderr)
+        return 2
 
-    if "all" in targets:
-        targets = (["table1"] + list(FIGURES)
-                   + ["figpath", "figresilience", "figsharing",
-                      "headline", "quoted"])
-
-    scenario = None
-    if args.scenario is not None:
-        from ..scenarios import parse_scenario
-        try:
-            scenario = parse_scenario(args.scenario)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.pool is not None:
-        from ..bufferpool import parse_pool
-        from ..scenarios import single_scenario
-        try:
-            pool_spec = parse_pool(args.pool)
-            scenario = (scenario if scenario is not None
-                        else single_scenario()).with_pool(pool_spec)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.engine is not None:
-        from ..scenarios import parse_engine, single_scenario
-        try:
-            engine = parse_engine(args.engine)
-            scenario = (scenario if scenario is not None
-                        else single_scenario()).with_engine(engine)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.shard is not None:
-        from ..scenarios import single_scenario
-        from ..shard import parse_shard
-        try:
-            shard = parse_shard(args.shard)
-            scenario = (scenario if scenario is not None
-                        else single_scenario()).with_shard(shard)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    faults = None
-    if args.fault is not None:
-        from ..faults import parse_fault
-        try:
-            faults = parse_fault(args.fault)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if faults.is_null:
-            faults = None
-
-    quick = not args.full
-    need_benefits = any(
-        t in ("headline", "quoted")
-        or (t in FIGURES and FIGURES[t].experiment == "benefits")
-        for t in targets)
-    need_mechanism = any(
-        t in ("headline", "quoted")
-        or (t in FIGURES and FIGURES[t].experiment == "mechanism")
-        for t in targets)
-    need_path = "figpath" in targets
-    need_resilience = "figresilience" in targets
-    need_sharing = "figsharing" in targets
-    need_scale = "figscale" in targets
+    try:
+        scenario, faults = _run_axes(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     from ..parallel import ResultCache
-    workers = (args.workers if args.workers is not None
-               else (os.cpu_count() or 1))
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-
     obs = None
     if args.trace_out is not None or args.metrics_out is not None:
         from ..obs import ObsCollector, ObsConfig
-        obs = ObsCollector(ObsConfig(trace=args.trace_out is not None,
-                                     trace_sample=args.trace_sample))
+        obs = ObsCollector(ObsConfig(
+            trace=args.trace_out is not None,
+            trace_sample=(args.trace_sample
+                          if args.trace_sample is not None else 1)))
+    # Every runner keyword an option sets; ``None`` leaves the runner's
+    # default in place.
+    values = {
+        "rates_mbps": args.rates, "repetitions": args.reps,
+        "quick": not args.full, "n_flows": args.flows,
+        "base_seed": args.seed if args.seed is not None else 0,
+        "scenario": scenario, "faults": faults,
+        "workers": (args.workers if args.workers is not None
+                    else (os.cpu_count() or 1)),
+        "cache": cache, "obs": obs,
+        "flow_counts": (tuple(args.scale_flows)
+                        if args.scale_flows is not None else None),
+        "packet_cap": args.scale_packet_cap,
+    }
 
-    benefits = mechanism = path_data = resilience = sharing = None
-    scale = None
-    any_experiment = (need_benefits or need_mechanism or need_path
-                      or need_resilience or need_sharing)
-    kwargs = dict(rates_mbps=args.rates, repetitions=args.reps,
-                  quick=quick, base_seed=args.seed, workers=workers,
-                  cache=cache, progress=True, obs=obs)
-    if need_benefits:
-        print("# running benefits experiment (workload A)...",
-              file=sys.stderr)
+    results: dict = {}
+    for name in names:
+        experiment = _EXPERIMENTS[name]
+        print(f"# running {experiment.banner}...", file=sys.stderr)
         start = time.time()
-        a_kwargs = dict(kwargs)
-        if args.flows is not None:
-            a_kwargs["n_flows"] = args.flows
+        kwargs = {keyword: values[keyword]
+                  for keyword in set(experiment.reads.values())
+                  if keyword is not None and values[keyword] is not None}
         try:
-            benefits = run_benefits_experiment(scenario=scenario,
-                                               faults=faults, **a_kwargs)
+            results[name] = globals()[experiment.runner](
+                progress=experiment.progress, **kwargs)
         except Exception as exc:
-            print(f"# benefits experiment failed: {exc}", file=sys.stderr)
+            print(f"# {name} experiment failed: {exc}", file=sys.stderr)
             return 1
         print(f"# done in {time.time() - start:.1f}s", file=sys.stderr)
-    if need_mechanism:
-        print("# running mechanism experiment (workload B)...",
-              file=sys.stderr)
-        start = time.time()
-        try:
-            mechanism = run_mechanism_experiment(scenario=scenario,
-                                                 faults=faults, **kwargs)
-        except Exception as exc:
-            print(f"# mechanism experiment failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"# done in {time.time() - start:.1f}s", file=sys.stderr)
-    if need_path:
-        # The path experiment sweeps its own line lengths; --scenario
-        # does not apply to it.
-        print("# running path-length experiment (workload B over "
-              "line topologies)...", file=sys.stderr)
-        start = time.time()
-        try:
-            path_data = run_path_experiment(**kwargs)
-        except Exception as exc:
-            print(f"# path experiment failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"# done in {time.time() - start:.1f}s", file=sys.stderr)
-    if need_resilience:
-        # figresilience sweeps its own loss grid at one fixed sending
-        # rate; --rates/--scenario/--fault do not apply to it.
-        print("# running resilience experiment (workload A over a "
-              "control-channel loss sweep)...", file=sys.stderr)
-        start = time.time()
-        r_kwargs = dict(repetitions=args.reps, quick=quick,
-                        base_seed=args.seed, workers=workers,
-                        cache=cache, progress=True, obs=obs)
-        if args.flows is not None:
-            r_kwargs["n_flows"] = args.flows
-        try:
-            resilience = run_resilience_experiment(**r_kwargs)
-        except Exception as exc:
-            print(f"# resilience experiment failed: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"# done in {time.time() - start:.1f}s", file=sys.stderr)
-    if need_sharing:
-        # figsharing sweeps its own pool-policy and loss grids on a
-        # fanin scenario; --rates/--scenario/--pool/--fault do not
-        # apply to it.
-        print("# running buffer-sharing experiment (workload A over "
-              "pool policies on fanin)...", file=sys.stderr)
-        start = time.time()
-        s_kwargs = dict(repetitions=args.reps, quick=quick,
-                        base_seed=args.seed, workers=workers,
-                        cache=cache, progress=True, obs=obs)
-        if args.flows is not None:
-            s_kwargs["n_flows"] = args.flows
-        try:
-            sharing = run_figsharing_experiment(**s_kwargs)
-        except Exception as exc:
-            print(f"# sharing experiment failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"# done in {time.time() - start:.1f}s", file=sys.stderr)
-    if need_scale:
-        # figscale times serial hybrid-vs-packet runs on its own
-        # workload grid; --rates/--scenario/--engine/--workers/--cache
-        # do not apply (wall time is the measured quantity).
-        print("# running scale experiment (hybrid vs packet engine)...",
-              file=sys.stderr)
-        start = time.time()
-        sc_kwargs: dict = {}
-        if args.scale_flows is not None:
-            sc_kwargs["flow_counts"] = tuple(args.scale_flows)
-        if args.scale_packet_cap is not None:
-            sc_kwargs["packet_cap"] = args.scale_packet_cap
-        try:
-            scale = run_figscale_experiment(
-                progress=lambda line: print(f"# {line}", file=sys.stderr),
-                **sc_kwargs)
-        except Exception as exc:
-            print(f"# scale experiment failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"# done in {time.time() - start:.1f}s", file=sys.stderr)
-    if cache is not None and any_experiment:
+    sweeps = [data for data in results.values()
+              if isinstance(data, ExperimentData)]
+    if cache is not None and sweeps:
         print(f"# cache: {cache.stats()}", file=sys.stderr)
-    if obs is not None and any_experiment:
+    if obs is not None and sweeps:
         print(f"# {obs.summary()}", file=sys.stderr)
         if args.trace_out is not None:
             path = obs.write_trace(args.trace_out)
@@ -358,31 +307,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Partial failure (a repetition exhausted its retry budget) is a
     # non-zero exit even though the surviving rows are still printed.
     exit_code = 0
-    for data in (benefits, mechanism, path_data, resilience, sharing):
-        if data is not None and data.report is not None \
-                and not data.report.ok:
+    for data in sweeps:
+        if data.report is not None and not data.report.ok:
             print(data.report.format(), file=sys.stderr)
             exit_code = 1
 
     if args.csv is not None:
-        from .export import (save_experiment_csv, save_resilience_csv,
-                             save_sharing_csv)
-        for data in (benefits, mechanism):
-            if data is not None:
-                csv_path = save_experiment_csv(data, args.csv)
-                print(f"# wrote {csv_path}", file=sys.stderr)
-        if resilience is not None:
-            csv_path = save_resilience_csv(resilience, args.csv)
-            print(f"# wrote {csv_path}", file=sys.stderr)
-        if sharing is not None:
-            csv_path = save_sharing_csv(sharing, args.csv)
+        from .export import save_experiment_csv
+        for data in sweeps:
+            csv_path = save_experiment_csv(data, args.csv)
             print(f"# wrote {csv_path}", file=sys.stderr)
 
     if args.json:
-        print(json.dumps(_json_payload(targets, benefits, mechanism,
-                                       path_data, resilience, sharing,
-                                       scale),
-                         indent=2))
+        print(json.dumps(_json_payload(targets, results), indent=2))
         return exit_code
 
     blocks = []
@@ -392,29 +329,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           + format_table_1())
         elif target == "headline":
             blocks.append("Headline claims (paper vs measured)\n"
-                          + format_headlines(
-                              headline_claims(benefits, mechanism)))
+                          + format_headlines(headline_claims(
+                              results.get("benefits"),
+                              results.get("mechanism"))))
         elif target == "quoted":
             from .paper_data import compare_quoted, format_quoted
             blocks.append(
                 "Every statistic the paper's text quotes, vs measured\n"
-                + format_quoted(compare_quoted(benefits, mechanism)))
-        elif target == "figpath":
-            assert path_data is not None
-            blocks.append(format_path_experiment(path_data))
-        elif target == "figresilience":
-            assert resilience is not None
-            blocks.append(format_resilience_experiment(resilience))
-        elif target == "figsharing":
-            assert sharing is not None
-            blocks.append(format_sharing_experiment(sharing))
+                + format_quoted(compare_quoted(results.get("benefits"),
+                                               results.get("mechanism"))))
         elif target == "figscale":
-            assert scale is not None
-            blocks.append(format_scale_experiment(scale))
-        else:
+            blocks.append(format_scale_experiment(results["scale"]))
+        elif target in FIGURES:
             spec = FIGURES[target]
-            data = benefits if spec.experiment == "benefits" else mechanism
-            assert data is not None
+            data = results[spec.experiment]
             block = format_figure(spec, data)
             if args.chart:
                 from ..metrics import render_chart
@@ -423,50 +351,75 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     list(data.rates), figure_series(spec, data),
                     y_label=spec.unit, x_label="sending rate (Mbps)")
             blocks.append(block)
+        else:
+            blocks.append(format_sweep_table(
+                results[_TARGET_EXPERIMENTS[target][0]]))
     print("\n\n".join(blocks))
     return exit_code
 
 
-def _json_payload(targets, benefits, mechanism, path=None,
-                  resilience=None, sharing=None, scale=None) -> dict:
-    """Machine-readable rendering of the requested targets."""
+def _run_axes(args: argparse.Namespace) -> tuple:
+    """The scenario and faults that ``--scenario``, ``--pool``,
+    ``--engine``, ``--shard`` and ``--fault`` spell (``None`` where
+    unset); raises ``ValueError`` on a malformed or incompatible one."""
+    from ..scenarios import SINGLE
+    scenario = faults = None
+    if args.scenario is not None:
+        from ..scenarios import parse_scenario
+        scenario = parse_scenario(args.scenario)
+    if args.pool is not None:
+        from ..bufferpool import parse_pool
+        scenario = (scenario or SINGLE).with_pool(parse_pool(args.pool))
+    if args.engine is not None:
+        from ..scenarios import parse_engine
+        scenario = (scenario or SINGLE).with_engine(
+            parse_engine(args.engine))
+    if args.shard is not None:
+        from ..shard import parse_shard
+        scenario = (scenario or SINGLE).with_shard(parse_shard(args.shard))
+    if args.fault is not None:
+        from ..faults import parse_fault
+        faults = parse_fault(args.fault)
+        if faults.is_null:
+            faults = None
+    return scenario, faults
+
+
+def _unread_options(args: argparse.Namespace, targets: Sequence[str],
+                    names: Sequence[str]) -> List[str]:
+    """The options set in ``args`` that none of ``targets`` reads.
+
+    ``names`` are the experiments the targets run; a figure also reads
+    ``--chart``.  An option counts as set when it differs from its
+    default (``None``, or ``False`` for a switch).  ``--json`` shapes
+    every target's output, so it is always read.
+    """
+    read = {"json", "targets"}
+    for name in names:
+        read.update(_EXPERIMENTS[name].reads)
+    if any(target in FIGURES for target in targets):
+        read.add("chart")
+    return [f"--{option.replace('_', '-')}"
+            for option, value in vars(args).items()
+            if option not in read and value is not None
+            and value is not False]
+
+
+def _json_payload(targets, results) -> dict:
+    """Machine-readable rendering of the requested targets.
+
+    ``results`` maps each experiment the targets ran to its data.
+    """
     from .figures import figure_series
+    benefits, mechanism = results.get("benefits"), results.get("mechanism")
     payload: dict = {}
     for target in targets:
         if target == "table1":
             from .calibration import TABLE_I
             payload["table1"] = [list(row) for row in TABLE_I]
-        elif target == "figresilience":
-            from .report import RESILIENCE_METRICS
-            assert resilience is not None
-            payload["figresilience"] = {
-                "title": "Flow setup vs control-channel loss",
-                "rate_mbps": resilience.rate_mbps,
-                "loss_rates": list(resilience.loss_rates),
-                "series": {
-                    name: {label: resilience.series_vs_loss(label, getter)
-                           for label in resilience.labels}
-                    for name, _, getter in RESILIENCE_METRICS},
-            }
-        elif target == "figsharing":
-            from .report import SHARING_METRICS
-            assert sharing is not None
-            payload["figsharing"] = {
-                "title": "Shared-pool admission under fanin contention",
-                "rate_mbps": sharing.rate_mbps,
-                "loss_rates": list(sharing.loss_rates),
-                "pools": list(sharing.pool_names),
-                "series": {
-                    name: {
-                        label: {pool: sharing.series_vs_loss(label, pool,
-                                                             getter)
-                                for pool in sharing.pool_names}
-                        for label in sharing.labels}
-                    for name, _, getter in SHARING_METRICS},
-            }
         elif target == "figscale":
             from .figures import SCALE_DEVIATION_TOLERANCE
-            assert scale is not None
+            scale = results["scale"]
             payload["figscale"] = {
                 "title": "Hybrid execution engine vs packet engine",
                 "deviation_tolerance": SCALE_DEVIATION_TOLERANCE,
@@ -490,19 +443,6 @@ def _json_payload(targets, benefits, mechanism, path=None,
                     for n in scale.flow_counts
                     if scale.has_packet_point(n)},
             }
-        elif target == "figpath":
-            from .report import PATH_METRICS
-            assert path is not None
-            rate = max(path.rates)
-            payload["figpath"] = {
-                "title": "Control overhead vs path length",
-                "rate_mbps": rate,
-                "lengths": list(path.lengths),
-                "series": {
-                    name: {label: path.series_vs_length(label, getter, rate)
-                           for label in path.labels}
-                    for name, _, getter in PATH_METRICS},
-            }
         elif target == "headline":
             payload["headline"] = [
                 {"name": claim.name, "paper": claim.paper_value,
@@ -519,16 +459,18 @@ def _json_payload(targets, benefits, mechanism, path=None,
                  "measured": comparison.measured,
                  "ratio": comparison.ratio}
                 for comparison in compare_quoted(benefits, mechanism)]
-        else:
+        elif target in FIGURES:
             spec = FIGURES[target]
-            data = benefits if spec.experiment == "benefits" else mechanism
-            assert data is not None
+            data = results[spec.experiment]
             payload[target] = {
                 "title": spec.title,
                 "unit": spec.unit,
                 "rates_mbps": list(data.rates),
                 "series": figure_series(spec, data),
             }
+        else:
+            payload[target] = sweep_payload(
+                results[_TARGET_EXPERIMENTS[target][0]])
     return payload
 
 

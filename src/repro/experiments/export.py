@@ -1,21 +1,23 @@
 """CSV export of sweep results (for spreadsheets and plotting scripts).
 
 Every figure-ready quantity of a :class:`~repro.experiments.runner.
-RateAggregate` row becomes a column; one CSV per sweep, or one combined
-CSV per experiment with a ``mechanism`` column.  Delays are exported in
-milliseconds, matching the paper's figures.
+RateAggregate` row becomes a column; one combined CSV per experiment,
+its rows led by their cell (one column per swept axis) and
+``mechanism``.  Delays are exported in milliseconds, matching the
+paper's figures.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import pathlib
 from typing import Optional
 
-from .figures import (ExperimentData, ResilienceExperimentData,
-                      SharingExperimentData)
-from .runner import RateAggregate, SweepResult
+from .figures import ExperimentData
+from .report import AXES
+from .runner import SweepResult
 
 #: Exported columns: (header, extractor).
 COLUMNS = (
@@ -42,47 +44,14 @@ COLUMNS = (
 )
 
 
-def sweep_rows(sweep: SweepResult) -> list[dict]:
-    """One dict per rate, keyed by the COLUMNS headers."""
-    return [{header: extractor(row) for header, extractor in COLUMNS}
+def sweep_rows(sweep: SweepResult, columns=COLUMNS) -> list[dict]:
+    """One dict per rate, keyed by the ``columns`` headers."""
+    return [{header: extractor(row) for header, extractor in columns}
             for row in sweep.rows]
 
 
-def sweep_to_csv(sweep: SweepResult) -> str:
-    """Render one sweep as CSV text."""
-    stream = io.StringIO()
-    writer = csv.DictWriter(stream,
-                            fieldnames=[h for h, _ in COLUMNS])
-    writer.writeheader()
-    for row in sweep_rows(sweep):
-        writer.writerow(row)
-    return stream.getvalue()
-
-
-def experiment_to_csv(data: ExperimentData) -> str:
-    """Combined CSV: every sweep's rows with a leading mechanism column."""
-    stream = io.StringIO()
-    fieldnames = ["mechanism"] + [h for h, _ in COLUMNS]
-    writer = csv.DictWriter(stream, fieldnames=fieldnames)
-    writer.writeheader()
-    for label, sweep in data.sweeps.items():
-        for row in sweep_rows(sweep):
-            writer.writerow({"mechanism": label, **row})
-    return stream.getvalue()
-
-
-def save_experiment_csv(data: ExperimentData, directory: str,
-                        stem: Optional[str] = None) -> pathlib.Path:
-    """Write ``<directory>/<stem>.csv``; returns the path."""
-    path = pathlib.Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / f"{stem or data.name}.csv"
-    target.write_text(experiment_to_csv(data))
-    return target
-
-
-#: Resilience CSV columns beyond (loss_rate, mechanism): figure-ready
-#: loss-sweep quantities, delays in milliseconds like COLUMNS.
+#: Resilience CSV columns: figure-ready loss-sweep quantities, delays in
+#: milliseconds like COLUMNS.
 RESILIENCE_COLUMNS = (
     ("rate_mbps", lambda r: r.rate_mbps),
     ("repetitions", lambda r: r.repetitions),
@@ -97,35 +66,8 @@ RESILIENCE_COLUMNS = (
     ("packets_dropped", lambda r: r.packets_dropped),
 )
 
-
-def resilience_to_csv(data: ResilienceExperimentData) -> str:
-    """Combined loss-sweep CSV: one row per (loss rate, mechanism)."""
-    stream = io.StringIO()
-    fieldnames = (["loss_rate", "mechanism"]
-                  + [h for h, _ in RESILIENCE_COLUMNS])
-    writer = csv.DictWriter(stream, fieldnames=fieldnames)
-    writer.writeheader()
-    for loss in data.loss_rates:
-        for label in data.labels:
-            row = data.row_for(label, loss)
-            writer.writerow({"loss_rate": loss, "mechanism": label,
-                             **{header: extractor(row)
-                                for header, extractor in RESILIENCE_COLUMNS}})
-    return stream.getvalue()
-
-
-def save_resilience_csv(data: ResilienceExperimentData, directory: str,
-                        stem: Optional[str] = None) -> pathlib.Path:
-    """Write ``<directory>/<stem>.csv``; returns the path."""
-    path = pathlib.Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / f"{stem or data.name}.csv"
-    target.write_text(resilience_to_csv(data))
-    return target
-
-
-#: Sharing CSV columns beyond (pool, loss_rate, mechanism): figure-ready
-#: pool-contention quantities, delays in milliseconds like COLUMNS.
+#: Sharing CSV columns: figure-ready pool-contention quantities, delays
+#: in milliseconds like COLUMNS.
 SHARING_COLUMNS = (
     ("rate_mbps", lambda r: r.rate_mbps),
     ("repetitions", lambda r: r.repetitions),
@@ -141,31 +83,42 @@ SHARING_COLUMNS = (
     ("packets_dropped", lambda r: r.packets_dropped),
 )
 
+#: Each experiment's columns after its axis and mechanism columns.
+EXPERIMENT_COLUMNS = {"benefits": COLUMNS, "mechanism": COLUMNS,
+                      "path": COLUMNS, "resilience": RESILIENCE_COLUMNS,
+                      "sharing": SHARING_COLUMNS}
 
-def sharing_to_csv(data: SharingExperimentData) -> str:
-    """Combined sharing CSV: one row per (pool, loss rate, mechanism)."""
+
+def experiment_to_csv(data: ExperimentData) -> str:
+    """Combined CSV: one row per (cell, mechanism, rate).
+
+    Leading columns name the row's cell, one per axis (``pool``,
+    ``loss_rate``, ``length``), then its ``mechanism``; the x axis
+    (:attr:`~repro.experiments.figures.ExperimentData.axes`' first)
+    varies fastest after the mechanism, so its column comes last.
+    """
+    axes = list(data.axes)[::-1]
+    columns = EXPERIMENT_COLUMNS[data.name]
     stream = io.StringIO()
-    fieldnames = (["pool", "loss_rate", "mechanism"]
-                  + [h for h, _ in SHARING_COLUMNS])
-    writer = csv.DictWriter(stream, fieldnames=fieldnames)
+    writer = csv.DictWriter(stream, fieldnames=(
+        [AXES[axis].csv_column for axis in axes] + ["mechanism"]
+        + [header for header, _ in columns]))
     writer.writeheader()
-    for pool_name in data.pool_names:
-        for loss in data.loss_rates:
-            for label in data.labels:
-                row = data.row_for(label, pool_name, loss)
-                writer.writerow({"pool": pool_name, "loss_rate": loss,
-                                 "mechanism": label,
-                                 **{header: extractor(row)
-                                    for header, extractor
-                                    in SHARING_COLUMNS}})
+    for values in itertools.product(*(data.axes[axis] for axis in axes)):
+        cell = dict(zip(axes, values))
+        lead = {AXES[axis].csv_column: value
+                for axis, value in cell.items()}
+        for label in data.labels:
+            for row in sweep_rows(data.sweep(label, **cell), columns):
+                writer.writerow({**lead, "mechanism": label, **row})
     return stream.getvalue()
 
 
-def save_sharing_csv(data: SharingExperimentData, directory: str,
-                     stem: Optional[str] = None) -> pathlib.Path:
+def save_experiment_csv(data: ExperimentData, directory: str,
+                        stem: Optional[str] = None) -> pathlib.Path:
     """Write ``<directory>/<stem>.csv``; returns the path."""
     path = pathlib.Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     target = path / f"{stem or data.name}.csv"
-    target.write_text(sharing_to_csv(data))
+    target.write_text(experiment_to_csv(data))
     return target

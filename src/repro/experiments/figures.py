@@ -14,6 +14,7 @@ everything in the same testbed runs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
@@ -62,43 +63,98 @@ def workload_b_factory(n_flows: int = WORKLOAD_B_FLOWS,
 
 @dataclass
 class ExperimentData:
-    """Sweeps of one experiment, keyed by mechanism label."""
+    """Sweeps of one experiment: every mechanism in every cell.
+
+    ``axes`` holds what the experiment sweeps besides the rate, the
+    figure's x axis first: ``{"length": (1, 2, 4)}`` for the path study,
+    ``{"loss": ...}`` for resilience, ``{"loss": ..., "pool": ...}`` for
+    sharing, and nothing for the paper's two experiments.  A *cell* is
+    one value per axis, and each (mechanism, cell) pair is one sweep over
+    the rate, keyed by the composite label ``label_format`` spells:
+    ``"buffer-256@line:2"``, ``"flow-buffer-256@loss:0.01"``,
+    ``"buffer-16+dt:alpha=2/port@loss:0.01"``.  The same label names the
+    sweep's rows and its runs in traces and metrics.
+    """
 
     name: str
+    labels: tuple = ()
+    axes: Dict[str, tuple] = field(default_factory=dict)
+    label_format: str = "{label}"
     sweeps: Dict[str, SweepResult] = field(default_factory=dict)
     #: Engine telemetry (an :class:`~repro.parallel.EngineReport`).
     report: Optional[object] = None
 
     @property
     def rates(self) -> Sequence[float]:
-        """Common x-axis of every sweep."""
+        """Common rate axis of every sweep."""
         first = next(iter(self.sweeps.values()))
         return first.rates
 
-    def series(self, label: str, getter: MetricGetter) -> list[float]:
-        """One mechanism's y-values for one metric."""
-        return self.sweeps[label].series(getter)
+    def cells(self) -> list[dict]:
+        """Every cell as ``{axis: value}``, the first axis outermost."""
+        return [dict(zip(self.axes, values))
+                for values in itertools.product(*self.axes.values())]
+
+    def sweep(self, label: str, **cell) -> SweepResult:
+        """Mechanism ``label``'s sweep in ``cell``."""
+        return self.sweeps[self.label_format.format(label=label, **cell)]
+
+    def row(self, label: str, rate: Optional[float] = None,
+            **cell) -> RateAggregate:
+        """One figure row: mechanism ``label`` in ``cell`` at ``rate``.
+
+        ``rate`` defaults to the sweep's highest rate: the only one of a
+        fixed-rate study, and where the path study's control-plane
+        effects peak.
+        """
+        sweep = self.sweep(label, **cell)
+        return sweep.row_at(max(sweep.rates) if rate is None else rate)
+
+    def series(self, label: str, getter: MetricGetter, axis: str = "rate",
+               rate: Optional[float] = None, **cell) -> list[float]:
+        """One mechanism's metric along ``axis``, the rest fixed by ``cell``.
+
+        Along the rate (the default) this is a figure's y-values; along
+        another axis the values are taken at ``rate`` (see :meth:`row`).
+        """
+        if axis == "rate":
+            return self.sweep(label, **cell).series(getter)
+        return [getter(self.row(label, rate, **cell, **{axis: value}))
+                for value in self.axes[axis]]
 
 
-def _run_jobs(data, jobs, workers, cache, progress, obs):
-    """Hand an experiment's sweep jobs to the :mod:`repro.parallel` engine.
+def _run_experiment(data: ExperimentData, configs: Sequence[BufferConfig],
+                    workers, cache, progress, obs, *,
+                    repetitions: Optional[int], quick: bool,
+                    cell_fields: Callable[..., dict] = lambda: {},
+                    **fields) -> ExperimentData:
+    """Run every (cell, mechanism) sweep of ``data`` and fill it in.
 
-    Every ``run_*_experiment`` runner comes through here.  The engine
-    shards *all* jobs' (rates × repetitions) tasks together, so e.g. the
-    three §IV sweeps interleave instead of running back-to-back; without
-    ``workers`` they run in this process, with ``workers=N`` on a fork
-    pool, and the rows are bit-identical either way.  ``obs`` (a
+    Every ``run_*_experiment`` runner comes through here: one
+    :class:`~repro.parallel.SweepJob` per (cell, mechanism), the first
+    axis outermost, built from ``fields`` (the jobs' shared fields) and
+    ``cell_fields(**cell)`` (a cell's own, e.g. its scenario or faults).
+    The :mod:`repro.parallel` engine shards *all* jobs' (rates ×
+    repetitions) tasks together, so e.g. the three §IV sweeps interleave
+    instead of running back-to-back; without ``workers`` they run in
+    this process, with ``workers=N`` on a fork pool, and the rows are
+    bit-identical either way.  ``obs`` (a
     :class:`repro.obs.ObsCollector`) captures traces and metric
-    snapshots.  Fills ``data.sweeps`` (keyed by job label) and
-    ``data.report`` and returns ``data``.
+    snapshots.  Fills ``data.labels``, ``data.sweeps`` (keyed by
+    composite label, in job order) and ``data.report``.
     """
-    from ..parallel import run_sweep_jobs
-    sweeps, report = run_sweep_jobs(
+    from ..parallel import SweepJob, run_sweep_jobs
+    if repetitions is None:
+        repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
+    data.labels = tuple(config.label for config in configs)
+    jobs = [SweepJob(config=config, repetitions=repetitions,
+                     label_override=data.label_format.format(
+                         label=config.label, **cell),
+                     **fields, **cell_fields(**cell))
+            for cell in data.cells() for config in configs]
+    data.sweeps, data.report = run_sweep_jobs(
         jobs, workers=1 if workers is None else workers, cache=cache,
         progress=progress, obs=obs)
-    for job in jobs:
-        data.sweeps[job.label] = sweeps[job.label]
-    data.report = report
     return data
 
 
@@ -117,17 +173,13 @@ def run_benefits_experiment(
     """
     if rates_mbps is None:
         rates_mbps = QUICK_RATE_SWEEP_MBPS if quick else FULL_RATE_SWEEP_MBPS
-    if repetitions is None:
-        repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
-    factory = workload_a_factory(n_flows=n_flows)
-    from ..parallel import SweepJob
-    jobs = [SweepJob(config=config, factory=factory,
-                     rates_mbps=tuple(rates_mbps), repetitions=repetitions,
-                     calibration=calibration, base_seed=base_seed,
-                     scenario=scenario, faults=faults)
-            for config in (no_buffer(), buffer_16(), buffer_256())]
-    return _run_jobs(ExperimentData(name="benefits"), jobs, workers, cache,
-                     progress, obs)
+    return _run_experiment(
+        ExperimentData(name="benefits"),
+        (no_buffer(), buffer_16(), buffer_256()),
+        workers, cache, progress, obs, repetitions=repetitions, quick=quick,
+        factory=workload_a_factory(n_flows=n_flows), rates_mbps=rates_mbps,
+        calibration=calibration, base_seed=base_seed, scenario=scenario,
+        faults=faults)
 
 
 def run_mechanism_experiment(
@@ -148,20 +200,15 @@ def run_mechanism_experiment(
     if rates_mbps is None:
         rates_mbps = (QUICK_RATE_SWEEP_MBPS if quick
                       else MECHANISM_RATE_SWEEP_MBPS)
-    if repetitions is None:
-        repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
-    if calibration is None:
-        calibration = prototype_calibration()
-    factory = workload_b_factory(n_flows=n_flows,
-                                 packets_per_flow=packets_per_flow)
-    from ..parallel import SweepJob
-    jobs = [SweepJob(config=config, factory=factory,
-                     rates_mbps=tuple(rates_mbps), repetitions=repetitions,
-                     calibration=calibration, base_seed=base_seed,
-                     scenario=scenario, faults=faults)
-            for config in (buffer_256(), flow_buffer_256())]
-    return _run_jobs(ExperimentData(name="mechanism"), jobs, workers,
-                     cache, progress, obs)
+    return _run_experiment(
+        ExperimentData(name="mechanism"), (buffer_256(), flow_buffer_256()),
+        workers, cache, progress, obs, repetitions=repetitions, quick=quick,
+        factory=workload_b_factory(n_flows=n_flows,
+                                   packets_per_flow=packets_per_flow),
+        rates_mbps=rates_mbps,
+        calibration=(calibration if calibration is not None
+                     else prototype_calibration()),
+        base_seed=base_seed, scenario=scenario, faults=faults)
 
 
 # ---------------------------------------------------------------------------
@@ -175,48 +222,6 @@ PATH_LENGTHS = (1, 2, 4)
 PATH_QUICK_RATES_MBPS = (20.0, 60.0)
 
 
-@dataclass
-class PathExperimentData:
-    """Sweeps of the path-length experiment.
-
-    One sweep per (mechanism, line length), keyed by the composite
-    label ``"buffer-256@line:2"`` (see :meth:`key`).
-    """
-
-    name: str
-    lengths: tuple
-    labels: tuple
-    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
-    #: Engine telemetry (an :class:`~repro.parallel.EngineReport`).
-    report: Optional[object] = None
-
-    @staticmethod
-    def key(label: str, length: int) -> str:
-        """Sweep key of one (mechanism, path length) combination."""
-        return f"{label}@line:{length}"
-
-    @property
-    def rates(self) -> Sequence[float]:
-        """Common rate axis of every sweep."""
-        first = next(iter(self.sweeps.values()))
-        return first.rates
-
-    def sweep_for(self, label: str, length: int) -> SweepResult:
-        """One mechanism's sweep on one line length."""
-        return self.sweeps[self.key(label, length)]
-
-    def series_vs_length(self, label: str, getter: MetricGetter,
-                         rate_mbps: Optional[float] = None) -> list[float]:
-        """One mechanism's metric against path length, at one rate.
-
-        ``rate_mbps`` defaults to the sweep's highest rate, where the
-        paper's control-plane effects are most pronounced.
-        """
-        rate = rate_mbps if rate_mbps is not None else max(self.rates)
-        return [getter(self.sweep_for(label, length).row_at(rate))
-                for length in self.lengths]
-
-
 def run_path_experiment(
         lengths: Sequence[int] = PATH_LENGTHS,
         rates_mbps: Optional[Sequence[float]] = None,
@@ -226,7 +231,7 @@ def run_path_experiment(
         packets_per_flow: int = WORKLOAD_B_PACKETS_PER_FLOW,
         quick: bool = True, base_seed: int = 0,
         workers: Optional[int] = None, cache=None,
-        progress=None, obs=None) -> PathExperimentData:
+        progress=None, obs=None) -> ExperimentData:
     """Control overhead vs path length: the §V win compounds with hops.
 
     Runs workload B through ``line(n)`` scenarios for every ``n`` in
@@ -235,33 +240,25 @@ def run_path_experiment(
     pays one flow setup per switch on the path, so control-path load and
     ``packet_in`` counts grow roughly linearly with ``n`` — and the
     flow-granularity mechanism's per-setup saving compounds with it.
-
-    Runs in this process unless ``workers`` asks for a pool; the
-    composite per-length labels keep sweeps, cache entries and
-    observations distinct across topologies.
+    The ``length`` axis keys each sweep as ``"buffer-256@line:2"``.
     """
     if not lengths:
         raise ValueError("lengths must name at least one line length")
     if rates_mbps is None:
         rates_mbps = (PATH_QUICK_RATES_MBPS if quick
                       else MECHANISM_RATE_SWEEP_MBPS)
-    if repetitions is None:
-        repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
-    if calibration is None:
-        calibration = prototype_calibration()
-    factory = workload_b_factory(n_flows=n_flows,
-                                 packets_per_flow=packets_per_flow)
-    configs = (buffer_256(), flow_buffer_256())
-    data = PathExperimentData(name="path", lengths=tuple(lengths),
-                              labels=tuple(c.label for c in configs))
-    from ..parallel import SweepJob
-    jobs = [SweepJob(config=config, factory=factory,
-                     rates_mbps=tuple(rates_mbps), repetitions=repetitions,
-                     calibration=calibration, base_seed=base_seed,
-                     scenario=line_scenario(length),
-                     label_override=data.key(config.label, length))
-            for length in lengths for config in configs]
-    return _run_jobs(data, jobs, workers, cache, progress, obs)
+    return _run_experiment(
+        ExperimentData(name="path", axes={"length": tuple(lengths)},
+                       label_format="{label}@line:{length}"),
+        (buffer_256(), flow_buffer_256()),
+        workers, cache, progress, obs, repetitions=repetitions, quick=quick,
+        cell_fields=lambda length: {"scenario": line_scenario(length)},
+        factory=workload_b_factory(n_flows=n_flows,
+                                   packets_per_flow=packets_per_flow),
+        rates_mbps=rates_mbps,
+        calibration=(calibration if calibration is not None
+                     else prototype_calibration()),
+        base_seed=base_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -277,40 +274,21 @@ RESILIENCE_LOSS_RATES = (0.0, 0.005, 0.01, 0.02, 0.05)
 RESILIENCE_RATE_MBPS = 30.0
 
 
-@dataclass
-class ResilienceExperimentData:
-    """Sweeps of the resilience experiment.
+def _loss_axis(loss_rates: Sequence[float]) -> tuple:
+    """A control-channel loss grid, checked: non-empty, each in [0, 1)."""
+    if not loss_rates:
+        raise ValueError("loss_rates must name at least one loss rate")
+    for loss in loss_rates:
+        if not 0.0 <= loss < 1.0:
+            raise ValueError(
+                f"loss rates must be in [0, 1), got {loss!r}")
+    return tuple(loss_rates)
 
-    One single-rate sweep per (mechanism, loss rate), keyed by the
-    composite label ``"flow-buffer-256@loss:0.01"`` (see :meth:`key`).
-    """
 
-    name: str
-    loss_rates: tuple
-    labels: tuple
-    rate_mbps: float
-    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
-    #: Engine telemetry (an :class:`~repro.parallel.EngineReport`).
-    report: Optional[object] = None
-
-    @staticmethod
-    def key(label: str, loss: float) -> str:
-        """Sweep key of one (mechanism, loss rate) combination."""
-        return f"{label}@loss:{loss:g}"
-
-    def sweep_for(self, label: str, loss: float) -> SweepResult:
-        """One mechanism's sweep at one loss rate."""
-        return self.sweeps[self.key(label, loss)]
-
-    def row_for(self, label: str, loss: float) -> RateAggregate:
-        """The single figure row of one (mechanism, loss) combination."""
-        return self.sweep_for(label, loss).row_at(self.rate_mbps)
-
-    def series_vs_loss(self, label: str,
-                       getter: MetricGetter) -> list[float]:
-        """One mechanism's metric against control-channel loss rate."""
-        return [getter(self.row_for(label, loss))
-                for loss in self.loss_rates]
+def _loss_faults(loss: float):
+    """The fault spec of one loss cell (``None`` for the baseline)."""
+    from ..faults import loss_fault
+    return loss_fault(loss) if loss > 0 else None
 
 
 def run_resilience_experiment(
@@ -321,7 +299,7 @@ def run_resilience_experiment(
         n_flows: int = WORKLOAD_A_FLOWS,
         quick: bool = True, base_seed: int = 0,
         workers: Optional[int] = None, cache=None,
-        progress=None, obs=None) -> ResilienceExperimentData:
+        progress=None, obs=None) -> ExperimentData:
     """Flow setup under a lossy control channel: the re-request payoff.
 
     Sweeps symmetric control-channel loss over ``loss_rates`` at one
@@ -331,34 +309,18 @@ def run_resilience_experiment(
     ``packet_in_retry_count > 0`` and keeps its completion rate near 100 %,
     while the other two silently lose whatever the channel eats — the
     resilience benefit of §V's buffering design, which no figure of the
-    paper measures directly.
-
-    Runs in this process unless ``workers`` asks for a pool; composite
-    per-loss labels keep sweeps, cache entries and observations
-    distinct across fault specs.
+    paper measures directly.  The ``loss`` axis keys each sweep as
+    ``"flow-buffer-256@loss:0.01"``.
     """
-    from ..faults import loss_fault
-    if not loss_rates:
-        raise ValueError("loss_rates must name at least one loss rate")
-    for loss in loss_rates:
-        if not 0.0 <= loss < 1.0:
-            raise ValueError(
-                f"loss rates must be in [0, 1), got {loss!r}")
-    if repetitions is None:
-        repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
-    factory = workload_a_factory(n_flows=n_flows)
-    configs = (no_buffer(), buffer_256(), flow_buffer_256())
-    data = ResilienceExperimentData(
-        name="resilience", loss_rates=tuple(loss_rates),
-        labels=tuple(c.label for c in configs), rate_mbps=rate_mbps)
-    from ..parallel import SweepJob
-    jobs = [SweepJob(config=config, factory=factory,
-                     rates_mbps=(rate_mbps,), repetitions=repetitions,
-                     calibration=calibration, base_seed=base_seed,
-                     faults=(loss_fault(loss) if loss > 0 else None),
-                     label_override=data.key(config.label, loss))
-            for loss in data.loss_rates for config in configs]
-    return _run_jobs(data, jobs, workers, cache, progress, obs)
+    return _run_experiment(
+        ExperimentData(name="resilience",
+                       axes={"loss": _loss_axis(loss_rates)},
+                       label_format="{label}@loss:{loss:g}"),
+        (no_buffer(), buffer_256(), flow_buffer_256()),
+        workers, cache, progress, obs, repetitions=repetitions, quick=quick,
+        cell_fields=lambda loss: {"faults": _loss_faults(loss)},
+        factory=workload_a_factory(n_flows=n_flows), rates_mbps=(rate_mbps,),
+        calibration=calibration, base_seed=base_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -394,46 +356,6 @@ def sharing_pool_specs(
             + (delay_pool(scope=SCOPE_PORT),))
 
 
-@dataclass
-class SharingExperimentData:
-    """Sweeps of the buffer-sharing experiment.
-
-    One single-rate sweep per (mechanism, pool policy, loss rate),
-    keyed by the composite label ``"buffer-16+dt:alpha=2/port@loss:0.01"``
-    (see :meth:`key`).
-    """
-
-    name: str
-    pool_names: tuple
-    loss_rates: tuple
-    labels: tuple
-    rate_mbps: float
-    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
-    #: Engine telemetry (an :class:`~repro.parallel.EngineReport`).
-    report: Optional[object] = None
-
-    @staticmethod
-    def key(label: str, pool_name: str, loss: float) -> str:
-        """Sweep key of one (mechanism, pool, loss) combination."""
-        return f"{label}+{pool_name}@loss:{loss:g}"
-
-    def sweep_for(self, label: str, pool_name: str,
-                  loss: float) -> SweepResult:
-        """One combination's sweep."""
-        return self.sweeps[self.key(label, pool_name, loss)]
-
-    def row_for(self, label: str, pool_name: str,
-                loss: float) -> RateAggregate:
-        """The single figure row of one (mechanism, pool, loss) cell."""
-        return self.sweep_for(label, pool_name, loss).row_at(self.rate_mbps)
-
-    def series_vs_loss(self, label: str, pool_name: str,
-                       getter: MetricGetter) -> list[float]:
-        """One (mechanism, pool)'s metric against control-channel loss."""
-        return [getter(self.row_for(label, pool_name, loss))
-                for loss in self.loss_rates]
-
-
 def run_figsharing_experiment(
         loss_rates: Sequence[float] = SHARING_LOSS_RATES,
         rate_mbps: float = SHARING_RATE_MBPS,
@@ -444,7 +366,7 @@ def run_figsharing_experiment(
         n_flows: int = WORKLOAD_A_FLOWS,
         quick: bool = True, base_seed: int = 0,
         workers: Optional[int] = None, cache=None,
-        progress=None, obs=None) -> SharingExperimentData:
+        progress=None, obs=None) -> ExperimentData:
     """Shared-buffer admission policies under fan-in contention.
 
     Sweeps {static, dt(α), delay} pool policies × {packet, flow}
@@ -454,44 +376,27 @@ def run_figsharing_experiment(
     ingress port — so the *only* axis is how the budget is arbitrated.
     Static quotas reject bursts a DT pool absorbs by borrowing idle
     ports' units: ``full_rejections`` falls as α grows while
-    ``pool_peak_units`` approaches the budget ceiling.
-
-    Runs in this process unless ``workers`` asks for a pool; composite
-    per-cell labels keep sweeps, cache entries and observations
-    distinct across pool specs and fault specs.
+    ``pool_peak_units`` approaches the budget ceiling.  The ``loss`` and
+    ``pool`` (policy name) axes key each sweep as
+    ``"buffer-16+dt:alpha=2/port@loss:0.01"``.
     """
-    from ..faults import loss_fault
-    if not loss_rates:
-        raise ValueError("loss_rates must name at least one loss rate")
-    for loss in loss_rates:
-        if not 0.0 <= loss < 1.0:
-            raise ValueError(
-                f"loss rates must be in [0, 1), got {loss!r}")
     if pools is None:
         pools = sharing_pool_specs()
-    if repetitions is None:
-        repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
-    factory = workload_a_factory(n_flows=n_flows)
-    configs = (
-        BufferConfig(mechanism=MECHANISM_PACKET,
-                     capacity=SHARING_CAPACITY),
-        BufferConfig(mechanism=MECHANISM_FLOW, capacity=SHARING_CAPACITY),
-    )
-    data = SharingExperimentData(
-        name="sharing", pool_names=tuple(p.name for p in pools),
-        loss_rates=tuple(loss_rates),
-        labels=tuple(c.label for c in configs), rate_mbps=rate_mbps)
+    specs = {pool.name: pool for pool in pools}
     scenario = fanin_scenario(fanin)
-    from ..parallel import SweepJob
-    jobs = [SweepJob(config=config, factory=factory,
-                     rates_mbps=(rate_mbps,), repetitions=repetitions,
-                     calibration=calibration, base_seed=base_seed,
-                     scenario=scenario.with_pool(pool),
-                     faults=(loss_fault(loss) if loss > 0 else None),
-                     label_override=data.key(config.label, pool.name, loss))
-            for loss in data.loss_rates for pool in pools
-            for config in configs]
-    return _run_jobs(data, jobs, workers, cache, progress, obs)
+    return _run_experiment(
+        ExperimentData(name="sharing",
+                       axes={"loss": _loss_axis(loss_rates),
+                             "pool": tuple(pool.name for pool in pools)},
+                       label_format="{label}+{pool}@loss:{loss:g}"),
+        (BufferConfig(mechanism=MECHANISM_PACKET, capacity=SHARING_CAPACITY),
+         BufferConfig(mechanism=MECHANISM_FLOW, capacity=SHARING_CAPACITY)),
+        workers, cache, progress, obs, repetitions=repetitions, quick=quick,
+        cell_fields=lambda loss, pool: {
+            "scenario": scenario.with_pool(specs[pool]),
+            "faults": _loss_faults(loss)},
+        factory=workload_a_factory(n_flows=n_flows), rates_mbps=(rate_mbps,),
+        calibration=calibration, base_seed=base_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from ..core import HeadlineClaim, build_headline_claims
-from .figures import (FIGURES, SCALE_DEVIATION_TOLERANCE, ExperimentData,
-                      FigureSpec, PathExperimentData,
-                      ResilienceExperimentData, ScaleExperimentData,
-                      SharingExperimentData, figure_series)
+from .figures import (SCALE_DEVIATION_TOLERANCE, ExperimentData, FigureSpec,
+                      ScaleExperimentData, figure_series)
 
 
 def format_figure(spec: FigureSpec, data: ExperimentData) -> str:
@@ -28,19 +27,6 @@ def format_figure(spec: FigureSpec, data: ExperimentData) -> str:
     return "\n".join(header + rows)
 
 
-def format_experiment(data: ExperimentData,
-                      figure_ids: Optional[Sequence[str]] = None) -> str:
-    """Every figure belonging to ``data``'s experiment, rendered."""
-    blocks = []
-    for fig_id, spec in FIGURES.items():
-        if spec.experiment != data.name:
-            continue
-        if figure_ids is not None and fig_id not in figure_ids:
-            continue
-        blocks.append(format_figure(spec, data))
-    return "\n\n".join(blocks)
-
-
 #: Metrics of the control-overhead-vs-path-length figure:
 #: ``(json_name, column_title, getter)``.
 PATH_METRICS = (
@@ -54,33 +40,6 @@ PATH_METRICS = (
      lambda r: r.setup_delay.mean * 1000.0),
 )
 
-
-def format_path_experiment(data: PathExperimentData,
-                           rate_mbps: Optional[float] = None) -> str:
-    """The control-overhead-vs-path-length figure as text tables.
-
-    One table per metric in :data:`PATH_METRICS`: line lengths down,
-    mechanisms across, values taken at ``rate_mbps`` (default: the
-    sweep's highest rate, where control-plane effects peak).
-    """
-    rate = rate_mbps if rate_mbps is not None else max(data.rates)
-    label_width = max(12, *(len(label) for label in data.labels))
-    cols = "  ".join(label.rjust(label_width) for label in data.labels)
-    lines = [f"figpath: control overhead vs path length at {rate:g} Mbps",
-             "  expected shape: overhead grows ~linearly with hops; the "
-             "flow-granularity saving compounds with path length"]
-    for _, title, getter in PATH_METRICS:
-        series = {label: data.series_vs_length(label, getter, rate)
-                  for label in data.labels}
-        lines.append(f"  {title}")
-        lines.append(f"{'length':>10}  {cols}")
-        for i, length in enumerate(data.lengths):
-            cells = "  ".join(f"{series[label][i]:>{label_width}.3f}"
-                              for label in data.labels)
-            lines.append(f"{length:>10d}  {cells}")
-    return "\n".join(lines)
-
-
 #: Metrics of the resilience-vs-loss figure: ``(json_name, column_title,
 #: getter)``.
 RESILIENCE_METRICS = (
@@ -93,33 +52,6 @@ RESILIENCE_METRICS = (
     ("setup_delay_p99_ms", "flow setup delay p99 (ms)",
      lambda r: r.setup_delay_p99 * 1000.0),
 )
-
-
-def format_resilience_experiment(data: ResilienceExperimentData) -> str:
-    """The resilience-vs-loss figure as text tables.
-
-    One table per metric in :data:`RESILIENCE_METRICS`: loss rates down,
-    mechanisms across, values taken at the experiment's fixed sending
-    rate.
-    """
-    label_width = max(12, *(len(label) for label in data.labels))
-    cols = "  ".join(label.rjust(label_width) for label in data.labels)
-    lines = [f"figresilience: flow setup vs control-channel loss at "
-             f"{data.rate_mbps:g} Mbps",
-             "  expected shape: only the flow-granularity mechanism "
-             "retries lost packet_ins; its completion stays ~100% while "
-             "the others shed flows as loss grows"]
-    for _, title, getter in RESILIENCE_METRICS:
-        series = {label: data.series_vs_loss(label, getter)
-                  for label in data.labels}
-        lines.append(f"  {title}")
-        lines.append(f"{'loss':>10}  {cols}")
-        for i, loss in enumerate(data.loss_rates):
-            cells = "  ".join(f"{series[label][i]:>{label_width}.3f}"
-                              for label in data.labels)
-            lines.append(f"{loss:>10g}  {cells}")
-    return "\n".join(lines)
-
 
 #: Metrics of the buffer-sharing figure: ``(json_name, column_title,
 #: getter)``.
@@ -135,30 +67,124 @@ SHARING_METRICS = (
 )
 
 
-def format_sharing_experiment(data: SharingExperimentData) -> str:
-    """The buffer-sharing figure as text tables.
+@dataclass(frozen=True)
+class SweepTable:
+    """How one non-figure sweep experiment reads as a table."""
 
-    One table per metric in :data:`SHARING_METRICS` and per mechanism:
-    pool policies down, loss rates across, values taken at the
-    experiment's fixed sending rate.
+    target: str
+    heading: str
+    paper_shape: str
+    json_title: str
+    metrics: tuple
+
+
+#: The extension studies' tables, by experiment name.
+SWEEP_TABLES: Dict[str, SweepTable] = {
+    "path": SweepTable(
+        "figpath", "control overhead vs path length",
+        "overhead grows ~linearly with hops; the flow-granularity saving "
+        "compounds with path length",
+        "Control overhead vs path length", PATH_METRICS),
+    "resilience": SweepTable(
+        "figresilience", "flow setup vs control-channel loss",
+        "only the flow-granularity mechanism retries lost packet_ins; its "
+        "completion stays ~100% while the others shed flows as loss grows",
+        "Flow setup vs control-channel loss", RESILIENCE_METRICS),
+    "sharing": SweepTable(
+        "figsharing", "shared-pool admission policies",
+        "DT pools borrow idle ports' units, so full-rejections fall as "
+        "alpha grows while peak pool occupancy approaches the shared "
+        "budget",
+        "Shared-pool admission under fanin contention", SHARING_METRICS),
+}
+
+class Axis(NamedTuple):
+    """How one sweep axis besides the rate is named and printed."""
+
+    json_key: str
+    csv_column: str
+    #: Minimum width of its table column.
+    width: int
+
+
+AXES = {"length": Axis("lengths", "length", 10),
+        "loss": Axis("loss_rates", "loss_rate", 10),
+        "pool": Axis("pools", "pool", 18)}
+
+
+def _text(value) -> str:
+    """An axis value as the tables print it (``0.01``, ``2``, a name)."""
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _grid(title: str, axis: str, values, headers, rows) -> list[str]:
+    """One text table: ``axis`` values down, ``headers`` across."""
+    width = max(AXES[axis].width, *(len(_text(value)) for value in values))
+    column = max(12, *(len(header) for header in headers))
+    lines = [f"  {title}",
+             "  ".join([axis.rjust(width)]
+                       + [header.rjust(column) for header in headers])]
+    for value, row in zip(values, rows):
+        lines.append("  ".join([_text(value).rjust(width)]
+                               + [f"{cell:>{column}.3f}" for cell in row]))
+    return lines
+
+
+def format_sweep_table(data: ExperimentData) -> str:
+    """An extension study (figpath, figresilience, figsharing) as text.
+
+    One table per metric of its :data:`SWEEP_TABLES` entry, each value
+    read at the sweep's highest rate (see
+    :meth:`~repro.experiments.figures.ExperimentData.row`).  With one
+    axis it runs down and the mechanisms across; with a second, each
+    mechanism gets its own table, the second axis down and the first
+    (the x axis) across.
     """
-    pool_width = max(18, *(len(name) for name in data.pool_names))
-    cols = "  ".join(f"loss={loss:g}".rjust(12)
-                     for loss in data.loss_rates)
-    lines = [f"figsharing: shared-pool admission policies at "
-             f"{data.rate_mbps:g} Mbps",
-             "  expected shape: DT pools borrow idle ports' units, so "
-             "full-rejections fall as alpha grows while peak pool "
-             "occupancy approaches the shared budget"]
-    for _, title, getter in SHARING_METRICS:
+    table = SWEEP_TABLES[data.name]
+    x_axis, *rest = data.axes
+    lines = [f"{table.target}: {table.heading} at {max(data.rates):g} Mbps",
+             f"  expected shape: {table.paper_shape}"]
+    for _, title, getter in table.metrics:
+        if not rest:
+            rows = zip(*(data.series(label, getter, axis=x_axis)
+                         for label in data.labels))
+            lines += _grid(title, x_axis, data.axes[x_axis], data.labels,
+                           rows)
+            continue
+        (down,) = rest
+        headers = [f"{x_axis}={_text(x)}" for x in data.axes[x_axis]]
         for label in data.labels:
-            lines.append(f"  {title} - {label}")
-            lines.append(f"{'pool'.rjust(pool_width)}  {cols}")
-            for pool_name in data.pool_names:
-                series = data.series_vs_loss(label, pool_name, getter)
-                cells = "  ".join(f"{value:>12.3f}" for value in series)
-                lines.append(f"{pool_name.rjust(pool_width)}  {cells}")
+            rows = [data.series(label, getter, axis=x_axis, **{down: value})
+                    for value in data.axes[down]]
+            lines += _grid(f"{title} - {label}", down, data.axes[down],
+                           headers, rows)
     return "\n".join(lines)
+
+
+def sweep_payload(data: ExperimentData) -> dict:
+    """An extension study as JSON: every metric of its table along x.
+
+    ``series[metric][label]`` lists the values along the x axis (the
+    first); a second axis nests one such list per value,
+    ``series[metric][label][pool]``.
+    """
+    table = SWEEP_TABLES[data.name]
+    x_axis, *rest = data.axes
+
+    def along_x(label, getter):
+        if not rest:
+            return data.series(label, getter, axis=x_axis)
+        (other,) = rest
+        return {value: data.series(label, getter, axis=x_axis,
+                                   **{other: value})
+                for value in data.axes[other]}
+
+    return {"title": table.json_title, "rate_mbps": max(data.rates),
+            **{AXES[axis].json_key: list(values)
+               for axis, values in data.axes.items()},
+            "series": {name: {label: along_x(label, getter)
+                              for label in data.labels}
+                       for name, _, getter in table.metrics}}
 
 
 def format_scale_experiment(data: ScaleExperimentData) -> str:

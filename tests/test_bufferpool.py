@@ -503,6 +503,12 @@ def _row_tuple(row):
 def test_figsharing_serial_vs_parallel_bit_identical():
     serial = _sharing(workers=1)
     parallel = _sharing(workers=2)
+    # One sweep per (loss, pool, mechanism), the loss outermost, keyed by
+    # the composite label its rows, cache entries and obs runs carry.
+    assert list(serial.sweeps) == [
+        f"{label}+{pool}@loss:{loss}" for loss in ("0", "0.02")
+        for pool in ("static/port", "dt:alpha=2/port")
+        for label in ("buffer-16", "flow-buffer-16")]
     assert set(serial.sweeps) == set(parallel.sweeps)
     for key in serial.sweeps:
         assert _row_tuple(serial.sweeps[key].rows[0]) \
@@ -512,12 +518,12 @@ def test_figsharing_serial_vs_parallel_bit_identical():
     # buffer only comes under pressure once loss triggers re-buffering,
     # so it is held to "no worse" rather than strictly better.
     for label in serial.labels:
-        static_row = serial.row_for(label, "static/port", 0.0)
-        dt_row = serial.row_for(label, "dt:alpha=2/port", 0.0)
+        static_row = serial.row(label, pool="static/port", loss=0.0)
+        dt_row = serial.row(label, pool="dt:alpha=2/port", loss=0.0)
         assert dt_row.full_rejections <= static_row.full_rejections
     pkt = serial.labels[0]
-    static_pkt = serial.row_for(pkt, "static/port", 0.0)
-    dt_pkt = serial.row_for(pkt, "dt:alpha=2/port", 0.0)
+    static_pkt = serial.row(pkt, pool="static/port", loss=0.0)
+    dt_pkt = serial.row(pkt, pool="dt:alpha=2/port", loss=0.0)
     assert static_pkt.full_rejections > 0
     assert dt_pkt.full_rejections < static_pkt.full_rejections
     # Peaks stay within the shared budget and rise with sharing.
@@ -535,8 +541,8 @@ def test_figsharing_p99_within_analytic_bound_at_low_load():
     bound = setup_delay_bound(10.0, default_calibration(), quantile=0.99)
     assert bound < 0.010                         # a real bound, not inf
     for label in data.labels:
-        for pool_name in data.pool_names:
-            row = data.row_for(label, pool_name, 0.0)
+        for pool_name in data.axes["pool"]:
+            row = data.row(label, pool=pool_name, loss=0.0)
             assert row.completion_rate == pytest.approx(1.0)
             assert 0.0 < row.setup_delay_p99 < bound
 

@@ -11,7 +11,8 @@ from repro.experiments import (FIGURES, ExperimentData, aggregate,
                                figure_series, format_figure,
                                format_headlines, format_table_1,
                                headline_claims, run_benefits_experiment,
-                               run_mechanism_experiment, run_once, sweep,
+                               run_mechanism_experiment, run_once,
+                               run_resilience_experiment, sweep,
                                workload_a_factory, workload_b_factory)
 from repro.experiments.cli import main as cli_main
 from repro.simkit import mbps
@@ -103,6 +104,21 @@ def test_mechanism_experiment_has_two_sweeps(tiny_mechanism):
     assert set(tiny_mechanism.sweeps) == {"buffer-256", "flow-buffer-256"}
 
 
+def test_resilience_experiment_keys_one_sweep_per_loss_and_mechanism():
+    data = run_resilience_experiment(loss_rates=(0.0, 0.05), repetitions=1,
+                                     n_flows=20, workers=1)
+    assert data.axes == {"loss": (0.0, 0.05)}
+    assert list(data.sweeps) == [
+        f"{label}@loss:{loss}" for loss in ("0", "0.05")
+        for label in ("no-buffer", "buffer-256", "flow-buffer-256")]
+    assert data.rates == [30.0]
+    retries = data.series("flow-buffer-256", lambda r: r.retries_per_run,
+                          axis="loss")
+    assert retries[0] == 0 and retries[1] > 0
+    assert data.row("no-buffer", loss=0.0) is \
+        data.sweeps["no-buffer@loss:0"].rows[0]
+
+
 def test_every_paper_figure_is_registered():
     expected = {"fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6", "fig7",
                 "fig8", "fig9a", "fig9b", "fig10", "fig11", "fig12a",
@@ -191,6 +207,84 @@ def test_cli_rejects_unusable_sizes_before_any_task(argv, capsys,
     assert code == 2
     assert ran == []
     assert argv[1] in capsys.readouterr().err
+
+
+_RUNNERS = ("run_benefits_experiment", "run_mechanism_experiment",
+            "run_path_experiment", "run_resilience_experiment",
+            "run_figsharing_experiment", "run_figscale_experiment")
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["figresilience", "--rates", "77", "--fault", "loss=0.3",
+      "--scenario", "line:2"], "--rates, --scenario, --fault: read by "
+     "none of the requested targets (figresilience)"),
+    (["fig12a", "--flows", "5"],
+     "--flows: read by none of the requested targets (fig12a)"),
+    (["figscale", "--workers", "2"],
+     "--workers: read by none of the requested targets (figscale)"),
+    (["figscale", "--csv", "csv-out"],
+     "--csv: read by none of the requested targets (figscale)"),
+    (["figscale", "--trace-out", "trace.json"],
+     "--trace-out: read by none of the requested targets (figscale)"),
+    (["figscale", "--seed", "0", "--full"],
+     "--full, --seed: read by none of the requested targets (figscale)"),
+    (["figpath", "figsharing", "--engine", "hybrid", "--chart"],
+     "--engine, --chart: read by none of the requested targets "
+     "(figpath figsharing)"),
+    (["figsharing", "--pool", "static"],
+     "--pool: read by none of the requested targets (figsharing)"),
+    (["table1", "--reps", "2"],
+     "--reps: read by none of the requested targets (table1)"),
+    (["all", "--scale-flows", "100"],
+     "--scale-flows: read by none of the requested targets (all)"),
+), ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_cli_refuses_options_no_target_reads(argv, message, capsys,
+                                             monkeypatch, tmp_path):
+    """An option none of the requested targets reads exits 2, naming
+    the option(s) and the targets, before any experiment runs."""
+    from repro.experiments import cli as cli_module
+    ran = []
+    for runner_name in _RUNNERS:
+        monkeypatch.setattr(cli_module, runner_name,
+                            lambda **kwargs: ran.append(kwargs))
+    monkeypatch.chdir(tmp_path)
+    assert cli_module.main(argv) == 2
+    assert ran == []
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_all_accepts_every_option_one_of_its_experiments_reads(
+        capsys, monkeypatch, tmp_path):
+    """``all`` reads what any of its experiments reads (the benchmark's
+    ``all --json --flows … --reps … --seed … --workers … --cache-dir``
+    among them), and each option reaches the runner keyword it sets."""
+    from repro.experiments import cli as cli_module
+    ran = []
+
+    def stop(**kwargs):
+        ran.append(kwargs)
+        raise RuntimeError("stopped after the first experiment")
+
+    monkeypatch.setattr(cli_module, "run_benefits_experiment", stop)
+    code = cli_module.main([
+        "all", "--json", "--flows", "150", "--reps", "2", "--seed", "3",
+        "--workers", "1", "--cache-dir", str(tmp_path / "cache"),
+        "--rates", "20", "40", "--full", "--scenario", "line:2",
+        "--fault", "loss=0.01", "--chart", "--csv", str(tmp_path / "csv"),
+        "--metrics-out", str(tmp_path / "m.prom"), "--trace-sample", "2"])
+    assert code == 1
+    assert "benefits experiment failed" in capsys.readouterr().err
+    (kwargs,) = ran
+    assert {key: kwargs[key] for key in (
+        "n_flows", "repetitions", "base_seed", "workers", "rates_mbps",
+        "quick")} == {"n_flows": 150, "repetitions": 2, "base_seed": 3,
+                      "workers": 1, "rates_mbps": [20.0, 40.0],
+                      "quick": False}
+    assert kwargs["scenario"].name == "line:2"
+    assert kwargs["faults"] is not None
+    assert kwargs["obs"].config.trace_sample == 2
+    assert kwargs["cache"] is not None and kwargs["progress"] is True
 
 
 def test_cli_runs_tiny_figure(capsys):

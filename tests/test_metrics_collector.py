@@ -8,7 +8,7 @@ import pytest
 
 from repro.bufferpool import parse_pool
 from repro.core import buffer_16, buffer_256, flow_buffer_256, no_buffer
-from repro.experiments import (build_testbed, format_experiment,
+from repro.experiments import (FIGURES, build_testbed, format_figure,
                                run_benefits_experiment, run_once)
 from repro.faults import parse_fault
 from repro.metrics import TimeSeries
@@ -68,15 +68,17 @@ def test_redundant_packet_in_ratio():
     testbed.shutdown()
 
 
-def test_format_experiment_renders_all_benefit_figures():
+def test_format_figure_renders_every_benefit_figure():
     data = run_benefits_experiment(rates_mbps=(30,), repetitions=1,
                                    n_flows=15)
-    text = format_experiment(data)
-    for figure_id in ("fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6",
-                      "fig7", "fig8"):
-        assert figure_id in text
-    filtered = format_experiment(data, figure_ids=("fig3",))
-    assert "fig3" in filtered and "fig2a" not in filtered
+    benefit_ids = [figure_id for figure_id, spec in FIGURES.items()
+                   if spec.experiment == "benefits"]
+    assert benefit_ids == ["fig2a", "fig2b", "fig3", "fig4", "fig5",
+                           "fig6", "fig7", "fig8"]
+    for figure_id in benefit_ids:
+        text = format_figure(FIGURES[figure_id], data)
+        assert text.startswith(f"{figure_id}: ")
+        assert text.splitlines()[-1].split()[0] == "30"
 
 
 # ---------------------------------------------------------------------------

@@ -382,25 +382,28 @@ def test_path_experiment_runs_with_engine_cache_and_obs(tmp_path):
                                packets_per_flow=6, workers=2, cache=cache,
                                obs=obs)
     assert data.report.ok
-    assert data.lengths == (1, 2, 4)
+    assert data.axes == {"length": (1, 2, 4)}
+    assert data.labels == ("buffer-256", "flow-buffer-256")
 
     for label in data.labels:
-        loads = data.series_vs_length(label, lambda r: r.load_up_mbps)
+        loads = data.series(label, lambda r: r.load_up_mbps, axis="length")
         assert loads == sorted(loads)           # overhead grows with hops
         assert loads[0] > 0
-    pkt = data.series_vs_length("buffer-256",
-                                lambda r: r.packet_ins_per_run)
-    flow = data.series_vs_length("flow-buffer-256",
-                                 lambda r: r.packet_ins_per_run)
+    pkt = data.series("buffer-256", lambda r: r.packet_ins_per_run,
+                      axis="length")
+    flow = data.series("flow-buffer-256", lambda r: r.packet_ins_per_run,
+                       axis="length")
     # Flow granularity pays exactly one packet_in per (flow, switch);
     # packet granularity pays at least one per packet of the first batch.
     assert flow == [10.0, 20.0, 40.0]
     assert all(f < p for f, p in zip(flow, pkt))
 
-    # Observation followed every task, labelled by composite sweep key.
-    assert {o.label for o in obs.observations} \
-        == {data.key(label, n) for label in data.labels
-            for n in data.lengths}
+    # Observation followed every task, labelled by composite sweep key
+    # (these strings also name cache entries' rows and CI's greps).
+    keys = [f"{label}@line:{n}" for n in (1, 2, 4)
+            for label in ("buffer-256", "flow-buffer-256")]
+    assert list(data.sweeps) == keys
+    assert {o.label for o in obs.observations} == set(keys)
 
     # A second, unobserved run resolves entirely from the cache.
     again = run_path_experiment(lengths=(1, 2, 4), rates_mbps=(30.0,),
@@ -408,9 +411,9 @@ def test_path_experiment_runs_with_engine_cache_and_obs(tmp_path):
                                 packets_per_flow=6, workers=2, cache=cache)
     assert again.report.cached == again.report.total_tasks == 6
     for label in again.labels:
-        for n in again.lengths:
-            assert _row_tuple(again.sweep_for(label, n).rows[0]) \
-                == _row_tuple(data.sweep_for(label, n).rows[0])
+        for n in again.axes["length"]:
+            assert _row_tuple(again.row(label, length=n)) \
+                == _row_tuple(data.row(label, length=n))
 
 
 def test_path_experiment_rejects_empty_lengths():
