@@ -41,7 +41,13 @@ OUTPUT_PATH = pathlib.Path(__file__).resolve().parent / "_output" / "BENCH_kerne
 #: is different in kind: the **packet engine on the identical
 #: workload** (the figscale 10^5-flow point, same machine, workload
 #: construction excluded), so the recorded speedup IS the
-#: hybrid-vs-packet ratio the engine exists to deliver.
+#: hybrid-vs-packet ratio the engine exists to deliver.  That 753.5 s
+#: was measured with the eager packet generator, which queued every
+#: send of the run (6.4 million at that point) at t = 0; the streamed
+#: generator keeps one send queued per source and runs the packet
+#: engine much faster (DESIGN.md §16), so the recorded speedup
+#: overstates today's ratio.  The gated *after* is the hybrid engine's
+#: own time and stays comparable.
 #: ``full_testbed`` (500 flows, every one a table miss) was re-based
 #: when it became gated: *before* is the commit whose links still spent
 #: two events per hop (DESIGN.md §20), *after* the one-event link; each

@@ -6,12 +6,13 @@ pure dataplane forwarding whose per-packet simulation buys nothing but
 wall-clock.  The :class:`HybridFlowDriver` exploits exactly that split:
 
 * Every flow's **first packet** is sent discretely, byte-for-byte like
-  :class:`~repro.trafficgen.PacketGenerator` would — it misses, rides
-  the ordinary packet_in / buffer / flow_mod machinery, and every
-  re-request, fault and buffer event along the way stays a real
-  discrete event.  On workloads where every packet is a flow's first
-  (the paper's workload A), hybrid runs are therefore bit-identical to
-  packet-engine runs.
+  :class:`~repro.trafficgen.PacketGenerator` would — streamed one
+  queued send at a time under the sequence numbers the whole train
+  would have drawn at start — so it misses, rides the ordinary
+  packet_in / buffer / flow_mod machinery, and every re-request, fault
+  and buffer event along the way stays a real discrete event.  On
+  workloads where every packet is a flow's first (the paper's workload
+  A), hybrid runs are therefore bit-identical to packet-engine runs.
 * Until the flow's rules are installed path-wide, **tail packets keep
   being sent discretely one at a time** — they miss too, and the
   buffer mechanisms (Algorithm 1 lines 10–11, exhaustion degradation,
@@ -21,14 +22,13 @@ wall-clock.  The :class:`HybridFlowDriver` exploits exactly that split:
   holds the flow's rule.  From that instant the remaining unsent
   packets are pure hit-path traffic, and the driver advances them
   **analytically** — latency and finite-rate occupancy from
-  :mod:`repro.analytic.path` — as one
-  :class:`~repro.simkit.AggregateEvent` per burst segment.  When a
-  segment starts, the flow's rule on every path switch is credited
-  with its packets and bytes and its ``last_used`` moves to the
-  segment's last lookup there, so the rule idles out when the packet
-  engine's would, not while the segment still runs.  Completion
-  credits the datapath counters, the delay tracker and the pktgen in
-  bulk.
+  :mod:`repro.analytic.path` — as one scheduled completion per burst
+  segment.  When a segment starts, the flow's rule on every path
+  switch is credited with its packets and bytes and its ``last_used``
+  moves to the segment's last lookup there, so the rule idles out when
+  the packet engine's would, not while the segment still runs.
+  Completion credits the datapath counters, the delay tracker and the
+  pktgen in bulk.
 * An inter-packet gap of at least ``burst_gap`` (default: the
   controller's ``flow_idle_timeout``, the smallest silence after which
   a rule *can* idle out) ends the segment: the post-gap packet drops
@@ -44,13 +44,15 @@ cross-engine tolerances.
 from __future__ import annotations
 
 import math
+import warnings
 from functools import partial
 from typing import Dict, List, Optional
 
 from ..analytic.path import (arithmetic_last_egress, hit_path_latency,
                              hit_path_lookup_leads, hit_path_spacing,
                              train_last_egress)
-from ..simkit import AggregateEvent, ArithmeticTimes
+from ..simkit import ArithmeticTimes
+from ..trafficgen.pktgen import check_playable
 
 # NOTE: nothing from repro.scenarios may be imported at module level —
 # scenarios.spec imports repro.engine (for EngineSpec), so a module-level
@@ -66,6 +68,21 @@ from ..simkit import AggregateEvent, ArithmeticTimes
 HYBRID_DELAY_TOLERANCE = 0.15
 
 
+def offered_load(workload, link_rate_bps: float) -> float:
+    """ρ of one source: the workload's wire bits (lazy tails included)
+    over its logical duration, as a share of ``link_rate_bps``.
+
+    The fluid model leaves out cross-flow queueing at the source NIC,
+    so it holds only while ρ < 1 (DESIGN.md §16).  A workload with bits
+    but no duration is infinitely dense.
+    """
+    bits = 8.0 * workload.total_bytes
+    duration = workload.duration
+    if duration <= 0:
+        return math.inf if bits else 0.0
+    return bits / duration / link_rate_bps
+
+
 class _FlowState:
     """Per-flow progress bookkeeping inside one driver."""
 
@@ -76,8 +93,9 @@ class _FlowState:
         self.flow_id = flow_id
         #: Tail send offsets (list of floats, or ArithmeticTimes).
         self.times = None
-        #: Explicit tail packets, parallel to ``times`` (None when the
-        #: workload keeps tails lazy and materializes on demand).
+        #: Explicit tail template packets, parallel to ``times``, each
+        #: copied when it is sent (None when the workload keeps tails
+        #: lazy and materializes on demand).
         self.packets: Optional[List] = None
         #: Next unsent tail index.
         self.next_index = 0
@@ -102,9 +120,16 @@ class HybridFlowDriver:
         self.workload = pktgen.workload
         self.sim = pktgen.sim
         self.burst_gap = burst_gap
+        #: This source's ρ on its data link (:func:`offered_load`).
+        self.offered_load = offered_load(self.workload,
+                                         calibration.data_link_rate_bps)
         self._base = 0.0
         self._started = False
         self._states: Dict[int, _FlowState] = {}
+        #: First sends not yet queued, as ``(offset, state, template)``,
+        #: and the sequence numbers they were reserved at start.
+        self._firsts = iter(())
+        self._slots = None
         self._tracker = testbed.metrics.delay_tracker
         self._datapaths = [switch.datapath for switch in testbed.switches]
         # Path model: latency and spacing depend only on the frame size,
@@ -130,37 +155,38 @@ class HybridFlowDriver:
     # Startup
     # ------------------------------------------------------------------
     def start(self, at: float = 0.0) -> None:
-        """Schedule first packets discretely; arm the open detector.
+        """Stream first packets discretely; arm the open detector.
 
         Every entry is replayed through
-        :meth:`~repro.packets.Packet.replay_copy`, exactly as
-        :meth:`PacketGenerator.start` does (a shallow copy sharing the
-        immutable headers, stamps cleared), and first packets are
-        scheduled in workload-entry order — on single-packet-flow
-        workloads the resulting event stream is indistinguishable from
-        the packet engine's.
+        :meth:`~repro.packets.Packet.replay_copy` when it is sent,
+        exactly as :meth:`PacketGenerator.start` does (a shallow copy
+        sharing the immutable headers, stamps cleared), and first
+        packets are sent in workload-entry order, one queued at a time
+        under the sequence numbers reserved for all of them here — on
+        single-packet-flow workloads the resulting event stream is
+        indistinguishable from the packet engine's.
         """
         if self._started:
             raise RuntimeError("driver already started")
+        check_playable(self.workload)
         self._started = True
         self._base = self.sim.now + at
         lazy_tails = getattr(self.workload, "tails", None)
+        firsts = []
         for offset, packet in self.workload.entries:
             flow_id = packet.flow_id
             state = self._states.get(flow_id) if flow_id is not None \
                 else None
-            fresh = packet.replay_copy()
             if state is None:
                 if flow_id is not None:
                     state = _FlowState(flow_id)
                     state.times = []
                     state.packets = []
                     self._states[flow_id] = state
-                self.sim.schedule_at(self._base + offset, self._send_first,
-                                     state, fresh)
+                firsts.append((offset, state, packet))
             else:
                 state.times.append(offset)
-                state.packets.append(fresh)
+                state.packets.append(packet)
         if lazy_tails:
             for flow_id, (_template, times) in lazy_tails.items():
                 state = self._states.get(flow_id)
@@ -172,6 +198,9 @@ class HybridFlowDriver:
                         f"lazy tail")
                 state.times = times
                 state.packets = None
+        self._slots = self.sim.reserve(len(firsts))
+        self._firsts = iter(firsts)
+        self._queue_first()
         # The last switch's egress is the proof that the flow's rules
         # are installed path-wide.
         self.testbed.switches[-1].events.on("packet_egress",
@@ -187,8 +216,16 @@ class HybridFlowDriver:
     # ------------------------------------------------------------------
     # Discrete path (first packets and pre-open tails)
     # ------------------------------------------------------------------
-    def _send_first(self, state: Optional[_FlowState], packet) -> None:
-        self.pktgen._send(packet)
+    def _queue_first(self) -> None:
+        first = next(self._firsts, None)
+        if first is not None:
+            offset, state, template = first
+            self._slots.schedule_at(self._base + offset, self._send_first,
+                                    state, template)
+
+    def _send_first(self, state: Optional[_FlowState], template) -> None:
+        self._queue_first()
+        self.pktgen._send(template.replay_copy())
         self._discrete_inc()
         if state is not None:
             self._schedule_next(state)
@@ -206,7 +243,7 @@ class HybridFlowDriver:
         index = state.next_index
         state.next_index = index + 1
         if state.packets is not None:
-            packet = state.packets[index]
+            packet = state.packets[index].replay_copy()
             state.packets[index] = None  # send once; free the reference
         else:
             packet = self.workload.materialize_tail_packet(state.flow_id,
@@ -305,8 +342,8 @@ class HybridFlowDriver:
                 state.packets[k] = None  # accounted analytically
         state.next_index = end
         state.aggregating = True
-        AggregateEvent(count, last_egress).schedule(
-            self.sim, self._complete_segment, state, count, wire_bytes)
+        self.sim.schedule_at(last_egress, self._complete_segment, state,
+                             count, wire_bytes)
 
     def _complete_segment(self, state: _FlowState, count: int,
                           wire_bytes: int) -> None:
@@ -338,6 +375,12 @@ def install_hybrid_drivers(testbed, calibration=None
     calibration resolves.  The engine's ``burst_gap`` defaults to the
     controller's ``flow_idle_timeout`` (``inf`` when rules never idle
     out, i.e. nothing ever splits a segment).
+
+    A source whose :func:`offered_load` reaches 1 while some flow of
+    its workload has more than one packet raises a ``RuntimeWarning``:
+    its aggregated delays leave the fluid model's validity region.
+    Single-packet flows never aggregate, so they run exactly as on the
+    packet engine at any load.
     """
     from ..scenarios.builders import _resolve_calibration
     spec = testbed.spec
@@ -350,5 +393,16 @@ def install_hybrid_drivers(testbed, calibration=None
     if burst_gap is None:
         idle = calibration.controller.flow_idle_timeout
         burst_gap = idle if idle and idle > 0 else math.inf
-    return [HybridFlowDriver(testbed, pktgen, calibration, burst_gap)
-            for pktgen in testbed.pktgens]
+    drivers = [HybridFlowDriver(testbed, pktgen, calibration, burst_gap)
+               for pktgen in testbed.pktgens]
+    for driver in drivers:
+        if driver.offered_load >= 1 and any(
+                flow.n_packets > 1
+                for flow in driver.workload.flows.values()):
+            warnings.warn(
+                f"hybrid engine: source {driver.pktgen.host.name} offers "
+                f"ρ = {driver.offered_load:.2f} of its data link, outside "
+                f"the fluid model's region ρ < 1 (DESIGN.md §16): "
+                f"aggregated delays leave out queueing at the source",
+                RuntimeWarning, stacklevel=2)
+    return drivers

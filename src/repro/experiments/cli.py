@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .. import __version__
 from .calibration import format_table_1
@@ -241,9 +241,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     names = [name for name in _EXPERIMENTS
              if any(name in _experiments_of(t) for t in targets)]
     unread = _unread_options(args, targets, names)
-    if unread:
-        print(f"{', '.join(unread)}: read by none of the requested "
-              f"targets ({' '.join(args.targets)})", file=sys.stderr)
+    if unread is not None:
+        print(unread, file=sys.stderr)
         return 2
 
     try:
@@ -385,24 +384,48 @@ def _run_axes(args: argparse.Namespace) -> tuple:
     return scenario, faults
 
 
-def _unread_options(args: argparse.Namespace, targets: Sequence[str],
-                    names: Sequence[str]) -> List[str]:
-    """The options set in ``args`` that none of ``targets`` reads.
+#: Options another option turns off, as ``(option, switch, read only
+#: with the switch set)``: ``--json`` prints no chart, ``--no-cache``
+#: opens no cache directory, and only ``--trace-out`` builds the tracer
+#: that ``--trace-sample`` samples for.
+_SWITCHED_OFF = (("chart", "json", False), ("cache_dir", "no_cache", False),
+                 ("trace_sample", "trace_out", True))
 
-    ``names`` are the experiments the targets run; a figure also reads
+
+def _unread_options(args: argparse.Namespace, targets: Sequence[str],
+                    names: Sequence[str]) -> Optional[str]:
+    """Why an option set in ``args`` would go unread (``None`` if none).
+
+    An option is unread when none of ``targets`` reads it, or when
+    another option switches it off (:data:`_SWITCHED_OFF`).  ``names``
+    are the experiments the targets run; a figure also reads
     ``--chart``.  An option counts as set when it differs from its
     default (``None``, or ``False`` for a switch).  ``--json`` shapes
     every target's output, so it is always read.
     """
+    def is_set(option: str) -> bool:
+        value = getattr(args, option)
+        return value is not None and value is not False
+
+    def flag(option: str) -> str:
+        return f"--{option.replace('_', '-')}"
+
     read = {"json", "targets"}
     for name in names:
         read.update(_EXPERIMENTS[name].reads)
     if any(target in FIGURES for target in targets):
         read.add("chart")
-    return [f"--{option.replace('_', '-')}"
-            for option, value in vars(args).items()
-            if option not in read and value is not None
-            and value is not False]
+    unread = [flag(option) for option in vars(args)
+              if option not in read and is_set(option)]
+    if unread:
+        return (f"{', '.join(unread)}: read by none of the requested "
+                f"targets ({' '.join(args.targets)})")
+    switched_off = [
+        f"{flag(option)}: read only with {flag(switch)}" if needs_switch
+        else f"{flag(option)}: not read with {flag(switch)}"
+        for option, switch, needs_switch in _SWITCHED_OFF
+        if is_set(option) and is_set(switch) != needs_switch]
+    return "; ".join(switched_off) or None
 
 
 def _json_payload(targets, results) -> dict:

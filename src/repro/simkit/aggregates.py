@@ -1,27 +1,16 @@
-"""Aggregate events: one scheduled event standing for many packets.
+"""Lazy send times for packet trains.
 
-The kernel's contract is one heap entry per :class:`ScheduledCall`; the
-hybrid execution engine (:mod:`repro.engine.hybrid`) needs a way to let
-*thousands* of table-hit packets ride a single entry.  Two pieces live
-here, deliberately inside ``simkit`` so the scheduler integration stays
-next to the scheduler:
-
-* :class:`ArithmeticTimes` — a lazy arithmetic send-time sequence
-  (``start + k·gap``).  A million-packet train is three floats, not a
-  million tuples; indexing and slicing materialize nothing.
-* :class:`AggregateEvent` — a cancellable handle for one bulk
-  completion: "``count`` packets finish at ``time``".  It schedules a
-  single callback through the ordinary :meth:`Simulator.schedule_at`
-  path, so aggregate completions interleave deterministically with
-  discrete packets under the kernel's usual (time, priority, seq)
-  ordering — the fast path adds no new scheduler semantics.
+:class:`ArithmeticTimes` is a lazy arithmetic send-time sequence
+(``start + k·gap``): a million-packet train is three floats, not a
+million tuples, and indexing and slicing materialize nothing.  The
+hybrid execution engine (:mod:`repro.engine.hybrid`) keeps each flow's
+tail this way and advances a whole burst segment as one ordinary
+:meth:`~repro.simkit.Simulator.schedule_at` completion.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-from .simulator import ScheduledCall, Simulator
+from typing import Iterator
 
 
 class ArithmeticTimes:
@@ -73,36 +62,3 @@ def _arithmetic_iter(start: float, gap: float, count: int) -> Iterator[float]:
     for k in range(count):
         yield start + k * gap
 
-
-class AggregateEvent:
-    """One scheduled completion standing for ``count`` advanced packets.
-
-    Thin, cancellable wrapper over :meth:`Simulator.schedule_at`: the
-    callback fires once at ``time`` and receives whatever arguments were
-    passed to :meth:`schedule`, while :attr:`count` documents how many
-    packets the single heap entry represents (observability and
-    accounting read it; the kernel itself does not care).
-    """
-
-    __slots__ = ("count", "time", "_handle")
-
-    def __init__(self, count: int, time: float):
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self.count = count
-        self.time = time
-        self._handle: Optional[ScheduledCall] = None
-
-    def schedule(self, sim: Simulator, callback, *args) -> "AggregateEvent":
-        """Put the completion on the heap; returns self for chaining."""
-        self._handle = sim.schedule_at(self.time, callback, *args)
-        return self
-
-    def cancel(self) -> None:
-        """Cancel the pending completion (no-op if never scheduled)."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AggregateEvent(count={self.count}, time={self.time:g})"

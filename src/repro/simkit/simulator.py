@@ -19,15 +19,17 @@ Hot-path layout (DESIGN.md §13 documents the invariants):
   never falls through to the :class:`ScheduledCall` payload.
 * Same-instant work (``delay == 0`` / ``time == now``) never round-trips
   the heap: it lands on a per-priority FIFO micro-queue drained before
-  the clock may advance.  Because every heap entry at time ``t`` was
-  pushed while ``now < t``, its ``seq`` is smaller than any micro-queue
-  entry's at that instant, and the dispatch comparison reproduces the
-  exact ``(time, priority, seq)`` heap order bit-for-bit.
+  the clock may advance.  Only calls that draw a fresh ``seq`` land
+  there, so each micro-queue stays in ``seq`` order, and the dispatch
+  comparison (heap top against each queue head, by full key)
+  reproduces the exact ``(time, priority, seq)`` heap order
+  bit-for-bit.  A call under a reserved number (:class:`Reservation`)
+  always takes the heap.
 * :class:`ScheduledCall` handles are pooled on a bounded free list.  A
   handle is only recycled when the pop site holds the sole remaining
   reference (checked via ``sys.getrefcount``), so user-retained handles
-  (periodic sweeps, pktgen trains, timeouts) are never reused while a
-  stale ``cancel()`` could still reach them.
+  (periodic sweeps, a pktgen's queued send, timeouts) are never reused
+  while a stale ``cancel()`` could still reach them.
 * :meth:`Simulator.run` is the only code that pops and executes events.
   Its one per-event bookkeeping test is ``executed != checkpoint``: the
   checkpoint is the next event an attached profiler times or the event
@@ -103,6 +105,45 @@ class ScheduledCall:
         return (f"ScheduledCall(t={self.time:.9f}, prio={self.priority}, "
                 f"seq={self.seq}, fn={getattr(self.fn, '__name__', self.fn)}, "
                 f"{state})")
+
+
+class Reservation:
+    """Consecutive sequence numbers drawn at once, spent one call at a time.
+
+    Made by :meth:`Simulator.reserve`.  A traffic source that queues one
+    send at a time queues each under the number it would have drawn had
+    it queued every send up front, so its calls keep their place in the
+    ``(time, priority, seq)`` order (DESIGN.md §13).
+    """
+
+    __slots__ = ("_sim", "_next", "_end")
+
+    def __init__(self, sim: "Simulator", first: int, count: int):
+        self._sim = sim
+        self._next = first
+        self._end = first + count
+
+    def schedule_at(self, time: float, fn: Callable[..., Any],
+                    *args: Any) -> ScheduledCall:
+        """Run ``fn(*args)`` at ``time`` under the next reserved number.
+
+        The call runs at ``PRIORITY_NORMAL`` and always takes the heap:
+        its number can be smaller than those already on the same-instant
+        micro-queue, which must stay in ``seq`` order.
+        """
+        seq = self._next
+        if seq == self._end:
+            raise SchedulingError("every reserved sequence number is spent")
+        sim = self._sim
+        if time < sim._now:
+            raise SchedulingError(
+                f"cannot schedule at t={time} before now={sim._now}")
+        if not _isfinite(time):
+            raise SchedulingError(f"event time must be finite, got {time!r}")
+        self._next = seq + 1
+        call = ScheduledCall(time, PRIORITY_NORMAL, seq, fn, args, sim)
+        _heappush(sim._heap, (time, PRIORITY_NORMAL, seq, call))
+        return call
 
 
 class Simulator:
@@ -214,6 +255,20 @@ class Simulator:
         else:
             _heappush(self._heap, (time, priority, seq, call))
         return call
+
+    def reserve(self, count: int) -> Reservation:
+        """Draw ``count`` consecutive sequence numbers now.
+
+        The counter advances at once, exactly as ``count``
+        :meth:`schedule_at` calls would; the returned
+        :class:`Reservation` queues one call under each number, in
+        order, whenever its holder is ready to.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        first = self._seq + 1
+        self._seq += count
+        return Reservation(self, first, count)
 
     # ------------------------------------------------------------------
     # Execution

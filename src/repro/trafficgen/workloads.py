@@ -84,14 +84,18 @@ class Workload:
         """Time of the last send (seconds from workload start)."""
         return self.entries[-1][0] if self.entries else 0.0
 
-    def schedule_on(self, sim, host, start: float = 0.0) -> None:
-        """Schedule every send on ``host`` relative to ``start``.
+    def schedule_on(self, sim, host, start: float = 0.0):
+        """Play the workload through ``host``, its offsets counted from
+        the absolute time ``start``; returns the playing
+        :class:`~repro.trafficgen.PacketGenerator`.
 
         Sends a :meth:`~repro.packets.Packet.replay_copy` of each entry,
         so the run stamps its copies and the workload can be replayed.
         """
-        for offset, packet in self.entries:
-            sim.schedule_at(start + offset, host.send, packet.replay_copy())
+        from .pktgen import PacketGenerator
+        generator = PacketGenerator(sim, host, self)
+        generator._play(start)
+        return generator
 
 
 @dataclass

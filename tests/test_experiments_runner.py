@@ -237,11 +237,19 @@ _RUNNERS = ("run_benefits_experiment", "run_mechanism_experiment",
      "--reps: read by none of the requested targets (table1)"),
     (["all", "--scale-flows", "100"],
      "--scale-flows: read by none of the requested targets (all)"),
+    (["fig2a", "--chart", "--json"], "--chart: not read with --json"),
+    (["fig2a", "--no-cache", "--cache-dir", "cache-dir"],
+     "--cache-dir: not read with --no-cache"),
+    (["fig2a", "--trace-sample", "3"],
+     "--trace-sample: read only with --trace-out"),
+    (["fig2a", "--metrics-out", "m.prom", "--trace-sample", "3"],
+     "--trace-sample: read only with --trace-out"),
 ), ids=lambda value: " ".join(value) if isinstance(value, list) else "")
 def test_cli_refuses_options_no_target_reads(argv, message, capsys,
                                              monkeypatch, tmp_path):
-    """An option none of the requested targets reads exits 2, naming
-    the option(s) and the targets, before any experiment runs."""
+    """An option none of the requested targets reads, or one another
+    option switches off, exits 2, naming the option(s) and the targets
+    or the other option, before any experiment runs."""
     from repro.experiments import cli as cli_module
     ran = []
     for runner_name in _RUNNERS:
@@ -271,7 +279,8 @@ def test_cli_all_accepts_every_option_one_of_its_experiments_reads(
         "all", "--json", "--flows", "150", "--reps", "2", "--seed", "3",
         "--workers", "1", "--cache-dir", str(tmp_path / "cache"),
         "--rates", "20", "40", "--full", "--scenario", "line:2",
-        "--fault", "loss=0.01", "--chart", "--csv", str(tmp_path / "csv"),
+        "--fault", "loss=0.01", "--csv", str(tmp_path / "csv"),
+        "--trace-out", str(tmp_path / "t.json"),
         "--metrics-out", str(tmp_path / "m.prom"), "--trace-sample", "2"])
     assert code == 1
     assert "benefits experiment failed" in capsys.readouterr().err
@@ -284,6 +293,7 @@ def test_cli_all_accepts_every_option_one_of_its_experiments_reads(
     assert kwargs["scenario"].name == "line:2"
     assert kwargs["faults"] is not None
     assert kwargs["obs"].config.trace_sample == 2
+    assert kwargs["obs"].config.trace
     assert kwargs["cache"] is not None and kwargs["progress"] is True
 
 

@@ -448,3 +448,114 @@ def test_plain_and_profiled_runs_agree_on_random_schedules(roots, script,
         assert _drive(sim, roots, script, runs) == reference
         for indices, executed in profiler.runs:
             assert indices == list(range(stride, executed + 1, stride))
+
+
+# ---------------------------------------------------------------------------
+# Reservations: a streamed source's calls keep the numbers drawn at start
+# ---------------------------------------------------------------------------
+
+_WHEN = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0))
+#: A plain call: (absolute via schedule_at?, delay from now, priority).
+_PLAIN = st.tuples(st.booleans(), _WHEN,
+                   st.sampled_from((PRIORITY_URGENT, PRIORITY_NORMAL,
+                                    PRIORITY_NORMAL, PRIORITY_LATE)))
+
+
+def _drive_reserved(sim, streamed, roots, reserver, gaps, script):
+    """Run one schedule with a reservation made inside an event.
+
+    ``reserver`` is the plain call whose event reserves ``len(gaps)``
+    numbers, for calls at ``now + gaps[0]``, ``+ gaps[1]``, ...  Streamed,
+    each reserved call queues the next one when it runs; otherwise all
+    are queued with :meth:`Simulator.schedule_at` when the reservation
+    is made (the order a reservation must reproduce).  Every event
+    records its identity, the clock and ``events_scheduled``, then
+    queues the next plain call of ``script``.
+    """
+    order, steps = [], iter(script)
+
+    def queue(step, ident):
+        absolute, delay, priority = step
+        if absolute:
+            sim.schedule_at(sim.now + delay, fire, ident, priority=priority)
+        else:
+            sim.schedule(delay, fire, ident, priority=priority)
+
+    def fire(ident):
+        order.append((ident, sim.now, sim.events_scheduled))
+        step = next(steps, None)
+        if step is not None:
+            queue(step, ("plain", len(order)))
+
+    def reserve():
+        times, at = [], sim.now
+        for gap in gaps:
+            at += gap
+            times.append(at)
+        if streamed:
+            slots = sim.reserve(len(times))
+
+            def reserved(index):
+                if index + 1 < len(times):
+                    slots.schedule_at(times[index + 1], reserved, index + 1)
+                fire(("reserved", index))
+
+            slots.schedule_at(times[0], reserved, 0)
+        else:
+            for index, at in enumerate(times):
+                sim.schedule_at(at, fire, ("reserved", index))
+        fire("reserver")
+
+    for index, step in enumerate(roots):
+        queue(step, ("root", index))
+    absolute, delay, priority = reserver
+    if absolute:
+        sim.schedule_at(delay, reserve, priority=priority)
+    else:
+        sim.schedule(delay, reserve, priority=priority)
+    sim.run()
+    return order, sim.events_scheduled, sim.pending_count()
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(_PLAIN, max_size=6), reserver=_PLAIN,
+       gaps=st.lists(_WHEN, min_size=1, max_size=10),
+       script=st.lists(_PLAIN, max_size=40))
+def test_reserved_calls_run_where_queueing_them_all_at_once_puts_them(
+        roots, reserver, gaps, script):
+    """Reserved calls, queued one at a time, interleave with plain
+    ``schedule``/``schedule_at`` calls (ties, same-instant micro-queue
+    entries, every priority) exactly as if all had been queued when the
+    reservation was made, and every event sees the same
+    ``events_scheduled``."""
+    eager = _drive_reserved(Simulator(), False, roots, reserver, gaps,
+                            script)
+    streamed = _drive_reserved(Simulator(), True, roots, reserver, gaps,
+                               script)
+    assert streamed == eager
+    assert [ident for ident, _at, _count in eager[0]
+            if ident[0] == "reserved"] == [
+                ("reserved", index) for index in range(len(gaps))]
+
+
+def test_reservation_refuses_a_spent_count_the_past_and_non_finite_times():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    slots = sim.reserve(2)
+    assert sim.events_scheduled == 3
+    for bad in (0.5, -math.inf, math.inf, math.nan):
+        with pytest.raises(SchedulingError):
+            slots.schedule_at(bad, lambda: None)
+    first = slots.schedule_at(1.0, lambda: None)
+    second = slots.schedule_at(2.0, lambda: None)
+    # A refused call spent no number.
+    assert (first.seq, second.seq) == (2, 3)
+    with pytest.raises(SchedulingError, match="spent"):
+        slots.schedule_at(3.0, lambda: None)
+    with pytest.raises(SchedulingError):
+        sim.reserve(0).schedule_at(1.0, lambda: None)
+    with pytest.raises(ValueError):
+        sim.reserve(-1)
+    assert sim.events_scheduled == 3
+    assert sim.pending_count() == 2
